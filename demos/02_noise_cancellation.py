@@ -20,7 +20,6 @@ from slhforge import (
     cancellation_chain_components,
     integrate_master,
     number_op,
-    p_imag,
     triple_summary,
 )
 
@@ -38,9 +37,9 @@ chain = build_cancellation_chain([L], H0, ["u"], space)
 print("\nreduced:", triple_summary(chain))
 print("couplings exactly zero:", all(entry.is_zero() for entry in chain.L))
 
-expected_H = OpPolynomial.constant(H0) + 2.0 * p_imag(
+expected_H = OpPolynomial.constant(H0) + 2.0 * (
     OpPolynomial.constant(L.dagger()) * OpPolynomial.of_signal(space, "u")
-)
+).imag()
 print("H == H0 + 2 Im(L^dag u):", chain.H.max_coeff_diff(expected_H) < 1e-13)
 
 # dynamics: driven from vacuum, the chain stays pure and emits nothing

@@ -23,7 +23,6 @@ from slhforge import (
     coherent_vector,
     integrate_schrodinger,
     number_op,
-    p_imag,
 )
 
 gamma, omega0, cutoff = 0.4, 1.0, 40
@@ -32,9 +31,9 @@ a = annihilator(space, "c")
 u = GaussianPulseSignal("u", amplitude=4.0, center=3.0, width=0.5)
 
 L = OpPolynomial.constant(np.sqrt(gamma) * a)
-H = OpPolynomial.constant(omega0 * number_op(space, "c")) + p_imag(
+H = OpPolynomial.constant(omega0 * number_op(space, "c")) + (
     L.dagger() * OpPolynomial.of_signal(space, "u")
-)
+).imag()
 
 times = np.linspace(0.0, 10.0, 10001)
 res = integrate_schrodinger(H, QuantumState.vacuum(space), times, {"u": u},

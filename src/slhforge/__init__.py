@@ -34,13 +34,6 @@ from .signals import (
     SampledSignal,
     Signal,
     SignalMonomial,
-    evaluate,
-    identity_poly,
-    p_imag,
-    poly_add,
-    poly_dagger,
-    poly_mul,
-    poly_scale,
 )
 from .network import (
     ChannelMismatchError,
@@ -50,10 +43,10 @@ from .network import (
     build_noisy_construction,
     cancellation_chain_components,
     cavity,
-    make_component,
     pure_hamiltonian,
     series,
     series_chain,
+    series_steps,
     signal_adder,
     splitter_conjugate,
     system_coupling,
@@ -69,7 +62,6 @@ from .netlist import (
     compile_netlist,
     parse_netlist,
     print_netlist,
-    reduce_network,
     triple_summary,
 )
 from .dynamics import (

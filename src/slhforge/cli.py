@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -20,6 +21,7 @@ import numpy as np
 from .dynamics import (
     IntegrationError,
     QuantumState,
+    SimulationResult,
     analytic_driven_cavity,
     coherent_fidelity,
     integrate_master,
@@ -27,23 +29,16 @@ from .dynamics import (
     output_expectation,
     trace_distance,
 )
-from .hilbert import annihilator, creator, number_op
+from .hilbert import HilbertSpace, annihilator, creator, number_op
 from .netlist import (
-    NetlistError,
     NetlistReductionError,
     NetlistSemanticError,
     NetlistSyntaxError,
     compile_netlist,
     parse_netlist,
 )
-from .network import (
-    build_cancellation_chain,
-    pure_hamiltonian,
-    system_coupling,
-    validate_triple,
-)
-from .signals import GaussianPulseSignal, OpPolynomial, p_imag, poly_dagger
-from . import hilbert
+from .network import build_cancellation_chain, validate_triple
+from .signals import GaussianPulseSignal, OpPolynomial
 
 EXIT_PARSE = 1
 EXIT_REDUCE = 2
@@ -76,23 +71,26 @@ def _write_output(path: str | None, text: str):
             fh.write(text)
 
 
+def _exit(code: int, message: str):
+    """End the command: the message goes to stderr, the code to main."""
+    print(message, file=sys.stderr)
+    raise SystemExit(code)
+
+
 def _load(path: str):
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        _exit(EXIT_PARSE, f"error: {exc}")
     try:
         ast = parse_netlist(text)
     except NetlistSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        _exit(EXIT_PARSE, f"parse error: {exc}")
     try:
         return compile_netlist(ast, base_dir=os.path.dirname(path) or ".")
     except (NetlistSemanticError, NetlistReductionError) as exc:
-        print(f"reduction error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_REDUCE)
+        _exit(EXIT_REDUCE, f"reduction error: {exc}")
 
 
 # -- reduce ---------------------------------------------------------------
@@ -104,7 +102,7 @@ def cmd_reduce(args) -> int:
     probes = [float(x) for x in args.probe_times.split(",")] if args.probe_times else [0.0]
     bindings = compiled.signals
 
-    h_ok = poly_dagger(g.H).approx_equal(g.H, args.tol)
+    h_ok = g.H.dagger().approx_equal(g.H, args.tol)
     s_ok = True
     try:
         validate_triple(g, probe_times=probes, bindings=bindings, tol=args.tol)
@@ -135,6 +133,31 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+# -- time grid ------------------------------------------------------------
+
+
+def _grid(horizon: float, step: float, bindings) -> np.ndarray:
+    """The grid 0, step, ..., n*step with n = round(horizon / step).
+
+    A step that is not finite and positive, a horizon that is not finite
+    and nonnegative, or a bound signal whose horizon does not cover the
+    grid ends the command with exit code 2 before anything integrates.
+    """
+    if not (math.isfinite(step) and step > 0):
+        _exit(EXIT_REDUCE, f"error: step must be finite and > 0, got {step!r}")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        _exit(EXIT_REDUCE, f"error: horizon must be finite and >= 0, got {horizon!r}")
+    n = int(round(horizon / step))
+    times = np.linspace(0.0, n * step, n + 1)
+    for name, signal in sorted(bindings.items()):
+        span = signal.horizon
+        if span is not None and not (span[0] <= 0.0 and times[-1] <= span[1]):
+            _exit(EXIT_REDUCE, f"error: signal {name!r} is defined on "
+                               f"[{span[0]:g}, {span[1]:g}], which does not cover "
+                               f"the grid [0, {times[-1]:g}]")
+    return times
+
+
 # -- simulate -------------------------------------------------------------
 
 
@@ -156,6 +179,8 @@ def _observable(name: str, space):
         if len(fock_labels) != 1:
             raise ValueError(f"observable {name!r} needs a :label on this space")
         label = fock_labels[0]
+    if label not in space:
+        raise ValueError(f"observable {name!r}: no factor labeled {label!r} in {space}")
     if kind == "a":
         return annihilator(space, label)
     if kind == "adag":
@@ -175,11 +200,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REDUCE
-    if args.horizon == 0.0:
-        times = np.array([0.0])
-    else:
-        n = int(round(args.horizon / args.step))
-        times = np.linspace(0.0, n * args.step, n + 1)
+    times = _grid(args.horizon, args.step, compiled.signals)
     closed = all(entry.is_zero() for entry in g.L)
     try:
         if closed and state.is_pure:
@@ -213,17 +234,38 @@ def _check(name, measured, tolerance, larger_ok=False):
     }
 
 
+def _dynamics_ladder(g, bindings, times) -> tuple[list, SimulationResult]:
+    """Master and Schrodinger runs from vacuum on a closed triple: the
+    agreement, purity and output-field checks, plus the Schrodinger run.
+    """
+    vac = QuantumState.vacuum(g.space)
+    master = integrate_master(g, vac, times, bindings, store_states=True)
+    schro = integrate_schrodinger(g.H, vac, times, bindings, store_states=True)
+    psi_T = schro.states[-1]
+    dist = trace_distance(master.states[-1], np.outer(psi_T, psi_T.conj()))
+    out_dev = 0.0
+    for t in times[:: max(1, (times.size - 1) // 20)]:
+        out_dev = max(out_dev, float(np.max(np.abs(output_expectation(g, master, t, bindings)))))
+    checks = [
+        _check("master_vs_schrodinger_trace_distance", dist, 1e-6),
+        _check("purity_drift", float(np.max(np.abs(master.purity - 1.0))), 1e-8),
+        _check("output_expectation_zero", out_dev, 1e-8),
+    ]
+    return checks, schro
+
+
 def _verify_demo(args) -> tuple[dict, list]:
     """Flagship instance: cavity coupling sqrt(gamma) a, Hamiltonian
     omega0 a†a, Gaussian-pulse drive, fed through the feedback chain."""
     gamma, omega0 = 0.4, 1.0
     cutoff = 15
-    space = hilbert.HilbertSpace.fock("c", cutoff)
+    space = HilbertSpace.fock("c", cutoff)
     a = annihilator(space, "c")
     L = np.sqrt(gamma) * a
     H0 = omega0 * number_op(space, "c")
     u = GaussianPulseSignal("u", amplitude=0.5, center=3.0, width=0.5)
     bindings = {"u": u}
+    times = _grid(args.horizon, args.step, bindings)
 
     g = build_cancellation_chain([L], H0, ["u"], space)
     checks = []
@@ -237,31 +279,20 @@ def _verify_demo(args) -> tuple[dict, list]:
     c = _check("couplings_cancel_exactly", l_dev, 0.0)
     c["passed"] = l_dev == 0.0
     checks.append(c)
-    expected_H = OpPolynomial.constant(H0) + 2.0 * p_imag(
+    expected_H = OpPolynomial.constant(H0) + 2.0 * (
         OpPolynomial.constant(L.dagger()) * OpPolynomial.of_signal(space, "u")
-    )
+    ).imag()
     checks.append(_check("hamiltonian_term", g.H.max_coeff_diff(expected_H), args.tol))
 
-    horizon, step = args.horizon, args.step
-    n = int(round(horizon / step))
-    times = np.linspace(0.0, n * step, n + 1)
-    vac = QuantumState.vacuum(space)
-    master = integrate_master(g, vac, times, bindings, store_states=True)
-    schro = integrate_schrodinger(g.H, vac, times, bindings, store_states=True)
-    psi_T = schro.states[-1]
-    dist = trace_distance(master.states[-1], np.outer(psi_T, psi_T.conj()))
-    checks.append(_check("master_vs_schrodinger_trace_distance", dist, 1e-6))
-    checks.append(_check("purity_drift", float(np.max(np.abs(master.purity - 1.0))), 1e-8))
-    out_dev = 0.0
-    for t in times[:: max(1, n // 20)]:
-        out_dev = max(out_dev, float(np.max(np.abs(output_expectation(g, master, t, bindings)))))
-    checks.append(_check("output_expectation_zero", out_dev, 1e-8))
+    ladder, schro = _dynamics_ladder(g, bindings, times)
+    checks += ladder
 
     # driven-cavity oracle: the chain's Hamiltonian term doubles the
     # drive, so compare against the oracle fed with 2u
-    a_of_t = [complex(psi.conj() @ a.matrix @ psi) for psi in schro.states]
+    psi_T = schro.states[-1]
+    a_T = complex(psi_T.conj() @ a.matrix @ psi_T)
     alpha_T = analytic_driven_cavity(omega0, gamma, lambda s: 2.0 * u(s), times[-1])
-    checks.append(_check("driven_cavity_oracle", abs(a_of_t[-1] - alpha_T), 1e-4))
+    checks.append(_check("driven_cavity_oracle", abs(a_T - alpha_T), 1e-4))
     fid = coherent_fidelity(QuantumState(space, vector=psi_T / np.linalg.norm(psi_T)), alpha_T)
     checks.append(_check("coherent_fidelity", fid, 1.0 - 1e-6, larger_ok=True))
     return {"instance": "demo"}, checks
@@ -287,20 +318,7 @@ def _verify_file(args) -> tuple[dict, list]:
         c["detail"] = str(exc)
         checks.append(c)
     if l_zero:
-        horizon, step = args.horizon, args.step
-        n = int(round(horizon / step))
-        times = np.linspace(0.0, n * step, n + 1)
-        vac = QuantumState.vacuum(g.space)
-        master = integrate_master(g, vac, times, bindings, store_states=True)
-        schro = integrate_schrodinger(g.H, vac, times, bindings, store_states=True)
-        psi_T = schro.states[-1]
-        dist = trace_distance(master.states[-1], np.outer(psi_T, psi_T.conj()))
-        checks.append(_check("master_vs_schrodinger_trace_distance", dist, 1e-6))
-        checks.append(_check("purity_drift", float(np.max(np.abs(master.purity - 1.0))), 1e-8))
-        out_dev = 0.0
-        for t in times[:: max(1, n // 20)]:
-            out_dev = max(out_dev, float(np.max(np.abs(output_expectation(g, master, t, bindings)))))
-        checks.append(_check("output_expectation_zero", out_dev, 1e-8))
+        checks += _dynamics_ladder(g, bindings, _grid(args.horizon, args.step, bindings))[0]
     return {"instance": args.file}, checks
 
 
@@ -360,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -267,7 +267,7 @@ def _fock_leak(space: HilbertSpace, probs: np.ndarray) -> float:
     """Max over Fock factors of the top-two-level marginal population.
 
     Factors with fewer than three levels carry no meaningful truncation
-    signal and contribute zero.
+    signal and contribute zero.  A NaN marginal is kept, not dropped.
     """
     dims = space.dims
     grid = probs.reshape(dims)
@@ -276,16 +276,82 @@ def _fock_leak(space: HilbertSpace, probs: np.ndarray) -> float:
         if f.kind != FOCK or f.dim < 3:
             continue
         marginal = grid.sum(axis=tuple(j for j in range(len(dims)) if j != i))
-        leak = max(leak, float(marginal[-1] + marginal[-2]))
+        value = float(marginal[-1] + marginal[-2])
+        if math.isnan(value) or value > leak:
+            leak = value
     return leak
 
 
-def _diagnostics_rho(space, rho):
-    tr = float(np.real(np.trace(rho)))
-    drift = abs(tr - 1.0)
-    pur = float(np.real(np.trace(rho @ rho)))
-    leak = _fock_leak(space, np.real(np.diag(rho)))
-    return drift, pur, leak
+def _diagnose(space: HilbertSpace, y: np.ndarray) -> tuple[float, float, float]:
+    """(drift, purity, leak) of a state vector or a density matrix."""
+    if y.ndim == 1:
+        return abs(float(np.linalg.norm(y)) - 1.0), 1.0, _fock_leak(space, np.abs(y) ** 2)
+    drift = abs(float(np.real(np.trace(y))) - 1.0)
+    pur = float(np.real(np.trace(y @ y)))
+    return drift, pur, _fock_leak(space, np.real(np.diag(y)))
+
+
+def _rk4(
+    rhs: Callable[[np.ndarray, float], np.ndarray],
+    y: np.ndarray,
+    times: Sequence[float],
+    space: HilbertSpace,
+    observables: Mapping[str, Operator] | None,
+    store_states: bool,
+    drift_tol: float,
+    leak_threshold: float | None,
+) -> SimulationResult:
+    """Fixed-step classical RK4 of dy/dt = rhs(y, t) for a state vector
+    (norm drift) or a density matrix (trace drift), recording the
+    diagnostics and observables at every grid point.
+
+    Aborts with IntegrationError on a non-finite diagnostic, on drift
+    beyond ``drift_tol``, or on leak beyond ``leak_threshold`` (None
+    only records the leak).
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be a strictly increasing 1-d grid")
+    pure = y.ndim == 1
+    drift_message = "norm drift exceeds tolerance" if pure else "trace drift exceeds tolerance"
+    observables = observables or {}
+
+    n_steps = times.size
+    drift = np.empty(n_steps)
+    pur = np.empty(n_steps)
+    leak = np.empty(n_steps)
+    expect = {name: np.empty(n_steps, dtype=complex) for name in observables}
+    states = [] if store_states else None
+
+    def record(k, y):
+        d, p, lk = _diagnose(space, y)
+        drift[k], pur[k], leak[k] = d, p, lk
+        for name, op in observables.items():
+            expect[name][k] = y.conj() @ op.matrix @ y if pure else np.trace(y @ op.matrix)
+        if states is not None:
+            states.append(y.copy())
+        t = times[k]
+        for value in (d, p, lk):
+            if not math.isfinite(value):
+                raise IntegrationError("non-finite state", t, value)
+        # written so that NaN fails the comparison
+        if not d <= drift_tol:
+            raise IntegrationError(drift_message, t, d)
+        if leak_threshold is not None and not lk <= leak_threshold:
+            raise IntegrationError("truncation leak exceeds threshold", t, lk)
+
+    record(0, y)
+    for k in range(n_steps - 1):
+        t = times[k]
+        h = times[k + 1] - t
+        k1 = rhs(y, t)
+        k2 = rhs(y + 0.5 * h * k1, t + 0.5 * h)
+        k3 = rhs(y + 0.5 * h * k2, t + 0.5 * h)
+        k4 = rhs(y + h * k3, t + h)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        record(k + 1, y)
+
+    return SimulationResult(times, expect, drift, pur, leak, states)
 
 
 def integrate_master(
@@ -301,52 +367,21 @@ def integrate_master(
     """Fixed-step RK4 on the vacuum-input master equation.
 
     H and the L entries are evaluated at every internal stage time.  The
-    run aborts (IntegrationError) when the trace drifts beyond
-    ``trace_tol`` or the truncation leak exceeds ``leak_threshold``;
-    pass ``leak_threshold=None`` to only record the leak.
+    run aborts (IntegrationError) when a diagnostic is not finite, the
+    trace drifts beyond ``trace_tol`` or the truncation leak exceeds
+    ``leak_threshold``; pass ``leak_threshold=None`` to only record the
+    leak.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a strictly increasing 1-d grid")
     if isinstance(rho0, QuantumState):
         rho = rho0.density().copy()
     else:
         rho = np.asarray(rho0, dtype=complex).copy()
-    space = g.space
-    observables = observables or {}
 
-    n_steps = times.size
-    drift = np.empty(n_steps)
-    pur = np.empty(n_steps)
-    leak = np.empty(n_steps)
-    expect = {name: np.empty(n_steps, dtype=complex) for name in observables}
-    states = [] if store_states else None
+    def rhs(rho, t):
+        return lindblad_rhs(rho, g, t, bindings)
 
-    def record(k, rho):
-        d, p, lk = _diagnostics_rho(space, rho)
-        drift[k], pur[k], leak[k] = d, p, lk
-        for name, op in observables.items():
-            expect[name][k] = np.trace(rho @ op.matrix)
-        if states is not None:
-            states.append(rho.copy())
-        t = times[k]
-        if d > trace_tol:
-            raise IntegrationError("trace drift exceeds tolerance", t, d)
-        if leak_threshold is not None and lk > leak_threshold:
-            raise IntegrationError("truncation leak exceeds threshold", t, lk)
-
-    record(0, rho)
-    for k in range(n_steps - 1):
-        t = times[k]
-        h = times[k + 1] - t
-        k1 = lindblad_rhs(rho, g, t, bindings)
-        k2 = lindblad_rhs(rho + 0.5 * h * k1, g, t + 0.5 * h, bindings)
-        k3 = lindblad_rhs(rho + 0.5 * h * k2, g, t + 0.5 * h, bindings)
-        k4 = lindblad_rhs(rho + h * k3, g, t + h, bindings)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        record(k + 1, rho)
-
-    return SimulationResult(times, expect, drift, pur, leak, states)
+    return _rk4(rhs, rho, times, g.space, observables, store_states,
+                trace_tol, leak_threshold)
 
 
 def integrate_schrodinger(
@@ -364,17 +399,12 @@ def integrate_schrodinger(
     """
     if not H.dagger().approx_equal(H, 1e-10):
         raise ValueError("H is not formally self-adjoint")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a strictly increasing 1-d grid")
     if isinstance(psi0, QuantumState):
         if not psi0.is_pure:
             raise ValueError("Schrodinger integration needs a pure state")
         psi = psi0.vector.copy()
     else:
         psi = np.asarray(psi0, dtype=complex).copy()
-    space = H.space
-    observables = observables or {}
 
     has_signals = bool(H.signals())
     H0_mat = None if has_signals else H.evaluate(0.0, bindings).matrix
@@ -383,39 +413,8 @@ def integrate_schrodinger(
         mat = H0_mat if H0_mat is not None else H.evaluate(t, bindings).matrix
         return -1j * (mat @ psi)
 
-    n_steps = times.size
-    drift = np.empty(n_steps)
-    pur = np.ones(n_steps)
-    leak = np.empty(n_steps)
-    expect = {name: np.empty(n_steps, dtype=complex) for name in observables}
-    states = [] if store_states else None
-
-    def record(k, psi):
-        nrm = float(np.linalg.norm(psi))
-        drift[k] = abs(nrm - 1.0)
-        leak[k] = _fock_leak(space, np.abs(psi) ** 2)
-        for name, op in observables.items():
-            expect[name][k] = psi.conj() @ op.matrix @ psi
-        if states is not None:
-            states.append(psi.copy())
-        t = times[k]
-        if drift[k] > norm_tol:
-            raise IntegrationError("norm drift exceeds tolerance", t, drift[k])
-        if leak_threshold is not None and leak[k] > leak_threshold:
-            raise IntegrationError("truncation leak exceeds threshold", t, leak[k])
-
-    record(0, psi)
-    for k in range(n_steps - 1):
-        t = times[k]
-        h = times[k + 1] - t
-        k1 = rhs(psi, t)
-        k2 = rhs(psi + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(psi + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(psi + h * k3, t + h)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        record(k + 1, psi)
-
-    return SimulationResult(times, expect, drift, pur, leak, states)
+    return _rk4(rhs, psi, times, H.space, observables, store_states,
+                norm_tol, leak_threshold)
 
 
 def output_expectation(

@@ -32,11 +32,13 @@ from .hilbert import (
     number_op,
 )
 from .network import (
+    ChannelMismatchError,
     SLHTriple,
     beam_splitter,
     cavity,
     pure_hamiltonian,
-    series,
+    series,  # unused here; perfbench/workloads.py patches netlist.series
+    series_steps,
     signal_adder,
     system_coupling,
 )
@@ -885,51 +887,19 @@ class _Analyzer:
 
     def reduce(self, network: NetworkDecl) -> tuple[SLHTriple, list[TraceStep]]:
         chain = network.chain
-        acc = self.components[chain[-1]]
-        trace = [TraceStep(chain[-1], triple_summary(acc))]
-        for name in reversed(chain[:-1]):
-            g = self.components[name]
-            g, acc_adj = _match_channels(g, acc)
-            try:
-                acc = series(g, acc_adj)
-            except ValueError as exc:
-                raise NetlistReductionError(f"composing {name!r}: {exc}") from exc
-            trace.append(TraceStep(name, triple_summary(acc)))
+        steps = series_steps([self.components[name] for name in chain])
+        trace: list[TraceStep] = []
+        try:
+            for name, acc in zip(reversed(chain), steps):
+                trace.append(TraceStep(name, triple_summary(acc)))
+        except ChannelMismatchError as exc:
+            raise NetlistReductionError(str(exc)) from exc
+        except ValueError as exc:
+            name = chain[-1 - len(trace)]
+            raise NetlistReductionError(f"composing {name!r}: {exc}") from exc
         return acc, trace
-
-
-def _is_static_ham(g: SLHTriple) -> bool:
-    """True for pure-Hamiltonian triples (S = I, L = 0), which may enter
-    a series chain at any point and with any channel count."""
-    if any(not entry.is_zero() for entry in g.L):
-        return False
-    for i, row in enumerate(g.S):
-        for j, entry in enumerate(row):
-            want = OpPolynomial.constant(identity(g.space)) if i == j else OpPolynomial.zero(g.space)
-            if not (entry == want):
-                return False
-    return True
-
-
-def _match_channels(g2: SLHTriple, g1: SLHTriple) -> tuple[SLHTriple, SLHTriple]:
-    if g2.channels == g1.channels:
-        return g2, g1
-    if _is_static_ham(g2):
-        return pure_hamiltonian(g2.H, g2.space, g1.channels), g1
-    if _is_static_ham(g1):
-        return g2, pure_hamiltonian(g1.H, g1.space, g2.channels)
-    raise NetlistReductionError(
-        f"channel-count mismatch: {g2.channels} vs {g1.channels}"
-    )
 
 
 def compile_netlist(ast: NetlistAST, base_dir: str = ".") -> CompiledNetlist:
     """Type-check declarations, build the components, and reduce the chain."""
     return _Analyzer(ast, base_dir).run()
-
-
-def reduce_network(ast: NetlistAST, base_dir: str = ".") -> tuple[SLHTriple, list[TraceStep]]:
-    """Reduce the AST's series chain to one effective triple plus a trace
-    of the intermediate symbolic summaries."""
-    compiled = compile_netlist(ast, base_dir)
-    return compiled.triple, compiled.trace

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .hilbert import (
     is_unitary_channel_matrix,
     number_op,
 )
-from .signals import Bindings, OpPolynomial, identity_poly
+from .signals import Bindings, OpPolynomial
 
 
 class ChannelMismatchError(ValueError):
@@ -111,7 +111,7 @@ def _as_poly(x, space: HilbertSpace) -> OpPolynomial:
 
 
 def _identity_S(space: HilbertSpace, n: int) -> tuple[tuple[OpPolynomial, ...], ...]:
-    one = identity_poly(space)
+    one = OpPolynomial.constant(identity(space))
     zero = OpPolynomial.zero(space)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
@@ -187,22 +187,6 @@ def cavity(space: HilbertSpace, mode: str, gamma: float, omega: float) -> SLHTri
     return SLHTriple(_identity_S(space, 1), (L,), H)
 
 
-def make_component(kind: str, **args) -> SLHTriple:
-    """Dispatch by component kind: HAM, BS, ADD, SYS, CAVITY."""
-    kind = kind.upper()
-    if kind == "HAM":
-        return pure_hamiltonian(args["H"], args.get("space"), args.get("channels", 1))
-    if kind == "BS":
-        return beam_splitter(args["T"], args["space"])
-    if kind == "ADD":
-        return signal_adder(args["u"], args["space"])
-    if kind == "SYS":
-        return system_coupling(args["L"], args.get("space"))
-    if kind == "CAVITY":
-        return cavity(args["space"], args["mode"], args["gamma"], args["omega"])
-    raise ValueError(f"unknown component kind {kind!r}")
-
-
 # -- composition ----------------------------------------------------------
 
 
@@ -216,7 +200,7 @@ def series(g2: SLHTriple, g1: SLHTriple) -> SLHTriple:
     """
     if g1.channels != g2.channels:
         raise ChannelMismatchError(
-            f"channel counts differ: {g2.channels} vs {g1.channels}"
+            f"channel-count mismatch: {g2.channels} vs {g1.channels}"
         )
     if g1.space != g2.space:
         raise ValueError("operands live on different spaces; embed before composing")
@@ -245,15 +229,39 @@ def _poly_sum(polys) -> OpPolynomial:
     return total
 
 
-def series_chain(components: Sequence[SLHTriple]) -> SLHTriple:
-    """Reduce a chain listed downstream-first (leftmost receives the
-    rightmost component's output, mirroring `a <| b <| c`).
+def _is_pure_hamiltonian(g: SLHTriple) -> bool:
+    """True for (S = I, L = 0) triples, whatever their channel count."""
+    return all(entry.is_zero() for entry in g.L) and g.S == _identity_S(g.space, g.channels)
+
+
+def series_steps(components: Sequence[SLHTriple]) -> Iterator[SLHTriple]:
+    """Running reduction of a chain listed downstream-first (leftmost
+    receives the rightmost component's output, mirroring `a <| b <| c`):
+    yields the rightmost component, then each product with the next
+    component to its left.
+
+    A pure Hamiltonian (S = I, L = 0) carries no field, so when the
+    channel counts of a step differ it takes its neighbour's count;
+    any other mismatch raises ChannelMismatchError.
     """
     if not components:
         raise ValueError("empty chain")
     acc = components[-1]
+    yield acc
     for g in reversed(components[:-1]):
+        if g.channels != acc.channels:
+            if _is_pure_hamiltonian(g):
+                g = pure_hamiltonian(g.H, g.space, acc.channels)
+            elif _is_pure_hamiltonian(acc):
+                acc = pure_hamiltonian(acc.H, acc.space, g.channels)
         acc = series(g, acc)
+        yield acc
+
+
+def series_chain(components: Sequence[SLHTriple]) -> SLHTriple:
+    """Reduce a chain listed downstream-first to its effective triple."""
+    for acc in series_steps(components):
+        pass
     return acc
 
 

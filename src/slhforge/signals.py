@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, HilbertSpace, Operator, identity
+from .hilbert import DEFAULT_TOL, HilbertSpace, Operator
 
 #: Guard against pathological compositions; nothing in scope exceeds degree 2.
 DEGREE_CAP = 8
@@ -369,34 +369,3 @@ class OpPolynomial:
 
 def _mono_key(m: SignalMonomial):
     return (m.degree, m.entries)
-
-
-# -- functional surface ---------------------------------------------------
-
-
-def poly_add(p: OpPolynomial, q: OpPolynomial) -> OpPolynomial:
-    return p + q
-
-
-def poly_scale(p: OpPolynomial, c: complex) -> OpPolynomial:
-    return p.scale(c)
-
-
-def poly_mul(p: OpPolynomial, q: OpPolynomial) -> OpPolynomial:
-    return p * q
-
-
-def poly_dagger(p: OpPolynomial) -> OpPolynomial:
-    return p.dagger()
-
-
-def p_imag(p: OpPolynomial) -> OpPolynomial:
-    return p.imag()
-
-
-def evaluate(p: OpPolynomial, t: float, bindings: Bindings | None = None) -> Operator:
-    return p.evaluate(t, bindings)
-
-
-def identity_poly(space: HilbertSpace) -> OpPolynomial:
-    return OpPolynomial.constant(identity(space))

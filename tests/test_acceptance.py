@@ -38,7 +38,6 @@ from slhforge import (
     lindblad_rhs,
     number_op,
     output_expectation,
-    p_imag,
     parse_netlist,
     print_netlist,
     pure_hamiltonian,
@@ -212,9 +211,9 @@ def test_criterion_3_cancellation_reduction_as_stated():
     residual_gap = 0.0
     for sp, L, H0 in _chain_instances(303, 50):
         g = build_cancellation_chain([L], H0, ["u"], sp)
-        single = p_imag(
+        single = (
             OpPolynomial.constant(L.dagger()) * OpPolynomial.of_signal(sp, "u")
-        )
+        ).imag()
         want = pure_hamiltonian(OpPolynomial.constant(H0) + 2.0 * single, sp)
         eq, rep = triples_approx_equal(g, want, 1e-10, [0.0], binds)
         assert eq, f"chain deviates from (I, 0, H0 + 2 Im L†u): {rep}"
@@ -304,9 +303,9 @@ def test_criterion_3_corrected_reduction_with_independent_cross_check():
     for sp, L, H0 in _chain_instances(305, 50):
         g = build_cancellation_chain([L], H0, ["u"], sp)
         assert all(entry.is_zero() for entry in g.L)
-        want = OpPolynomial.constant(H0) + 2.0 * p_imag(
+        want = OpPolynomial.constant(H0) + 2.0 * (
             OpPolynomial.constant(L.dagger()) * OpPolynomial.of_signal(sp, "u")
-        )
+        ).imag()
         for mono in set(g.H.terms) | set(want.terms):
             if mono.degree == 0:
                 continue
@@ -370,9 +369,9 @@ def test_criterion_4_noisy_construction():
         g = build_noisy_construction(T, Ls, H0, names, sp)
         bilinear = OpPolynomial.zero(sp)
         for name, L in zip(names, Ls):
-            bilinear = bilinear + p_imag(
+            bilinear = bilinear + (
                 OpPolynomial.constant(L.dagger()) * OpPolynomial.of_signal(sp, name)
-            )
+            ).imag()
         want = SLHTriple(
             beam_splitter(T, sp).S,
             tuple(OpPolynomial.constant(L) for L in Ls),
@@ -396,9 +395,9 @@ def test_criterion_4_noisy_construction():
         binds = random_bindings(rng, names)
         single = OpPolynomial.zero(sp)
         for name, L in zip(names, Ls):
-            single = single + p_imag(
+            single = single + (
                 OpPolynomial.constant(L.dagger()) * OpPolynomial.of_signal(sp, name)
-            )
+            ).imag()
         for t in (0.0, 0.3, 1.1):
             got = g.H.evaluate(t, binds) - Operator(sp, H0.matrix)
             want = 2.0 * single.evaluate(t, binds)
@@ -422,9 +421,9 @@ def _driven_cavity_run(step):
     a = annihilator(sp, "c")
     u = GaussianPulseSignal("u", **CAVITY_PULSE)
     L = OpPolynomial.constant(np.sqrt(CAVITY_GAMMA) * a)
-    H = OpPolynomial.constant(CAVITY_OMEGA0 * number_op(sp, "c")) + p_imag(
+    H = OpPolynomial.constant(CAVITY_OMEGA0 * number_op(sp, "c")) + (
         L.dagger() * OpPolynomial.of_signal(sp, "u")
-    )
+    ).imag()
     n = int(round(10.0 / step))
     times = np.linspace(0.0, n * step, n + 1)
     res = integrate_schrodinger(H, QuantumState.vacuum(sp), times, {"u": u},

@@ -1,10 +1,14 @@
 """End-to-end checks of the reduce / simulate / verify commands."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slhforge.cli import main
+
+NETLISTS = Path(__file__).parent / "netlists"
 
 
 MINIMAL = """\
@@ -17,6 +21,14 @@ CLOSED = """\
 space fock(cutoff=5) as c
 component H0 = HAM(n(c))
 network main = H0
+"""
+
+OVERFLOW = """\
+space fock(cutoff=4) as c
+signal u = constant(1e200)
+component A = ADD(u=[u])
+component G = SYS(L=[a(c)])
+network main = G <| A
 """
 
 
@@ -135,6 +147,36 @@ def test_simulate_leak_abort_exits_4(netlist, capsys):
                "--initial", "coherent:1,0", "--observable", "n"])
     assert rc == 4
     assert "integration aborted" in capsys.readouterr().err
+
+
+def test_simulate_non_finite_state_exits_4(netlist, capsys):
+    with np.errstate(all="ignore"):
+        rc = main(["simulate", netlist(OVERFLOW), "--horizon", "0.003", "--step", "0.001"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert "integration aborted" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "0.1", "--step", "0"],
+    ["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "-1"],
+    ["verify", "--demo", "--step", "0"],
+    ["simulate", str(NETLISTS / "sampled_drive.slh"), "--horizon", "10", "--step", "0.01"],
+], ids=["zero_step", "negative_horizon", "demo_zero_step", "past_sampled_table"])
+def test_bad_time_grid_exits_2(argv, capsys):
+    rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_simulate_unknown_observable_label_exits_2(capsys):
+    rc = main(["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "0.1",
+               "--observable", "n:zz"])
+    assert rc == 2
+    assert "error: " in capsys.readouterr().err
 
 
 # -- verify ----------------------------------------------------------------

@@ -26,6 +26,7 @@ from slhforge import (
     number_op,
     output_expectation,
     purity,
+    series,
     signal_adder,
     system_coupling,
     trace_distance,
@@ -201,6 +202,21 @@ def test_leak_abort_fires():
         integrate_master(g, st, np.linspace(0.0, 1.0, 11))
     res = integrate_master(g, st, np.linspace(0.0, 1.0, 11), leak_threshold=None)
     assert np.max(res.leak) > 0.1
+
+
+def test_non_finite_state_aborts_even_without_leak_threshold():
+    # a 1e200 drive on a damped mode overflows within the first steps;
+    # NaN compares false against every tolerance, so it needs its own check
+    sp = HilbertSpace.fock("c", 4)
+    g = series(system_coupling([annihilator(sp, "c")], sp), signal_adder(["u"], sp))
+    binds = {"u": ConstantSignal("u", 1e200)}
+    times = np.linspace(0.0, 0.003, 4)
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate_master(g, QuantumState.vacuum(sp), times, binds, leak_threshold=None)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate_schrodinger(OpPolynomial.constant(1e200 * number_op(sp, "c")),
+                                  QuantumState.fock(sp, 1), times, leak_threshold=None)
 
 
 def test_stored_states_and_output_expectation():

@@ -15,7 +15,6 @@ from slhforge import (
     number_op,
     parse_netlist,
     print_netlist,
-    reduce_network,
     triples_approx_equal,
 )
 
@@ -259,7 +258,7 @@ def test_channel_mismatch_is_a_reduction_error():
             "component A = ADD(u=[u, u])\n"
             "network main = G <| A\n")
     with pytest.raises(NetlistReductionError, match="channel-count mismatch"):
-        reduce_network(parse_netlist(text))
+        compile_netlist(parse_netlist(text))
 
 
 def test_sqrt_of_negative_is_rejected():

@@ -19,10 +19,7 @@ from slhforge import (
     cavity,
     creator,
     identity,
-    identity_poly,
-    make_component,
     number_op,
-    p_imag,
     pure_hamiltonian,
     series,
     series_chain,
@@ -107,21 +104,19 @@ def test_cavity_component():
         cavity(sp, "c", gamma=-1.0, omega=0.0)
 
 
-def test_make_component_dispatch(rng):
+def test_component_constructors(rng):
     h = random_hermitian(rng, SP)
-    assert make_component("ham", H=h).H.constant_part().approx_equal(h)
-    assert make_component("BS", T=np.eye(2), space=SP).channels == 2
-    assert make_component("ADD", u=["u"], space=SP).channels == 1
-    assert make_component("SYS", L=[h]).channels == 1
+    assert pure_hamiltonian(h).H.constant_part().approx_equal(h)
+    assert beam_splitter(np.eye(2), SP).channels == 2
+    assert signal_adder(["u"], SP).channels == 1
+    assert system_coupling([h]).channels == 1
     sp = HilbertSpace.fock("c", 2)
-    assert make_component("CAVITY", space=sp, mode="c", gamma=1.0, omega=0.0).channels == 1
-    with pytest.raises(ValueError):
-        make_component("WIRE")
+    assert cavity(sp, "c", gamma=1.0, omega=0.0).channels == 1
 
 
 def test_triple_invariants():
     zero = OpPolynomial.zero(SP)
-    one = identity_poly(SP)
+    one = OpPolynomial.constant(identity(SP))
     with pytest.raises(ValueError, match="square"):
         SLHTriple(((one, zero),), (zero,), zero)
     with pytest.raises(ValueError, match="entries"):
@@ -201,6 +196,17 @@ def test_series_chain_is_downstream_first(rng):
     assert eq, rep
     with pytest.raises(ValueError):
         series_chain([])
+
+
+def test_series_chain_broadcasts_pure_hamiltonians(rng):
+    h = random_hermitian(rng, SP)
+    g = random_triple(rng, 3, 2, signals=["u"])
+    ham2 = pure_hamiltonian(h, SP, channels=2)
+    # a one-channel HAM takes its neighbour's channel count on either side
+    assert series_chain([pure_hamiltonian(h, SP), g]) == series(ham2, g)
+    assert series_chain([g, pure_hamiltonian(h, SP)]) == series(g, ham2)
+    with pytest.raises(ChannelMismatchError, match="channel-count mismatch"):
+        series_chain([random_triple(rng, 3, 1), g])
 
 
 def test_series_is_not_commutative(rng):
@@ -298,11 +304,11 @@ def test_cancellation_chain_is_closed_and_bilinear(rng):
     g = build_cancellation_chain([L], H0, ["u"], SP)
     # couplings cancel to the exact zero polynomial, S is exactly I
     assert all(entry.is_zero() for entry in g.L)
-    assert g.S == (((identity_poly(SP)),),)
+    assert g.S == (((OpPolynomial.constant(identity(SP))),),)
     # the effective Hamiltonian gains the bilinear term twice over; its
     # signal terms come out bit-exact, the constant term only to roundoff
     Ldag_u = OpPolynomial.constant(L.dagger()) * OpPolynomial.of_signal(SP, "u")
-    want = OpPolynomial.constant(H0) + 2.0 * p_imag(Ldag_u)
+    want = OpPolynomial.constant(H0) + 2.0 * Ldag_u.imag()
     assert g.H - want == OpPolynomial.constant(g.H.constant_part() - H0)
     assert g.H.max_coeff_diff(want) < 1e-13
 
@@ -313,7 +319,7 @@ def test_noisy_construction_keeps_the_coupling(rng):
     g = build_noisy_construction(np.eye(1), [L], H0, ["u"], SP)
     assert g.L[0] == OpPolynomial.constant(L)
     Ldag_u = OpPolynomial.constant(L.dagger()) * OpPolynomial.of_signal(SP, "u")
-    assert g.H == OpPolynomial.constant(H0) + 2.0 * p_imag(Ldag_u)
+    assert g.H == OpPolynomial.constant(H0) + 2.0 * Ldag_u.imag()
     with pytest.raises(ValueError):
         build_noisy_construction(np.eye(2), [L], H0, ["u"], SP)
 
@@ -354,7 +360,7 @@ def test_validate_triple_warns_on_signal_dependent_S(rng):
 
 def test_triples_approx_equal_reports_differences(rng):
     g = random_triple(rng, 3, 1)
-    other = SLHTriple(g.S, g.L, g.H + identity_poly(SP))
+    other = SLHTriple(g.S, g.L, g.H + OpPolynomial.constant(identity(SP)))
     eq, rep = triples_approx_equal(g, other)
     assert not eq and rep.startswith("H differs")
     eq, rep = triples_approx_equal(g, random_triple(rng, 3, 2))
