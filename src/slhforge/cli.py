@@ -45,6 +45,11 @@ EXIT_REDUCE = 2
 EXIT_VALIDATE = 3
 EXIT_DYNAMICS = 4
 
+#: Most steps a time grid may have.  The grid, the per-step diagnostics
+#: and the table of signal samples at the RK4 stage times all grow
+#: linearly with it, so a larger grid is refused before it is allocated.
+MAX_STEPS = 10**6
+
 log = logging.getLogger("slhforge")
 
 
@@ -140,14 +145,19 @@ def _grid(horizon: float, step: float, bindings) -> np.ndarray:
     """The grid 0, step, ..., n*step with n = round(horizon / step).
 
     A step that is not finite and positive, a horizon that is not finite
-    and nonnegative, or a bound signal whose horizon does not cover the
-    grid ends the command with exit code 2 before anything integrates.
+    and nonnegative, a ratio horizon / step that is not finite or exceeds
+    MAX_STEPS, or a bound signal whose horizon does not cover the grid
+    ends the command with exit code 2 before anything integrates.
     """
     if not (math.isfinite(step) and step > 0):
         _exit(EXIT_REDUCE, f"error: step must be finite and > 0, got {step!r}")
     if not (math.isfinite(horizon) and horizon >= 0):
         _exit(EXIT_REDUCE, f"error: horizon must be finite and >= 0, got {horizon!r}")
-    n = int(round(horizon / step))
+    ratio = horizon / step
+    if not (math.isfinite(ratio) and ratio <= MAX_STEPS):
+        _exit(EXIT_REDUCE, f"error: horizon / step = {ratio:g} steps exceeds "
+                           f"the limit of {MAX_STEPS} steps")
+    n = int(round(ratio))
     times = np.linspace(0.0, n * step, n + 1)
     for name, signal in sorted(bindings.items()):
         span = signal.horizon
@@ -265,7 +275,10 @@ def _verify_demo(args) -> tuple[dict, list]:
     H0 = omega0 * number_op(space, "c")
     u = GaussianPulseSignal("u", amplitude=0.5, center=3.0, width=0.5)
     bindings = {"u": u}
-    times = _grid(args.horizon, args.step, bindings)
+    # by default the run lasts until the pulse has passed, so the oracle
+    # compares a driven amplitude rather than a vacuum one
+    horizon = u.center + 6 * u.width if args.horizon is None else args.horizon
+    times = _grid(horizon, args.step, bindings)
 
     g = build_cancellation_chain([L], H0, ["u"], space)
     checks = []
@@ -302,6 +315,7 @@ def _verify_file(args) -> tuple[dict, list]:
     compiled = _load(args.file)
     g = compiled.triple
     bindings = compiled.signals
+    horizon = 1.0 if args.horizon is None else args.horizon
     checks = []
     l_zero = all(entry.is_zero() for entry in g.L)
     c = _check("couplings_cancel_exactly", 0.0 if l_zero else 1.0, 0.5)
@@ -311,14 +325,14 @@ def _verify_file(args) -> tuple[dict, list]:
         c["detail"] = f"nonzero L entries at channels {nonzero}"
     checks.append(c)
     try:
-        validate_triple(g, probe_times=[0.0, args.horizon / 2, args.horizon], bindings=bindings)
+        validate_triple(g, probe_times=[0.0, horizon / 2, horizon], bindings=bindings)
         checks.append(_check("triple_valid", 0.0, 0.5))
     except ValueError as exc:
         c = _check("triple_valid", 1.0, 0.5)
         c["detail"] = str(exc)
         checks.append(c)
     if l_zero:
-        checks += _dynamics_ladder(g, bindings, _grid(args.horizon, args.step, bindings))[0]
+        checks += _dynamics_ladder(g, bindings, _grid(horizon, args.step, bindings))[0]
     return {"instance": args.file}, checks
 
 
@@ -375,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification ladder")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--demo", action="store_true", help="built-in cavity instance")
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=float, default=None,
+                   help="end time (default: 6.0 for --demo, its pulse centre plus six "
+                        "widths; 1.0 for a file)")
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("-o", "--output", default=None)

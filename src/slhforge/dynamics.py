@@ -6,6 +6,13 @@ through a separate input-state parameter, so the integrator has a single
 code path.  Integration is fixed-step classical RK4 and neither trace
 nor norm is renormalized: drift is reported as a diagnostic so that
 integrator bugs cannot hide.
+
+Each run compiles its generator once: each polynomial it needs has its
+coefficients stacked into one array, every signal is sampled once per
+RK4 stage time, and a polynomial's value at a stage is a single
+contraction of that stage's monomial values with its stack.
+:func:`lindblad_rhs` evaluates the polynomials directly and is kept as
+the reference the compiled master generator is tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from scipy.integrate import quad
 
 from .hilbert import FOCK, HilbertSpace, Operator
 from .network import SLHTriple
-from .signals import Bindings, OpPolynomial
+from .signals import ONE, Bindings, OpPolynomial
 
 DEFAULT_TRACE_TOL = 1e-6
 DEFAULT_LEAK_THRESHOLD = 1e-6
@@ -182,10 +189,12 @@ def lindblad_rhs(rho: np.ndarray, g: SLHTriple, t: float,
                  bindings: Bindings | None = None) -> np.ndarray:
     """State-picture generator: -i[H, rho] + sum_i (L rho L† - ½{L†L, rho}).
 
-    Scalar signal parts of L enter as multiples of the identity and are
-    never special-cased; a c-number shift of L is dynamically equivalent
-    to a Hamiltonian shift, which is exactly how signal-adding components
-    act on the composed model.
+    This is the reference generator: it evaluates the polynomials at t on
+    every call, and the integrators use the compiled form of the same map
+    (see :func:`integrate_master`).  Scalar signal parts of L enter as
+    multiples of the identity and are never special-cased; a c-number
+    shift of L is dynamically equivalent to a Hamiltonian shift, which is
+    exactly how signal-adding components act on the composed model.
     """
     H = g.H.evaluate(t, bindings).matrix
     out = -1j * (H @ rho - rho @ H)
@@ -263,36 +272,83 @@ class SimulationResult:
         return "\n".join(lines) + "\n"
 
 
-def _fock_leak(space: HilbertSpace, probs: np.ndarray) -> float:
-    """Max over Fock factors of the top-two-level marginal population.
+def _leak_masks(space: HilbertSpace) -> list[np.ndarray]:
+    """Per Fock factor with at least three levels, the basis states whose
+    level in that factor is one of its top two.
 
     Factors with fewer than three levels carry no meaningful truncation
-    signal and contribute zero.  A NaN marginal is kept, not dropped.
+    signal and get no mask.
     """
-    dims = space.dims
-    grid = probs.reshape(dims)
+    levels = np.indices(space.dims).reshape(len(space.factors), -1)
+    return [levels[i] >= f.dim - 2 for i, f in enumerate(space.factors)
+            if f.kind == FOCK and f.dim >= 3]
+
+
+def _fock_leak(masks: Sequence[np.ndarray], probs: np.ndarray) -> float:
+    """Max over Fock factors of the top-two-level marginal population,
+    0 when no factor has a mask.  A NaN marginal is kept, not dropped."""
     leak = 0.0
-    for i, f in enumerate(space.factors):
-        if f.kind != FOCK or f.dim < 3:
-            continue
-        marginal = grid.sum(axis=tuple(j for j in range(len(dims)) if j != i))
-        value = float(marginal[-1] + marginal[-2])
+    for mask in masks:
+        value = float(probs[mask].sum())
         if math.isnan(value) or value > leak:
             leak = value
     return leak
 
 
-def _diagnose(space: HilbertSpace, y: np.ndarray) -> tuple[float, float, float]:
+def _diagnose(masks: Sequence[np.ndarray], y: np.ndarray) -> tuple[float, float, float]:
     """(drift, purity, leak) of a state vector or a density matrix."""
     if y.ndim == 1:
-        return abs(float(np.linalg.norm(y)) - 1.0), 1.0, _fock_leak(space, np.abs(y) ** 2)
+        return abs(float(np.linalg.norm(y)) - 1.0), 1.0, _fock_leak(masks, np.abs(y) ** 2)
     drift = abs(float(np.real(np.trace(y))) - 1.0)
-    pur = float(np.real(np.trace(y @ y)))
-    return drift, pur, _fock_leak(space, np.real(np.diag(y)))
+    # trace(y @ y) without the product; equal for any y, Hermitian or not
+    pur = float(np.real(np.einsum("ij,ji->", y, y)))
+    return drift, pur, _fock_leak(masks, np.real(np.diag(y)))
+
+
+def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
+             stages: np.ndarray) -> Callable[[int, int], list[np.ndarray]]:
+    """``polys`` on the stage-time table ``stages``: a function of a table
+    index (k, j) returning their (d, d) values at ``stages[k, j]``.
+
+    Each polynomial's coefficients are stacked into one (k, d·d) array.
+    Each signal is sampled once per stage time and each monomial becomes a
+    table of scalar values, so a polynomial's value at a stage is one
+    contraction of its k monomial values with its stack.  A constant
+    polynomial compiles to one matrix.
+    """
+    d = polys[0].space.total_dim
+    bindings = bindings or {}
+    samples = {}
+    for name in sorted(set().union(*(p.signals() for p in polys))):
+        if name not in bindings:
+            raise KeyError(f"unbound signal {name!r}")
+        signal = bindings[name]
+        samples[name] = np.array([complex(signal(t)) for t in stages.ravel()],
+                                 dtype=complex).reshape(stages.shape)
+
+    def values(mono):
+        v = np.ones(stages.shape, dtype=complex)
+        for name, p, q in mono.entries:
+            if p:
+                v *= samples[name] ** p
+            if q:
+                v *= samples[name].conj() ** q
+        return v
+
+    parts = []
+    for poly in polys:
+        if poly.is_constant():
+            parts.append((None, poly.terms[ONE] if poly.terms
+                          else np.zeros((d, d), dtype=complex)))
+        else:
+            flat = np.stack(list(poly.terms.values())).reshape(len(poly.terms), d * d)
+            parts.append((np.stack([values(m) for m in poly.terms], axis=-1), flat))
+    return lambda k, j: [mat if vals is None else (vals[k, j] @ mat).reshape(d, d)
+                         for vals, mat in parts]
 
 
 def _rk4(
-    rhs: Callable[[np.ndarray, float], np.ndarray],
+    rhs: Callable[[np.ndarray], Callable[[np.ndarray, int, int], np.ndarray]],
     y: np.ndarray,
     times: Sequence[float],
     space: HilbertSpace,
@@ -301,9 +357,13 @@ def _rk4(
     drift_tol: float,
     leak_threshold: float | None,
 ) -> SimulationResult:
-    """Fixed-step classical RK4 of dy/dt = rhs(y, t) for a state vector
-    (norm drift) or a density matrix (trace drift), recording the
-    diagnostics and observables at every grid point.
+    """Fixed-step classical RK4 for a state vector (norm drift) or a
+    density matrix (trace drift), recording the diagnostics and
+    observables at every grid point.
+
+    ``rhs(stages)`` compiles the generator for the (n-1, 3) table of the
+    stage times t, t + h/2 and t + h of every step, and returns f with
+    ``f(y, k, j)`` = dy/dt at stage time ``stages[k, j]``.
 
     Aborts with IntegrationError on a non-finite diagnostic, on drift
     beyond ``drift_tol``, or on leak beyond ``leak_threshold`` (None
@@ -315,6 +375,7 @@ def _rk4(
     pure = y.ndim == 1
     drift_message = "norm drift exceeds tolerance" if pure else "trace drift exceeds tolerance"
     observables = observables or {}
+    masks = _leak_masks(space)
 
     n_steps = times.size
     drift = np.empty(n_steps)
@@ -324,10 +385,11 @@ def _rk4(
     states = [] if store_states else None
 
     def record(k, y):
-        d, p, lk = _diagnose(space, y)
+        d, p, lk = _diagnose(masks, y)
         drift[k], pur[k], leak[k] = d, p, lk
         for name, op in observables.items():
-            expect[name][k] = y.conj() @ op.matrix @ y if pure else np.trace(y @ op.matrix)
+            expect[name][k] = (y.conj() @ op.matrix @ y if pure
+                               else np.einsum("ij,ji->", y, op.matrix))
         if states is not None:
             states.append(y.copy())
         t = times[k]
@@ -340,18 +402,52 @@ def _rk4(
         if leak_threshold is not None and not lk <= leak_threshold:
             raise IntegrationError("truncation leak exceeds threshold", t, lk)
 
-    record(0, y)
-    for k in range(n_steps - 1):
-        t = times[k]
-        h = times[k + 1] - t
-        k1 = rhs(y, t)
-        k2 = rhs(y + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(y + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(y + h * k3, t + h)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        record(k + 1, y)
+    t0 = times[:-1]
+    h = times[1:] - t0
+    # an overflow surfaces as a non-finite diagnostic, which record reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = rhs(np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1))
+        record(0, y)
+        for k in range(n_steps - 1):
+            hk = h[k]
+            k1 = f(y, k, 0)
+            k2 = f(y + 0.5 * hk * k1, k, 1)
+            k3 = f(y + 0.5 * hk * k2, k, 1)
+            k4 = f(y + hk * k3, k, 2)
+            y = y + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            record(k + 1, y)
 
     return SimulationResult(times, expect, drift, pur, leak, states)
+
+
+def _compiled_lindblad(
+    g: SLHTriple, bindings: Bindings | None,
+) -> Callable[[np.ndarray], Callable[[np.ndarray, int, int], np.ndarray]]:
+    """The generator of :func:`lindblad_rhs` in the compiled form that
+    :func:`_rk4` takes: K = -iH - ½ΣL†L is folded once, exactly, over the
+    couplings that are not identically zero, and each stage computes
+    Kρ + ρK† + ΣLρL† with no Hermiticity shortcut, so the map is the
+    reference's for any matrix ρ.
+    """
+
+    def rhs(stages):
+        live = [Lp for Lp in g.L if not Lp.is_zero()]
+        K = g.H.scale(-1j)
+        for Lp in live:
+            K = K + (Lp.dagger() * Lp).scale(-0.5)
+        at = _compile([K] + live, bindings, stages)
+
+        def f(rho, k, j):
+            K, *Ls = at(k, j)
+            out = K @ rho
+            out += rho @ K.conj().T
+            for L in Ls:
+                out += L @ rho @ L.conj().T
+            return out
+
+        return f
+
+    return rhs
 
 
 def integrate_master(
@@ -366,22 +462,20 @@ def integrate_master(
 ) -> SimulationResult:
     """Fixed-step RK4 on the vacuum-input master equation.
 
-    H and the L entries are evaluated at every internal stage time.  The
-    run aborts (IntegrationError) when a diagnostic is not finite, the
-    trace drifts beyond ``trace_tol`` or the truncation leak exceeds
-    ``leak_threshold``; pass ``leak_threshold=None`` to only record the
-    leak.
+    The generator is compiled once per run: K = -iH - ½ΣL†L and the
+    couplings that are not identically zero are evaluated at every RK4
+    stage time up front, and each stage computes Kρ + ρK† + ΣLρL†, the
+    map of :func:`lindblad_rhs`.  The run aborts (IntegrationError) when a
+    diagnostic is not finite, the trace drifts beyond ``trace_tol`` or
+    the truncation leak exceeds ``leak_threshold``; pass
+    ``leak_threshold=None`` to only record the leak.
     """
     if isinstance(rho0, QuantumState):
         rho = rho0.density().copy()
     else:
         rho = np.asarray(rho0, dtype=complex).copy()
-
-    def rhs(rho, t):
-        return lindblad_rhs(rho, g, t, bindings)
-
-    return _rk4(rhs, rho, times, g.space, observables, store_states,
-                trace_tol, leak_threshold)
+    return _rk4(_compiled_lindblad(g, bindings), rho, times, g.space, observables,
+                store_states, trace_tol, leak_threshold)
 
 
 def integrate_schrodinger(
@@ -396,6 +490,9 @@ def integrate_schrodinger(
 ) -> SimulationResult:
     """Fixed-step RK4 on dpsi/dt = -i H(t) psi; norm drift is reported,
     never corrected.
+
+    -iH is compiled once per run on the stage grid, so each stage is one
+    matrix-vector product.
     """
     if not H.dagger().approx_equal(H, 1e-10):
         raise ValueError("H is not formally self-adjoint")
@@ -406,12 +503,9 @@ def integrate_schrodinger(
     else:
         psi = np.asarray(psi0, dtype=complex).copy()
 
-    has_signals = bool(H.signals())
-    H0_mat = None if has_signals else H.evaluate(0.0, bindings).matrix
-
-    def rhs(psi, t):
-        mat = H0_mat if H0_mat is not None else H.evaluate(t, bindings).matrix
-        return -1j * (mat @ psi)
+    def rhs(stages):
+        at = _compile([H.scale(-1j)], bindings, stages)
+        return lambda psi, k, j: at(k, j)[0] @ psi
 
     return _rk4(rhs, psi, times, H.space, observables, store_states,
                 norm_tol, leak_threshold)

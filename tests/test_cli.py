@@ -1,11 +1,12 @@
 """End-to-end checks of the reduce / simulate / verify commands."""
 
 import json
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from slhforge import cli
 from slhforge.cli import main
 
 NETLISTS = Path(__file__).parent / "netlists"
@@ -150,7 +151,9 @@ def test_simulate_leak_abort_exits_4(netlist, capsys):
 
 
 def test_simulate_non_finite_state_exits_4(netlist, capsys):
-    with np.errstate(all="ignore"):
+    # the abort reports the overflow; numpy must not warn about it first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["simulate", netlist(OVERFLOW), "--horizon", "0.003", "--step", "0.001"])
     assert rc == 4
     captured = capsys.readouterr()
@@ -163,7 +166,11 @@ def test_simulate_non_finite_state_exits_4(netlist, capsys):
     ["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "-1"],
     ["verify", "--demo", "--step", "0"],
     ["simulate", str(NETLISTS / "sampled_drive.slh"), "--horizon", "10", "--step", "0.01"],
-], ids=["zero_step", "negative_horizon", "demo_zero_step", "past_sampled_table"])
+    # rejected from the ratio alone: neither grid is ever allocated
+    ["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "1e300", "--step", "1e-300"],
+    ["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "1e9", "--step", "1e-3"],
+], ids=["zero_step", "negative_horizon", "demo_zero_step", "past_sampled_table",
+        "overflowing_step_count", "step_count_over_max"])
 def test_bad_time_grid_exits_2(argv, capsys):
     rc = main(argv)
     assert rc == 2
@@ -182,10 +189,24 @@ def test_simulate_unknown_observable_label_exits_2(capsys):
 # -- verify ----------------------------------------------------------------
 
 
-def test_verify_demo_passes(tmp_path, capsys):
+def test_verify_demo_passes(tmp_path, capsys, monkeypatch):
+    oracle_calls = []
+    analytic = cli.analytic_driven_cavity
+
+    def oracle(omega0, gamma, u, t):
+        alpha = analytic(omega0, gamma, u, t)
+        oracle_calls.append((t, alpha))
+        return alpha
+
+    monkeypatch.setattr(cli, "analytic_driven_cavity", oracle)
     out = tmp_path / "verify.json"
     rc = main(["verify", "--demo", "--step", "0.002", "-o", str(out)])
     assert rc == 0
+    # by default the grid outlasts the demo pulse (centre 3.0, width 0.5),
+    # so the oracle check compares a driven amplitude, not the vacuum's
+    (t_end, alpha), = oracle_calls
+    assert t_end >= 3.0 + 6 * 0.5
+    assert abs(alpha) > 0.1
     bundle = json.loads(out.read_text())
     assert bundle["passed"] is True
     names = [c["name"] for c in bundle["checks"]]

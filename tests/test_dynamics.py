@@ -1,11 +1,14 @@
 """States, generators, integrators, and the analytic driven-cavity oracle."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from slhforge import (
+    ComplexExponentialSignal,
     ConstantSignal,
     GaussianPulseSignal,
     HilbertSpace,
@@ -13,6 +16,8 @@ from slhforge import (
     Operator,
     OpPolynomial,
     QuantumState,
+    SLHTriple,
+    SampledSignal,
     analytic_driven_cavity,
     annihilator,
     cavity,
@@ -31,7 +36,14 @@ from slhforge import (
     system_coupling,
     trace_distance,
 )
-from conftest import random_bindings, random_density, random_matrix, random_triple
+from slhforge.dynamics import _compiled_lindblad
+from conftest import (
+    random_bindings,
+    random_density,
+    random_hermitian,
+    random_matrix,
+    random_triple,
+)
 
 
 # -- states ----------------------------------------------------------------
@@ -211,12 +223,17 @@ def test_non_finite_state_aborts_even_without_leak_threshold():
     g = series(system_coupling([annihilator(sp, "c")], sp), signal_adder(["u"], sp))
     binds = {"u": ConstantSignal("u", 1e200)}
     times = np.linspace(0.0, 0.003, 4)
-    with np.errstate(all="ignore"):
-        with pytest.raises(IntegrationError, match="non-finite"):
+    # |u|^2 already overflows in the compiled generator; the abort, not a
+    # numpy warning, reports it, at the end of the first step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="non-finite") as exc:
             integrate_master(g, QuantumState.vacuum(sp), times, binds, leak_threshold=None)
-        with pytest.raises(IntegrationError, match="non-finite"):
+        assert exc.value.t == times[1]
+        with pytest.raises(IntegrationError, match="non-finite") as exc:
             integrate_schrodinger(OpPolynomial.constant(1e200 * number_op(sp, "c")),
                                   QuantumState.fock(sp, 1), times, leak_threshold=None)
+        assert exc.value.t == times[1]
 
 
 def test_stored_states_and_output_expectation():
@@ -260,6 +277,93 @@ def test_result_csv_splits_complex_observables():
                                 observables={"a": annihilator(sp, "c")})
     header = res.to_csv().split("\n", 1)[0]
     assert header == "t,a_re,a_im,trace_drift,purity,leak"
+
+
+# -- compiled generators against the reference -----------------------------
+
+
+def _stage_times(times):
+    """RK4 stage times in the order a classic driver visits them."""
+    for t, t_next in zip(times[:-1], times[1:]):
+        h = t_next - t
+        yield from (t, t + 0.5 * h, t + 0.5 * h, t + h)
+
+
+def _classic_rk4(f, y, times):
+    """Textbook RK4 of dy/dt = f(y, t), returning every state on the grid."""
+    states = [y]
+    for t, t_next in zip(times[:-1], times[1:]):
+        h = t_next - t
+        k1 = f(y, t)
+        k2 = f(y + 0.5 * h * k1, t + 0.5 * h)
+        k3 = f(y + 0.5 * h * k2, t + 0.5 * h)
+        k4 = f(y + h * k3, t + h)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return states
+
+
+def _reference_case(rng, case):
+    """A random three-level triple and its bindings: signal parts in L and
+    a u·conj(u) term in H, unless the case says otherwise."""
+    if case == "constant":
+        return random_triple(rng, 3, 2), {}
+    g = random_triple(rng, 3, 3 if case == "signals_3ch" else 2, signals=["u"])
+    sp = g.space
+    u = OpPolynomial.of_signal(sp, "u")
+    H = g.H + u * u.dagger() * OpPolynomial.constant(random_hermitian(rng, sp, 0.7))
+    L = (OpPolynomial.zero(sp),) + g.L[1:] if case == "zero_L" else g.L
+    g = SLHTriple(g.S, L, H)
+    if case == "sampled":
+        values = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        return g, {"u": SampledSignal("u", np.linspace(0.0, 0.2, 7), values)}
+    return g, {"u": ComplexExponentialSignal("u", 0.8 - 0.3j, 2.1, 0.4)}
+
+
+@pytest.mark.parametrize("case", ["signals_2ch", "signals_3ch", "constant", "zero_L", "sampled"])
+def test_compiled_integrators_match_the_reference(rng, case):
+    g, binds = _reference_case(rng, case)
+    times = np.linspace(0.0, 0.2, 21)
+    rho0 = random_density(rng, 3)
+    # drift is checked elsewhere; here only agreement with the reference counts
+    res = integrate_master(g, rho0, times, binds, store_states=True, trace_tol=1.0)
+    want = _classic_rk4(lambda rho, t: lindblad_rhs(rho, g, t, binds), rho0, times)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
+
+    psi0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    psi0 /= np.linalg.norm(psi0)
+    res = integrate_schrodinger(g.H, psi0, times, binds, store_states=True, norm_tol=1.0)
+    want = _classic_rk4(lambda psi, t: -1j * g.H.evaluate(t, binds).matrix @ psi, psi0, times)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
+
+
+def test_compiled_lindblad_matches_the_reference_on_any_matrix(rng):
+    g, binds = _reference_case(rng, "signals_2ch")
+    X = random_matrix(rng, 3)  # neither Hermitian nor of unit trace
+    t = 0.37
+    f = _compiled_lindblad(g, binds)(np.full((1, 3), t))
+    assert np.max(np.abs(f(X, 0, 1) - lindblad_rhs(X, g, t, binds))) < 1e-12
+
+
+def test_compiled_generators_need_every_signal_bound(rng):
+    g, _ = _reference_case(rng, "signals_2ch")
+    times = np.linspace(0.0, 0.1, 11)
+    with pytest.raises(KeyError, match="unbound signal 'u'"):
+        integrate_master(g, random_density(rng, 3), times)
+    with pytest.raises(KeyError, match="unbound signal 'u'"):
+        integrate_schrodinger(g.H, QuantumState.vacuum(g.space), times)
+
+
+def test_grid_past_a_sampled_table_fails_before_the_first_step(rng):
+    g, _ = _reference_case(rng, "signals_2ch")
+    binds = {"u": SampledSignal("u", [0.0, 0.1], [1.0, 2.0])}
+    times = np.linspace(0.0, 0.2, 21)
+    first_outside = next(t for t in _stage_times(times) if t > 0.1)
+    message = f"signal 'u': t={first_outside} outside sampled horizon [0.0, 0.1]"
+    # a negative trace tolerance would abort the run at t=0, on its first
+    # record, so only a check made before that can raise the table's error
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate_master(g, random_density(rng, 3), times, binds, trace_tol=-1.0)
 
 
 # -- analytic oracle -------------------------------------------------------
