@@ -3,8 +3,8 @@
 Reports are deterministic: fixed field order and every float rendered
 with %.12e, so golden files diff cleanly.
 
-Exit codes: 0 ok, 1 parse error, 2 reduction error, 3 validation or
-verification failure, 4 integration abort.
+Exit codes: 0 ok, 1 parse or file I/O error, 2 reduction error or bad
+argument, 3 validation or verification failure, 4 integration abort.
 """
 
 from __future__ import annotations
@@ -72,8 +72,11 @@ def _write_output(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _exit(EXIT_PARSE, f"error: {exc}")
 
 
 def _exit(code: int, message: str):
@@ -84,9 +87,9 @@ def _exit(code: int, message: str):
 
 def _load(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _exit(EXIT_PARSE, f"error: {exc}")
     try:
         ast = parse_netlist(text)
@@ -101,10 +104,23 @@ def _load(path: str):
 # -- reduce ---------------------------------------------------------------
 
 
+def _probe_times(spec: str | None) -> list[float]:
+    """The --probe-times list; anything but finite numbers exits 2."""
+    if not spec:
+        return [0.0]
+    try:
+        probes = [float(x) for x in spec.split(",")]
+        if all(math.isfinite(t) for t in probes):
+            return probes
+    except ValueError:
+        pass
+    _exit(EXIT_REDUCE, f"error: --probe-times must be finite numbers, got {spec!r}")
+
+
 def cmd_reduce(args) -> int:
+    probes = _probe_times(args.probe_times)
     compiled = _load(args.file)
     g = compiled.triple
-    probes = [float(x) for x in args.probe_times.split(",")] if args.probe_times else [0.0]
     bindings = compiled.signals
 
     h_ok = g.H.dagger().approx_equal(g.H, args.tol)
@@ -146,8 +162,10 @@ def _grid(horizon: float, step: float, bindings) -> np.ndarray:
 
     A step that is not finite and positive, a horizon that is not finite
     and nonnegative, a ratio horizon / step that is not finite or exceeds
-    MAX_STEPS, or a bound signal whose horizon does not cover the grid
-    ends the command with exit code 2 before anything integrates.
+    MAX_STEPS, a horizon that is not a whole number of steps (within
+    1e-9 * max(1, horizon)), or a bound signal whose horizon does not
+    cover the grid ends the command with exit code 2 before anything
+    integrates.
     """
     if not (math.isfinite(step) and step > 0):
         _exit(EXIT_REDUCE, f"error: step must be finite and > 0, got {step!r}")
@@ -158,6 +176,9 @@ def _grid(horizon: float, step: float, bindings) -> np.ndarray:
         _exit(EXIT_REDUCE, f"error: horizon / step = {ratio:g} steps exceeds "
                            f"the limit of {MAX_STEPS} steps")
     n = int(round(ratio))
+    if abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
+        _exit(EXIT_REDUCE, f"error: horizon {horizon!r} is not a whole number of "
+                           f"steps of {step!r}")
     times = np.linspace(0.0, n * step, n + 1)
     for name, signal in sorted(bindings.items()):
         span = signal.horizon

@@ -289,8 +289,8 @@ def is_unitary_channel_matrix(
             target = eye if i == j else 0.0
             left = sum(S[i][k].matrix @ S[j][k].matrix.conj().T for k in range(n))
             right = sum(S[k][i].matrix.conj().T @ S[k][j].matrix for k in range(n))
-            if np.max(np.abs(left - target)) > tol:
-                return False
-            if np.max(np.abs(right - target)) > tol:
+            # written so that a NaN entry fails
+            if not (np.max(np.abs(left - target)) <= tol
+                    and np.max(np.abs(right - target)) <= tol):
                 return False
     return True

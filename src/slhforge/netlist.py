@@ -50,7 +50,6 @@ from .signals import (
     OpPolynomial,
     SampledSignal,
     Signal,
-    SignalMonomial,
 )
 
 
@@ -235,6 +234,12 @@ def tokenize(text: str) -> list[Token]:
 
 # -- parser ---------------------------------------------------------------
 
+#: Most nesting levels one expression may have: each pair of parentheses,
+#: unary minus, `dagger(` or `sqrt(`, and each binary operator between an
+#: operand and the top of its expression counts one.  A deeper expression
+#: is a syntax error, which also bounds the recursion of every later pass.
+MAX_EXPR_DEPTH = 100
+
 _COMPONENT_KINDS = ("SYS", "HAM", "BS", "ADD", "CAVITY")
 _SIGNAL_KINDS = ("constant", "complex_exponential", "gaussian_pulse", "sampled")
 
@@ -243,6 +248,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     @property
     def tok(self) -> Token:
@@ -337,32 +343,11 @@ class _Parser:
                 self.error("syntax error", ["string path"])
             args["path"] = self.advance().text[1:-1]
         elif kind == "constant":
-            args["value"] = self.parse_expr()
+            args["value"] = self.parse_expr()[0]
+        elif kind == "complex_exponential":
+            args = self.parse_kwargs(kind, ("amplitude", "frequency", "phase"), ("phase",))
         else:
-            required = {
-                "complex_exponential": ["amplitude", "frequency", "phase"],
-                "gaussian_pulse": ["amplitude", "center", "width"],
-            }[kind]
-            first = True
-            while True:
-                if not first:
-                    if not (self.tok.kind == "SYM" and self.tok.text == ","):
-                        break
-                    self.advance()
-                first = False
-                key = self.expect_ident(*required).text
-                if key in args:
-                    raise NetlistSyntaxError(
-                        f"duplicate argument {key!r}", self.tok.line, self.tok.col
-                    )
-                self.expect_sym("=")
-                args[key] = self.parse_expr()
-            missing = [k for k in required if k not in args and k != "phase"]
-            if missing:
-                t = self.tok
-                raise NetlistSyntaxError(
-                    f"{kind} missing argument(s) {', '.join(missing)}", t.line, t.col
-                )
+            args = self.parse_kwargs(kind, ("amplitude", "center", "width"))
         self.expect_sym(")")
         return SignalDecl(name, kind, args, (start.line, start.col))
 
@@ -378,7 +363,7 @@ class _Parser:
             self.expect_sym("=")
             args["L"] = self.parse_vector()
         elif kind == "HAM":
-            args["H"] = self.parse_expr()
+            args["H"] = self.parse_expr()[0]
             if self.tok.kind == "SYM" and self.tok.text == ",":
                 self.advance()
                 self.expect_ident("channels")
@@ -395,31 +380,33 @@ class _Parser:
                 self.expect_sym("=")
             args["u"] = self.parse_vector()
         elif kind == "CAVITY":
-            first = True
-            while True:
-                if not first:
-                    if not (self.tok.kind == "SYM" and self.tok.text == ","):
-                        break
-                    self.advance()
-                first = False
-                key = self.expect_ident("gamma", "omega", "mode").text
-                if key in args:
-                    raise NetlistSyntaxError(
-                        f"duplicate argument {key!r}", self.tok.line, self.tok.col
-                    )
-                self.expect_sym("=")
-                if key == "mode":
-                    args[key] = self.expect_ident().text
-                else:
-                    args[key] = self.parse_expr()
-            missing = [k for k in ("gamma", "omega") if k not in args]
-            if missing:
-                t = self.tok
-                raise NetlistSyntaxError(
-                    f"CAVITY missing argument(s) {', '.join(missing)}", t.line, t.col
-                )
+            args = self.parse_kwargs(kind, ("gamma", "omega", "mode"), ("mode",))
         self.expect_sym(")")
         return ComponentDecl(name, kind, args, (start.line, start.col))
+
+    def parse_kwargs(self, kind: str, keys: Sequence[str], optional: Sequence[str] = ()) -> dict:
+        """`key=value, ...` over the given keys, each at most once; every
+        key not in `optional` is required.  `mode` takes an identifier,
+        every other key an expression."""
+        args: dict = {}
+        while True:
+            key = self.expect_ident(*keys).text
+            if key in args:
+                raise NetlistSyntaxError(
+                    f"duplicate argument {key!r}", self.tok.line, self.tok.col
+                )
+            self.expect_sym("=")
+            args[key] = self.expect_ident().text if key == "mode" else self.parse_expr()[0]
+            if not (self.tok.kind == "SYM" and self.tok.text == ","):
+                break
+            self.advance()
+        missing = [k for k in keys if k not in args and k not in optional]
+        if missing:
+            t = self.tok
+            raise NetlistSyntaxError(
+                f"{kind} missing argument(s) {', '.join(missing)}", t.line, t.col
+            )
+        return args
 
     def parse_network(self) -> NetworkDecl:
         start = self.advance()  # "network"
@@ -435,10 +422,10 @@ class _Parser:
 
     def parse_vector(self) -> list:
         self.expect_sym("[")
-        items = [self.parse_expr()]
+        items = [self.parse_expr()[0]]
         while self.tok.kind == "SYM" and self.tok.text == ",":
             self.advance()
-            items.append(self.parse_expr())
+            items.append(self.parse_expr()[0])
         self.expect_sym("]")
         return items
 
@@ -451,41 +438,60 @@ class _Parser:
         self.expect_sym("]")
         return rows
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.tok.kind == "SYM" and self.tok.text in "+-":
+    # Each expression method returns (node, height): the number of nesting
+    # levels (parentheses, unary minus, dagger/sqrt, binary operators) in
+    # the text it read.  self.depth counts the levels around it, so
+    # self.depth + height is held to MAX_EXPR_DEPTH.
+
+    def check_depth(self, t: Token, height: int):
+        if self.depth + height > MAX_EXPR_DEPTH:
+            raise NetlistSyntaxError("expression nested too deeply", t.line, t.col)
+
+    def nested(self, t: Token, parse):
+        """Parse one nesting level opened by token t."""
+        self.depth += 1
+        self.check_depth(t, 0)
+        node, height = parse()
+        self.depth -= 1
+        return node, height + 1
+
+    def parse_binary(self, ops: str, operand):
+        """Left-associative chain of `operand`s joined by the symbols in ops."""
+        node, height = operand()
+        while self.tok.kind == "SYM" and self.tok.text in ops:
             op = self.advance()
-            right = self.parse_term()
+            right, h = operand()
+            height = max(height, h) + 1
+            self.check_depth(op, height)
             node = BinOp(op.text, node, right, (op.line, op.col))
-        return node
+        return node, height
+
+    def parse_expr(self):
+        return self.parse_binary("+-", self.parse_term)
 
     def parse_term(self):
-        node = self.parse_unary()
-        while self.tok.kind == "SYM" and self.tok.text == "*":
-            op = self.advance()
-            right = self.parse_unary()
-            node = BinOp("*", node, right, (op.line, op.col))
-        return node
+        return self.parse_binary("*", self.parse_unary)
 
     def parse_unary(self):
         t = self.tok
         if t.kind == "SYM" and t.text == "-":
             self.advance()
-            return Neg(self.parse_unary(), (t.line, t.col))
+            node, height = self.nested(t, self.parse_unary)
+            return Neg(node, (t.line, t.col)), height
         return self.parse_atom()
 
     def parse_atom(self):
         t = self.tok
         if t.kind == "NUMBER":
             self.advance()
-            text = t.text
-            imag = text.endswith("i")
-            if imag:
-                text = text[:-1]
-            return Num(float(text), imag, (t.line, t.col))
+            imag = t.text.endswith("i")
+            value = float(t.text[:-1] if imag else t.text)
+            if not math.isfinite(value):
+                raise NetlistSyntaxError(f"number {t.text} is not finite", t.line, t.col)
+            return Num(value, imag, (t.line, t.col)), 0
         if t.kind == "SYM" and t.text == "(":
             self.advance()
-            node = self.parse_expr()
+            node = self.nested(t, self.parse_expr)
             self.expect_sym(")")
             return node
         if t.kind == "IDENT":
@@ -495,24 +501,18 @@ class _Parser:
                 self.expect_sym("(")
                 label = self.expect_ident().text
                 self.expect_sym(")")
-                return ModeOp(name, label, (t.line, t.col))
+                return ModeOp(name, label, (t.line, t.col)), 0
             if name == "I":
                 self.advance()
-                return IdentityLit((t.line, t.col))
-            if name == "dagger":
+                return IdentityLit((t.line, t.col)), 0
+            if name in ("dagger", "sqrt"):
                 self.advance()
                 self.expect_sym("(")
-                node = self.parse_expr()
+                node, height = self.nested(t, self.parse_expr)
                 self.expect_sym(")")
-                return Dagger(node, (t.line, t.col))
-            if name == "sqrt":
-                self.advance()
-                self.expect_sym("(")
-                node = self.parse_expr()
-                self.expect_sym(")")
-                return Sqrt(node, (t.line, t.col))
+                return (Dagger if name == "dagger" else Sqrt)(node, (t.line, t.col)), height
             self.advance()
-            return Ref(name, (t.line, t.col))
+            return Ref(name, (t.line, t.col)), 0
         self.error("syntax error", ["expression"])
 
 
@@ -544,9 +544,9 @@ def _print_expr(node, prec: int = 0) -> str:
     if isinstance(node, Sqrt):
         return f"sqrt({_print_expr(node.arg)})"
     if isinstance(node, Neg):
-        inner = _print_expr(node.arg, 3)
-        s = f"-{inner}"
-        return f"({s})" if prec > 2 else s
+        # unary minus binds tightest and can follow any operator, so it
+        # needs no parentheses of its own
+        return f"-{_print_expr(node.arg, 3)}"
     if isinstance(node, BinOp):
         p = 1 if node.op in "+-" else 2
         left = _print_expr(node.left, p)
@@ -554,6 +554,16 @@ def _print_expr(node, prec: int = 0) -> str:
         s = f"{left} {node.op} {right}"
         return f"({s})" if prec > p else s
     raise TypeError(f"unknown expression node {node!r}")
+
+
+def _print_vector(items) -> str:
+    return "[" + ", ".join(_print_expr(e) for e in items) + "]"
+
+
+def _print_kwargs(args: dict) -> str:
+    return ", ".join(
+        f"{k}={v}" if isinstance(v, str) else f"{k}={_print_expr(v)}" for k, v in args.items()
+    )
 
 
 def print_netlist(ast: NetlistAST) -> str:
@@ -569,28 +579,21 @@ def print_netlist(ast: NetlistAST) -> str:
         elif s.kind == "constant":
             body = _print_expr(s.args["value"])
         else:
-            body = ", ".join(f"{k}={_print_expr(v)}" for k, v in s.args.items())
+            body = _print_kwargs(s.args)
         lines.append(f"signal {s.name} = {s.kind}({body})")
     for c in ast.components:
         if c.kind == "SYS":
-            body = "L=[" + ", ".join(_print_expr(e) for e in c.args["L"]) + "]"
+            body = "L=" + _print_vector(c.args["L"])
         elif c.kind == "HAM":
             body = _print_expr(c.args["H"])
             if "channels" in c.args:
                 body += f", channels={c.args['channels']}"
         elif c.kind == "BS":
-            rows = ", ".join(
-                "[" + ", ".join(_print_expr(e) for e in row) + "]"
-                for row in c.args["T"]
-            )
-            body = f"T=[{rows}]"
+            body = "T=[" + ", ".join(_print_vector(row) for row in c.args["T"]) + "]"
         elif c.kind == "ADD":
-            body = "u=[" + ", ".join(_print_expr(e) for e in c.args["u"]) + "]"
+            body = "u=" + _print_vector(c.args["u"])
         elif c.kind == "CAVITY":
-            parts = []
-            for k, v in c.args.items():
-                parts.append(f"{k}={v}" if k == "mode" else f"{k}={_print_expr(v)}")
-            body = ", ".join(parts)
+            body = _print_kwargs(c.args)
         else:  # pragma: no cover
             raise TypeError(c.kind)
         lines.append(f"component {c.name} = {c.kind}({body})")
@@ -599,53 +602,6 @@ def print_netlist(ast: NetlistAST) -> str:
 
 
 # -- semantic analysis ----------------------------------------------------
-
-
-class _ScalarPoly:
-    """Polynomial in signal monomials with complex coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def const(cls, c: complex) -> "_ScalarPoly":
-        return cls({ONE: complex(c)})
-
-    @classmethod
-    def signal(cls, name: str) -> "_ScalarPoly":
-        return cls({SignalMonomial.of(name): 1.0 + 0.0j})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0.0) + c
-        return _ScalarPoly(terms)
-
-    def __neg__(self):
-        return _ScalarPoly({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                terms[m] = terms.get(m, 0.0) + c1 * c2
-        return _ScalarPoly(terms)
-
-    def conj(self):
-        return _ScalarPoly({m.dagger(): c.conjugate() for m, c in self.terms.items()})
-
-    def is_const(self) -> bool:
-        return all(m == ONE for m in self.terms)
-
-    def const_value(self) -> complex:
-        return self.terms.get(ONE, 0.0 + 0.0j)
-
-    def to_op(self, space: HilbertSpace) -> OpPolynomial:
-        eye = np.eye(space.total_dim)
-        return OpPolynomial(space, {m: c * eye for m, c in self.terms.items()})
 
 
 @dataclass
@@ -734,8 +690,8 @@ class _Analyzer:
     # -- signals ----------------------------------------------------------
 
     def const_scalar(self, node, what: str, real: bool = False) -> complex:
-        val = self.eval_expr(node, allow_signals=False, allow_ops=False)
-        c = val.const_value()
+        p = self.eval_expr(node, allow_signals=False, allow_ops=False)
+        c = complex(p.terms[ONE][0, 0]) if p.terms else 0j  # p is c·I
         if real:
             if abs(c.imag) > 0:
                 self.fail(f"{what} must be real", getattr(node, "pos", (0, 0)))
@@ -774,10 +730,11 @@ class _Analyzer:
 
     # -- expressions ------------------------------------------------------
 
-    def eval_expr(self, node, allow_signals=True, allow_ops=True):
-        """Evaluate to _ScalarPoly or OpPolynomial, type-checking as we go."""
+    def eval_expr(self, node, allow_signals=True, allow_ops=True) -> OpPolynomial:
+        """Evaluate to an OpPolynomial, type-checking as we go; a scalar c
+        is the polynomial c·I, and the allow_* checks keep it scalar."""
         if isinstance(node, Num):
-            return _ScalarPoly.const(node.value * (1j if node.imag else 1))
+            return OpPolynomial.scalar(self.space, node.value * (1j if node.imag else 1))
         if isinstance(node, IdentityLit):
             if not allow_ops:
                 self.fail("operator not allowed here", node.pos)
@@ -802,50 +759,36 @@ class _Analyzer:
                 self.fail(f"undeclared signal {node.name!r}", node.pos)
             if not allow_signals:
                 self.fail("signal not allowed here", node.pos)
-            return _ScalarPoly.signal(node.name)
+            return OpPolynomial.of_signal(self.space, node.name)
         if isinstance(node, Neg):
             return -self.eval_expr(node.arg, allow_signals, allow_ops)
         if isinstance(node, Dagger):
-            v = self.eval_expr(node.arg, allow_signals, allow_ops)
-            return v.conj() if isinstance(v, _ScalarPoly) else v.dagger()
+            return self.eval_expr(node.arg, allow_signals, allow_ops).dagger()
         if isinstance(node, Sqrt):
             c = self.const_scalar(node.arg, "sqrt argument", real=True)
             if c < 0:
                 self.fail("sqrt argument must be nonnegative", node.pos)
-            return _ScalarPoly.const(math.sqrt(c))
+            return OpPolynomial.scalar(self.space, math.sqrt(c))
         if isinstance(node, BinOp):
             left = self.eval_expr(node.left, allow_signals, allow_ops)
             right = self.eval_expr(node.right, allow_signals, allow_ops)
-            scalar = isinstance(left, _ScalarPoly) and isinstance(right, _ScalarPoly)
-            if node.op == "*":
-                if scalar:
+            try:
+                if node.op == "*":
                     return left * right
-                lo = left.to_op(self.space) if isinstance(left, _ScalarPoly) else left
-                ro = right.to_op(self.space) if isinstance(right, _ScalarPoly) else right
-                try:
-                    return lo * ro
-                except ValueError as exc:
-                    self.fail(str(exc), node.pos)
-            if scalar:
-                return left + (right if node.op == "+" else -right)
-            lo = left.to_op(self.space) if isinstance(left, _ScalarPoly) else left
-            ro = right.to_op(self.space) if isinstance(right, _ScalarPoly) else right
-            return lo + (ro if node.op == "+" else -ro)
+                return left + right if node.op == "+" else left - right
+            except ValueError as exc:
+                self.fail(str(exc), node.pos)
         raise TypeError(f"unknown expression node {node!r}")  # pragma: no cover
-
-    def op_expr(self, node) -> OpPolynomial:
-        v = self.eval_expr(node)
-        return v.to_op(self.space) if isinstance(v, _ScalarPoly) else v
 
     # -- components -------------------------------------------------------
 
     def build_component(self, decl: ComponentDecl) -> SLHTriple:
         try:
             if decl.kind == "SYS":
-                return system_coupling([self.op_expr(e) for e in decl.args["L"]], self.space)
+                return system_coupling([self.eval_expr(e) for e in decl.args["L"]], self.space)
             if decl.kind == "HAM":
                 return pure_hamiltonian(
-                    self.op_expr(decl.args["H"]), self.space, decl.args.get("channels", 1)
+                    self.eval_expr(decl.args["H"]), self.space, decl.args.get("channels", 1)
                 )
             if decl.kind == "BS":
                 rows = decl.args["T"]
@@ -855,14 +798,10 @@ class _Analyzer:
                 T = np.empty((n, n), dtype=complex)
                 for i, row in enumerate(rows):
                     for j, e in enumerate(row):
-                        val = self.eval_expr(e, allow_signals=False, allow_ops=False)
-                        T[i, j] = val.const_value()
+                        T[i, j] = self.const_scalar(e, "BS entry")
                 return beam_splitter(T, self.space)
             if decl.kind == "ADD":
-                entries = []
-                for e in decl.args["u"]:
-                    v = self.eval_expr(e, allow_ops=False)
-                    entries.append(v.to_op(self.space))
+                entries = [self.eval_expr(e, allow_ops=False) for e in decl.args["u"]]
                 return signal_adder(entries, self.space)
             if decl.kind == "CAVITY":
                 mode = decl.args.get("mode")

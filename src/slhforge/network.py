@@ -133,7 +133,7 @@ def beam_splitter(T, space: HilbertSpace, tol: float = DEFAULT_TOL) -> SLHTriple
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError("T must be square")
-    if np.max(np.abs(T @ T.conj().T - np.eye(n))) > tol:
+    if not np.max(np.abs(T @ T.conj().T - np.eye(n))) <= tol:  # NaN fails
         raise ValueError("T is not unitary")
     eye = identity(space)
     S = tuple(
@@ -277,7 +277,7 @@ def splitter_conjugate(g: SLHTriple, T, tol: float = DEFAULT_TOL) -> SLHTriple:
     n = g.channels
     if T.shape != (n, n):
         raise ValueError(f"T must be {n}x{n}")
-    if np.max(np.abs(T @ T.conj().T - np.eye(n))) > tol:
+    if not np.max(np.abs(T @ T.conj().T - np.eye(n))) <= tol:  # NaN fails
         raise ValueError("T is not unitary")
     pre = beam_splitter(T, g.space, tol)
     post = beam_splitter(T.conj().T, g.space, tol)
@@ -393,6 +393,6 @@ def triples_approx_equal(
             except KeyError as exc:
                 return False, f"{name} differs symbolically and {exc.args[0]}"
             diff = float(np.max(np.abs(a.matrix - b.matrix)))
-            if diff > tol:
+            if not diff <= tol:  # NaN fails
                 return False, f"{name} differs by {diff:.3e} at t={t}"
     return True, "equal"

@@ -327,27 +327,19 @@ class OpPolynomial:
         raise TypeError("OpPolynomial is not hashable")
 
     def approx_equal(self, other: "OpPolynomial", tol: float = DEFAULT_TOL) -> bool:
-        """Coefficient-wise comparison within tol (max-abs norm)."""
-        self._check_space(other)
-        d = self.space.total_dim
-        z = np.zeros((d, d))
-        for mono in self.terms.keys() | other.terms.keys():
-            a = self.terms.get(mono, z)
-            b = other.terms.get(mono, z)
-            if np.max(np.abs(a - b)) > tol:
-                return False
-        return True
+        """Coefficient-wise comparison within tol (max-abs norm); NaN fails."""
+        return self.max_coeff_diff(other) <= tol
 
     def max_coeff_diff(self, other: "OpPolynomial") -> float:
+        """Largest |difference| over all coefficient entries, NaN if any is NaN."""
         self._check_space(other)
         d = self.space.total_dim
         z = np.zeros((d, d))
-        diffs = [0.0]
-        for mono in self.terms.keys() | other.terms.keys():
-            a = self.terms.get(mono, z)
-            b = other.terms.get(mono, z)
-            diffs.append(float(np.max(np.abs(a - b))))
-        return max(diffs)
+        diffs = [
+            np.max(np.abs(self.terms.get(mono, z) - other.terms.get(mono, z)))
+            for mono in self.terms.keys() | other.terms.keys()
+        ]
+        return float(np.max(diffs, initial=0.0))
 
     # -- evaluation -------------------------------------------------------
 

@@ -169,13 +169,56 @@ def test_simulate_non_finite_state_exits_4(netlist, capsys):
     # rejected from the ratio alone: neither grid is ever allocated
     ["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "1e300", "--step", "1e-300"],
     ["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "1e9", "--step", "1e-3"],
+    # 0.5 / 0.3 rounds to 2 steps, which would end the run at 0.6
+    ["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "0.5", "--step", "0.3"],
 ], ids=["zero_step", "negative_horizon", "demo_zero_step", "past_sampled_table",
-        "overflowing_step_count", "step_count_over_max"])
+        "overflowing_step_count", "step_count_over_max", "horizon_not_whole_steps"])
 def test_bad_time_grid_exits_2(argv, capsys):
     rc = main(argv)
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["reduce", "{cavity}", "--probe-times", "a,b"], 2),
+    (["reduce", "{cavity}", "--probe-times", "0,nan"], 2),
+    (["reduce", "{latin1}"], 1),
+    (["reduce", "{cavity}", "-o", "{tmp}/absent/x.json"], 1),
+    (["simulate", "{cavity}", "--horizon", "0.1", "--step", "0.01",
+      "-o", "{tmp}/absent/x.csv"], 1),
+    (["verify", "{cavity}", "--horizon", "0.1", "--step", "0.01",
+      "-o", "{tmp}/absent/x.json"], 1),
+], ids=["probe_not_a_number", "probe_not_finite", "input_not_utf8",
+        "reduce_output_unwritable", "simulate_output_unwritable", "verify_output_unwritable"])
+def test_bad_arguments_and_files_exit_with_their_code(argv, code, tmp_path, capsys):
+    (tmp_path / "latin1.slh").write_bytes(b"\xff\xfe")
+    paths = {"cavity": NETLISTS / "cavity.slh", "latin1": tmp_path / "latin1.slh",
+             "tmp": tmp_path}
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "absent").exists()
+
+
+TOO_DEEP = "expression nested too deeply"
+
+
+# the expression starts at col 19; each error points at the offending token
+@pytest.mark.parametrize("expr, col, message", [
+    (" + ".join(["n(c)"] * 1200), 19 + len("n(c) + ") * 100 + len("n(c) "), TOO_DEEP),
+    ("-" * 1200 + "n(c)", 19 + 100, TOO_DEEP),
+    ("(" * 300 + "n(c)" + ")" * 300, 19 + 100, TOO_DEEP),
+    ("1e999 * n(c)", 19, "number 1e999 is not finite"),
+], ids=["long_sum", "many_unary_minus", "deep_parentheses", "infinite_literal"])
+def test_rejected_expressions_exit_1_with_a_position(expr, col, message, netlist, capsys):
+    rc = main(["reduce", netlist(f"space fock(cutoff=2) as c\ncomponent H = HAM({expr})\n"
+                                 "network main = H\n")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"parse error: line 2, col {col}: {message}\n"
     assert captured.out == ""
 
 

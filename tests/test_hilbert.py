@@ -234,6 +234,9 @@ def test_unitary_channel_matrix_checks(rng):
     assert is_unitary_channel_matrix(S, 1e-10)
     S[0][0] = 2.0 * eye
     assert not is_unitary_channel_matrix(S, 1e-10)
+    S[0][0] = Operator(sp, np.full((2, 2), np.nan))
+    assert not is_unitary_channel_matrix(S, 1e300)
+    assert not is_unitary_channel_matrix([[Operator(sp, np.diag([1.0, np.nan]))]], 1e300)
 
 
 def test_unitary_channel_matrix_rejects_ragged():

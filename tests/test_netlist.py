@@ -1,7 +1,11 @@
 """Netlist parsing, pretty-printing, semantic analysis, and reduction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slhforge import (
     GaussianPulseSignal,
@@ -9,14 +13,17 @@ from slhforge import (
     NetlistReductionError,
     NetlistSemanticError,
     NetlistSyntaxError,
+    OpPolynomial,
     annihilator,
     build_cancellation_chain,
+    cavity,
     compile_netlist,
     number_op,
     parse_netlist,
     print_netlist,
     triples_approx_equal,
 )
+from slhforge.netlist import MAX_EXPR_DEPTH, BinOp, Dagger, Neg, Num, Ref, Sqrt
 
 
 MINIMAL = """\
@@ -141,6 +148,124 @@ network main = G
     assert compiled.triple.L[0].constant_part().approx_equal(want, 1e-12)
 
 
+# -- scalar arithmetic -----------------------------------------------------
+
+U_VALUE = 0.6 - 0.8j
+SCALAR = """\
+space fock(cutoff=1) as c
+signal u = constant(0.6 - 0.8i)
+{}
+network main = A
+"""
+
+
+def _u(sp, coeff=1.0):
+    return OpPolynomial.of_signal(sp, "u", coeff)
+
+
+@pytest.mark.parametrize("decl, get, want", [
+    ("component A = ADD(u=[dagger((1+2i) * u)])",
+     lambda c: c.triple.L[0], lambda sp: _u(sp, 1 + 2j).dagger()),
+    ("component A = ADD(u=[-(2 * u) + 3i * u])",
+     lambda c: c.triple.L[0], lambda sp: _u(sp, -2 + 3j)),
+    ("component A = ADD(u=[sqrt(4) * 0.25 * u * dagger(u)])",
+     lambda c: c.triple.L[0], lambda sp: _u(sp, 0.5) * _u(sp).dagger()),
+    ("component A = ADD(u=[1.5 - 2i + u, u - u])",
+     lambda c: c.triple.L, lambda sp: (OpPolynomial.scalar(sp, 1.5 - 2j) + _u(sp),
+                                       OpPolynomial.zero(sp))),
+    ("component A = BS(T=[[sqrt(0.5), sqrt(0.5) * 1i], [sqrt(0.5) * 1i, sqrt(0.5)]])",
+     lambda c: c.triple.S[1][0], lambda sp: OpPolynomial.scalar(sp, math.sqrt(0.5) * 1j)),
+    ("component A = BS(T=[[-(1i * dagger(1i))]])",
+     lambda c: c.triple.S[0][0], lambda sp: OpPolynomial.scalar(sp, -1)),
+    ("component A = CAVITY(gamma=0.25 * 2, omega=sqrt(4) - 1)",
+     lambda c: (c.triple.L[0], c.triple.H),
+     lambda sp: (cavity(sp, "c", 0.5, 1.0).L[0], cavity(sp, "c", 0.5, 1.0).H)),
+    ("signal p = gaussian_pulse(amplitude=(1 - 2i) * sqrt(0.25), center=2 * 0.5, "
+     "width=dagger(0.5))\ncomponent A = ADD(u=[p])",
+     lambda c: (c.signals["p"].amplitude, c.signals["p"].center, c.signals["p"].width),
+     lambda sp: (0.5 - 1j, 1.0, 0.5)),
+    ("signal e = complex_exponential(amplitude=-1i * 3, frequency=-(2), phase=0.25 + 0.5)"
+     "\ncomponent A = ADD(u=[e])",
+     lambda c: (c.signals["e"].amplitude, c.signals["e"].frequency, c.signals["e"].phase),
+     lambda sp: (-3j, -2.0, 0.75)),
+], ids=["dagger", "neg_sum", "sqrt_product", "constant_and_zero", "bs_unitary",
+        "bs_conjugate", "cavity", "gaussian_pulse", "complex_exponential"])
+def test_scalar_expressions_evaluate_exactly(decl, get, want):
+    compiled = compile_netlist(parse_netlist(SCALAR.format(decl)))
+    assert get(compiled) == want(compiled.space)
+
+
+def _scalar_trees(depth):
+    """Random scalar expressions over the signal u, as ASTs."""
+    number = st.floats(0, 4, allow_nan=False, allow_infinity=False)
+    leaf = st.one_of(st.builds(Num, number, st.booleans()), st.just(Ref("u")),
+                     st.builds(Sqrt, st.builds(Num, number)))
+    if depth == 0:
+        return leaf
+    sub = _scalar_trees(depth - 1)
+    return st.one_of(leaf, st.builds(Neg, sub), st.builds(Dagger, sub),
+                     st.builds(BinOp, st.sampled_from("+-*"), sub, sub))
+
+
+def _reference(node):
+    """(value, bound, degree) of a tree in Python complex arithmetic; the
+    bound sums magnitudes, so it caps the rounding of any cancellation."""
+    if isinstance(node, Num):
+        v = node.value * (1j if node.imag else 1)
+        return v, abs(v), 0
+    if isinstance(node, Ref):
+        return U_VALUE, abs(U_VALUE), 1
+    if isinstance(node, Sqrt):
+        v = math.sqrt(node.arg.value)
+        return v, v, 0
+    if isinstance(node, (Neg, Dagger)):
+        v, b, d = _reference(node.arg)
+        return (-v if isinstance(node, Neg) else v.conjugate()), b, d
+    (lv, lb, ld), (rv, rb, rd) = _reference(node.left), _reference(node.right)
+    if node.op == "*":
+        return lv * rv, lb * rb, ld + rd
+    return (lv + rv if node.op == "+" else lv - rv), lb + rb, max(ld, rd)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scalar_trees(6))
+def test_scalar_expressions_match_complex_arithmetic(tree):
+    want, bound, degree = _reference(tree)
+    assume(degree <= 8)
+    ast = parse_netlist(SCALAR.format("component A = ADD(u=[0])"))
+    ast.components[0].args["u"] = [tree]
+    text = print_netlist(ast)
+    again = parse_netlist(text)
+    assert again == ast
+    assert print_netlist(again) == text
+    compiled = compile_netlist(again)
+    got = compiled.triple.L[0].evaluate(0.0, compiled.signals).matrix
+    assert abs(got[0, 0] - want) <= 1e-12 * max(1.0, bound)
+    assert np.array_equal(got, got[0, 0] * np.eye(2))
+
+
+def _nested(kind, n):
+    if kind == "parens":
+        return "(" * n + "n(c)" + ")" * n
+    if kind == "minus":
+        return "-" * n + "n(c)"
+    if kind == "sum":
+        return " + ".join(["n(c)"] * (n + 1))
+    # a deep left operand and a chain on top: n levels in all
+    half = n // 2
+    return "(" * half + "n(c)" + ")" * half + " + n(c)" * (n - half)
+
+
+@pytest.mark.parametrize("kind", ["parens", "minus", "sum", "mixed"])
+def test_expression_depth_bound(kind):
+    text = "space fock(cutoff=1) as c\ncomponent H = HAM({})\nnetwork main = H\n"
+    ast = parse_netlist(text.format(_nested(kind, MAX_EXPR_DEPTH)))
+    assert parse_netlist(print_netlist(ast)) == ast
+    assert not compile_netlist(ast).triple.H.is_zero()
+    err = syntax_error(text.format(_nested(kind, MAX_EXPR_DEPTH + 1)))
+    assert err.line == 2 and "nested too deeply" in str(err)
+
+
 # -- errors ----------------------------------------------------------------
 
 
@@ -179,6 +304,26 @@ def test_duplicate_network_declaration():
 def test_expected_tokens_are_listed():
     err = syntax_error("space fock(cutoff=2) as c\nwidget W = SYS()\n")
     assert "expected" in str(err) and "component" in str(err)
+
+
+@pytest.mark.parametrize("decl, message", [
+    ("signal u = gaussian_pulse(amplitude=1, center=0)",
+     "line 2, col 48: gaussian_pulse missing argument(s) width"),
+    ("signal u = complex_exponential(amplitude=1, frequency=2,)",
+     "line 2, col 57: syntax error, found ')' (expected amplitude, frequency, phase)"),
+    ("signal u = complex_exponential(phase=1, amplitude=1, phase=2)",
+     "line 2, col 59: duplicate argument 'phase'"),
+    ("component C = CAVITY(mode=c, gamma=0.1)",
+     "line 2, col 39: CAVITY missing argument(s) omega"),
+    ("component C = CAVITY(gamma=0.1, omega=1, gamma=0.2)",
+     "line 2, col 47: duplicate argument 'gamma'"),
+    ("component C = CAVITY(gamma=0.1, omega=1, mod=c)",
+     "line 2, col 42: syntax error, found 'mod' (expected gamma, omega, mode)"),
+], ids=["pulse_missing", "trailing_comma", "signal_duplicate", "cavity_missing",
+        "cavity_duplicate", "cavity_unknown_key"])
+def test_keyword_argument_errors(decl, message):
+    err = syntax_error(f"space fock(cutoff=2) as c\n{decl}\nnetwork main = C\n")
+    assert str(err) == message
 
 
 def test_non_integer_cutoff():
@@ -273,3 +418,12 @@ def test_ham_requires_self_adjoint_expression():
                          "component H = HAM(a(c))\n"
                          "network main = H\n")
     assert "self-adjoint" in str(err)
+
+
+def test_degree_cap_points_at_the_product():
+    err = semantic_error("space fock(cutoff=1) as c\n"
+                         "signal u = constant(1)\n"
+                         "component A = ADD(u=[u * u * u * u * u * u * u * u * u])\n"
+                         "network main = A\n")
+    assert (err.line, err.col) == (3, 52) and "degree cap 8" in str(err)
+

@@ -62,6 +62,8 @@ def test_pure_hamiltonian_rejects_non_self_adjoint(rng):
 def test_beam_splitter_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         beam_splitter([[2.0]], SP)
+    with pytest.raises(ValueError, match="unitary"):
+        beam_splitter([[np.nan]], SP)
 
 
 def test_beam_splitter_entries(rng):
@@ -365,6 +367,17 @@ def test_triples_approx_equal_reports_differences(rng):
     assert not eq and rep.startswith("H differs")
     eq, rep = triples_approx_equal(g, random_triple(rng, 3, 2))
     assert not eq and "channel" in rep
+
+
+def test_triples_approx_equal_rejects_nan(rng):
+    g = random_triple(rng, 3, 1)
+    bad = np.zeros((3, 3))
+    bad[2, 2] = np.nan
+    nan_h = SLHTriple(g.S, g.L, g.H + OpPolynomial.constant(Operator(SP, bad)))
+    eq, rep = triples_approx_equal(g, nan_h, tol=1e300)
+    assert not eq and rep == "H differs by nan at t=0.0"
+    eq, _ = triples_approx_equal(nan_h, nan_h, tol=1e300)
+    assert not eq
 
 
 def test_triples_approx_equal_handles_unbound_signals(rng):

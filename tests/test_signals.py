@@ -211,6 +211,20 @@ def test_mismatched_spaces_are_rejected(rng):
         p.approx_equal(q)
 
 
+def test_nan_coefficients_fail_the_comparisons(rng):
+    p = random_poly(rng, SP, signals=["u"])
+    bad = np.zeros((3, 3))
+    bad[0, 1] = np.nan
+    q = p + OpPolynomial.constant(Operator(SP, bad))
+    # the u coefficients differ by 1, the constant ones by NaN
+    r = q + OpPolynomial.of_signal(SP, "u")
+    assert np.isnan(q.max_coeff_diff(p)) and np.isnan(r.max_coeff_diff(p))
+    assert np.isnan(q.max_coeff_diff(q))
+    assert not q.approx_equal(q, 1e300)
+    assert not r.approx_equal(p, 1e300)
+    assert p.max_coeff_diff(p) == 0.0 and p.approx_equal(p, 0.0)
+
+
 def test_str_lists_monomials():
     p = OpPolynomial.of_signal(SP, "u") + OpPolynomial.constant(identity(SP))
     assert str(p) == "[1] + [u]"
