@@ -7,12 +7,18 @@ code path.  Integration is fixed-step classical RK4 and neither trace
 nor norm is renormalized: drift is reported as a diagnostic so that
 integrator bugs cannot hide.
 
-Each run compiles its generator once: each polynomial it needs has its
-coefficients stacked into one array, every signal is sampled once per
-RK4 stage time, and a polynomial's value at a stage is a single
-contraction of that stage's monomial values with its stack.
-:func:`lindblad_rhs` evaluates the polynomials directly and is kept as
-the reference the compiled master generator is tested against.
+Each run compiles its generator once: every signal is sampled once per
+RK4 stage time, and each polynomial it needs has its coefficients
+stacked on the union of their nonzero patterns, so a polynomial's value
+at a stage is a single contraction of that stage's monomial values with
+its stack.  The stack is CSR, multiplied into a dense state, when the
+space has at least ``SPARSE_MIN_DIM`` states and the union pattern fills
+at most ``SPARSE_MAX_FILL`` of the matrix; otherwise it is dense.  The
+choice is made per polynomial, from the input alone.  Sparsity stops at
+this boundary: operators, polynomials, the series reduction and every
+report stay dense.  :func:`lindblad_rhs` evaluates the polynomials
+directly and is kept as the reference the compiled master generator is
+tested against.
 """
 
 from __future__ import annotations
@@ -22,14 +28,24 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 
 from .hilbert import FOCK, HilbertSpace, Operator
 from .network import SLHTriple
-from .signals import ONE, Bindings, OpPolynomial
+from .signals import Bindings, OpPolynomial
 
 DEFAULT_TRACE_TOL = 1e-6
 DEFAULT_LEAK_THRESHOLD = 1e-6
+
+# Backend of each compiled polynomial (see _pattern), read off the
+# per-stage crossover table in CHANGES.md.  On the two-cavity cascade,
+# CSR overtakes dense BLAS products at d ≈ 50 for the master equation and
+# between d = 64 and 100 for the Schrödinger equation, so both stay dense
+# below 100.  At d = 100…400 the fill at which dense wins again measured
+# 7–12% of the matrix across runs; SPARSE_MAX_FILL stays below it.
+SPARSE_MIN_DIM = 100
+SPARSE_MAX_FILL = 1 / 16
 
 
 class IntegrationError(RuntimeError):
@@ -305,16 +321,45 @@ def _diagnose(masks: Sequence[np.ndarray], y: np.ndarray) -> tuple[float, float,
     return drift, pur, _fock_leak(masks, np.real(np.diag(y)))
 
 
-def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
-             stages: np.ndarray) -> Callable[[int, int], list[np.ndarray]]:
-    """``polys`` on the stage-time table ``stages``: a function of a table
-    index (k, j) returning their (d, d) values at ``stages[k, j]``.
+def _pattern(coeffs: Sequence[np.ndarray], d: int):
+    """The coefficients stacked on their union nonzero pattern, and the
+    function that turns one row of the stack into the matrix it stands for.
 
-    Each polynomial's coefficients are stacked into one (k, d·d) array.
-    Each signal is sampled once per stage time and each monomial becomes a
+    The pattern is CSR, with sorted column indices and shared by every row
+    of the stack, when d >= SPARSE_MIN_DIM and it holds at most
+    SPARSE_MAX_FILL·d² entries; otherwise each row is a dense d·d matrix.
+    A coefficient that misses part of the union holds explicit zeros
+    there.  The zero polynomial (no coefficients) stacks one zero row.
+    """
+    mask = np.zeros((d, d), dtype=bool)
+    for c in coeffs:
+        mask |= c != 0
+    nnz = int(np.count_nonzero(mask))
+    if d < SPARSE_MIN_DIM or nnz > SPARSE_MAX_FILL * d * d:
+        stack = (np.stack(coeffs).reshape(len(coeffs), d * d) if coeffs
+                 else np.zeros((1, d * d), dtype=complex))
+        return stack, lambda row: row.reshape(d, d)
+    rows, cols = np.nonzero(mask)  # row-major: the CSR order
+    cols = cols.astype(np.int32)
+    indptr = np.searchsorted(rows, np.arange(d + 1)).astype(np.int32)
+    stack = (np.stack([c[rows, cols] for c in coeffs]) if coeffs
+             else np.zeros((1, nnz), dtype=complex))
+    return stack, lambda row: sparse.csr_array((row, cols, indptr), shape=(d, d))
+
+
+def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
+             stages: np.ndarray) -> Callable[[int, int], list]:
+    """``polys`` on the stage-time table ``stages``: a function of a table
+    index (k, j) returning their values at ``stages[k, j]``, each a dense
+    (d, d) array or a ``scipy.sparse.csr_array`` as :func:`_pattern`
+    picks it per polynomial.
+
+    Each polynomial's k coefficients are stacked into one (k, nnz) array
+    on the union of their nonzero patterns (nnz = d·d when dense).  Each
+    signal is sampled once per stage time and each monomial becomes a
     table of scalar values, so a polynomial's value at a stage is one
-    contraction of its k monomial values with its stack.  A constant
-    polynomial compiles to one matrix.
+    contraction of its k monomial values with its stack, over a fixed
+    pattern.  A constant polynomial compiles to one matrix.
     """
     d = polys[0].space.total_dim
     bindings = bindings or {}
@@ -337,14 +382,28 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
 
     parts = []
     for poly in polys:
+        stack, build = _pattern(list(poly.terms.values()), d)
         if poly.is_constant():
-            parts.append((None, poly.terms[ONE] if poly.terms
-                          else np.zeros((d, d), dtype=complex)))
+            parts.append((None, build(stack[0]), None))
         else:
-            flat = np.stack(list(poly.terms.values())).reshape(len(poly.terms), d * d)
-            parts.append((np.stack([values(m) for m in poly.terms], axis=-1), flat))
-    return lambda k, j: [mat if vals is None else (vals[k, j] @ mat).reshape(d, d)
-                         for vals, mat in parts]
+            parts.append((np.stack([values(m) for m in poly.terms], axis=-1), stack, build))
+    return lambda k, j: [mat if vals is None else build(vals[k, j] @ mat)
+                         for vals, mat, build in parts]
+
+
+def _times_dagger(x: np.ndarray, m) -> np.ndarray:
+    """x @ m† for a dense x and a value m of :func:`_compile`.
+
+    A dense m is conjugated once, O(d²).  A CSR m gives (m̄ xᵀ)ᵀ, with m̄
+    its conjugated data on its own pattern, O(nnz): scipy multiplies a
+    CSR matrix into the rows of a dense one, so the product takes a
+    C-ordered copy of xᵀ (scipy's own x @ m reads an F-ordered view and
+    is several times slower).
+    """
+    if isinstance(m, np.ndarray):
+        return x @ m.conj().T
+    mbar = sparse.csr_array((m.data.conj(), m.indices, m.indptr), shape=m.shape)
+    return (mbar @ np.ascontiguousarray(x.T)).T
 
 
 def _rk4(
@@ -426,8 +485,13 @@ def _compiled_lindblad(
     """The generator of :func:`lindblad_rhs` in the compiled form that
     :func:`_rk4` takes: K = -iH - ½ΣL†L is folded once, exactly, over the
     couplings that are not identically zero, and each stage computes
-    Kρ + ρK† + ΣLρL† with no Hermiticity shortcut, so the map is the
+    Kρ + ρK† + Σ(Lρ)L† with no Hermiticity shortcut, so the map is the
     reference's for any matrix ρ.
+
+    K and each L compile once, dense or CSR (:func:`_compile`).  The
+    right factors K† and L† are read from the same stage values by
+    :func:`_times_dagger`: in CSR that is the conjugated data on the
+    operator's own pattern, O(nnz), and no dense d×d K† is formed.
     """
 
     def rhs(stages):
@@ -440,9 +504,9 @@ def _compiled_lindblad(
         def f(rho, k, j):
             K, *Ls = at(k, j)
             out = K @ rho
-            out += rho @ K.conj().T
+            out += _times_dagger(rho, K)
             for L in Ls:
-                out += L @ rho @ L.conj().T
+                out += _times_dagger(L @ rho, L)
             return out
 
         return f
@@ -462,10 +526,13 @@ def integrate_master(
 ) -> SimulationResult:
     """Fixed-step RK4 on the vacuum-input master equation.
 
-    The generator is compiled once per run: K = -iH - ½ΣL†L and the
-    couplings that are not identically zero are evaluated at every RK4
-    stage time up front, and each stage computes Kρ + ρK† + ΣLρL†, the
-    map of :func:`lindblad_rhs`.  The run aborts (IntegrationError) when a
+    The generator is compiled once per run (:func:`_compiled_lindblad`):
+    K = -iH - ½ΣL†L and the couplings that are not identically zero are
+    stacked once, each on its union nonzero pattern, and each stage
+    computes Kρ + ρK† + Σ(Lρ)L†, the map of :func:`lindblad_rhs`.  A
+    polynomial is stacked as CSR when d >= ``SPARSE_MIN_DIM`` and its
+    pattern fills at most ``SPARSE_MAX_FILL`` of the matrix, and dense
+    otherwise; ρ is always dense.  The run aborts (IntegrationError) when a
     diagnostic is not finite, the trace drifts beyond ``trace_tol`` or
     the truncation leak exceeds ``leak_threshold``; pass
     ``leak_threshold=None`` to only record the leak.
@@ -491,8 +558,9 @@ def integrate_schrodinger(
     """Fixed-step RK4 on dpsi/dt = -i H(t) psi; norm drift is reported,
     never corrected.
 
-    -iH is compiled once per run on the stage grid, so each stage is one
-    matrix-vector product.
+    -iH is compiled once per run on the stage grid, dense or CSR by the
+    rule of :func:`integrate_master`, so each stage is one matrix-vector
+    product.
     """
     if not H.dagger().approx_equal(H, 1e-10):
         raise ValueError("H is not formally self-adjoint")

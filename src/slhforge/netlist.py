@@ -693,7 +693,7 @@ class _Analyzer:
         p = self.eval_expr(node, allow_signals=False, allow_ops=False)
         c = complex(p.terms[ONE][0, 0]) if p.terms else 0j  # p is c·I
         if real:
-            if abs(c.imag) > 0:
+            if c.imag != 0:  # NaN is not 0, so a NaN imaginary part fails too
                 self.fail(f"{what} must be real", getattr(node, "pos", (0, 0)))
             return c.real
         return c
@@ -773,11 +773,17 @@ class _Analyzer:
             left = self.eval_expr(node.left, allow_signals, allow_ops)
             right = self.eval_expr(node.right, allow_signals, allow_ops)
             try:
-                if node.op == "*":
-                    return left * right
-                return left + right if node.op == "+" else left - right
+                # finite operands overflow only here; the check below reports it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if node.op == "*":
+                        value = left * right
+                    else:
+                        value = left + right if node.op == "+" else left - right
             except ValueError as exc:
                 self.fail(str(exc), node.pos)
+            if not all(np.isfinite(c).all() for c in value.terms.values()):
+                self.fail(f"'{node.op}' overflows: its value is not finite", node.pos)
+            return value
         raise TypeError(f"unknown expression node {node!r}")  # pragma: no cover
 
     # -- components -------------------------------------------------------

@@ -222,6 +222,29 @@ def test_rejected_expressions_exit_1_with_a_position(expr, col, message, netlist
     assert captured.out == ""
 
 
+# the first '*' overflows: the error points at it, and numpy stays silent
+@pytest.mark.parametrize("component", [
+    "H = HAM(1e200 * 1e200 * n(c))",
+    "G = SYS(L=[1e200 * 1e200 * a(c) - 1e200 * 1e200 * a(c)])",
+    "G = SYS(L=[(1e200 + 1e200i) * (1e200 + 1e200i) * a(c)])",
+], ids=["ham_product", "sys_difference", "complex_product"])
+def test_overflowing_expression_exits_2_at_its_operator(component, netlist, capsys):
+    col = len("component ") + component.index("*") + 1
+    text = ("space fock(cutoff=2) as c\n"
+            "signal u = constant(1)\n"
+            "component A = ADD(u=[u])\n"
+            f"component {component}\n"
+            f"network main = {component[0]} <| A\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["reduce", netlist(text)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"reduction error: line 4, col {col}: "
+                            "'*' overflows: its value is not finite\n")
+    assert captured.out == ""
+
+
 def test_simulate_unknown_observable_label_exits_2(capsys):
     rc = main(["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "0.1",
                "--observable", "n:zz"])

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.integrate import solve_ivp
 
 from slhforge import (
     ComplexExponentialSignal,
@@ -36,7 +38,9 @@ from slhforge import (
     system_coupling,
     trace_distance,
 )
-from slhforge.dynamics import _compiled_lindblad
+from slhforge import cli, dynamics
+from slhforge.dynamics import _compile, _compiled_lindblad
+from slhforge.netlist import compile_netlist, parse_netlist
 from conftest import (
     random_bindings,
     random_density,
@@ -303,15 +307,47 @@ def _classic_rk4(f, y, times):
     return states
 
 
-def _reference_case(rng, case):
-    """A random three-level triple and its bindings: signal parts in L and
-    a u·conj(u) term in H, unless the case says otherwise."""
+def _two_mode_triple(rng, channels, signals):
+    """A random banded triple on two Fock modes, d = 121, whose H and L
+    compile to CSR.  L₁ has a c-number signal part, and H's
+    monomials have different nonzero patterns (number operators on the
+    diagonal, a†b off it), so each union pattern holds explicit zeros."""
+    sp = HilbertSpace([HilbertSpace.fock("a", 10).factors[0],
+                       HilbertSpace.fock("b", 10).factors[0]])
+    a, b = annihilator(sp, "a"), annihilator(sp, "b")
+    hop = a.dagger() @ b
+
+    def c():
+        return 0.3 * complex(rng.standard_normal(), rng.standard_normal())
+
+    def const(op):
+        return OpPolynomial.constant(op)
+
+    ladders = [a, b, hop]
+    L = [const(c() * ladders[i % 3] + c() * ladders[(i + 1) % 3]) for i in range(channels)]
+    x = c() * hop
+    H = const(0.7 * number_op(sp, "a") + 1.3 * number_op(sp, "b") + x + x.dagger())
+    for name in signals:
+        u = OpPolynomial.of_signal(sp, name)
+        L[0] = L[0] + u.scale(c())
+        H = H + (u * const(c() * hop)).imag()
+    return SLHTriple(system_coupling(L, sp).S, tuple(L), H)
+
+
+def _reference_case(rng, case, two_mode=False):
+    """A random triple and its bindings: three levels, or two Fock modes
+    above the sparse crossover; signal parts in L and a u·conj(u) term in
+    H, unless the case says otherwise."""
+    channels = 3 if case == "signals_3ch" else 2
+    signals = [] if case == "constant" else ["u"]
+    g = (_two_mode_triple(rng, channels, signals) if two_mode
+         else random_triple(rng, 3, channels, signals=signals))
     if case == "constant":
-        return random_triple(rng, 3, 2), {}
-    g = random_triple(rng, 3, 3 if case == "signals_3ch" else 2, signals=["u"])
+        return g, {}
     sp = g.space
     u = OpPolynomial.of_signal(sp, "u")
-    H = g.H + u * u.dagger() * OpPolynomial.constant(random_hermitian(rng, sp, 0.7))
+    H = g.H + u * u.dagger() * OpPolynomial.constant(
+        number_op(sp, "b") if two_mode else random_hermitian(rng, sp, 0.7))
     L = (OpPolynomial.zero(sp),) + g.L[1:] if case == "zero_L" else g.L
     g = SLHTriple(g.S, L, H)
     if case == "sampled":
@@ -320,29 +356,77 @@ def _reference_case(rng, case):
     return g, {"u": ComplexExponentialSignal("u", 0.8 - 0.3j, 2.1, 0.4)}
 
 
-@pytest.mark.parametrize("case", ["signals_2ch", "signals_3ch", "constant", "zero_L", "sampled"])
+CASES = ["signals_2ch", "signals_3ch", "constant", "zero_L", "sampled"]
+
+
+# a bare case runs on three levels (dense); "d121_" runs it on two modes (CSR)
+@pytest.mark.parametrize("case", CASES + [f"d121_{case}" for case in CASES])
 def test_compiled_integrators_match_the_reference(rng, case):
-    g, binds = _reference_case(rng, case)
-    times = np.linspace(0.0, 0.2, 21)
-    rho0 = random_density(rng, 3)
+    two_mode = case.startswith("d121_")
+    g, binds = _reference_case(rng, case.removeprefix("d121_"), two_mode)
+    d = g.space.total_dim
+    times = np.linspace(0.0, 0.05, 11) if two_mode else np.linspace(0.0, 0.2, 21)
+    assert sparse.issparse(_compile([g.H], binds, times[None, :3])(0, 0)[0]) == two_mode
+    rho0 = random_density(rng, d)
     # drift is checked elsewhere; here only agreement with the reference counts
-    res = integrate_master(g, rho0, times, binds, store_states=True, trace_tol=1.0)
+    res = integrate_master(g, rho0, times, binds, store_states=True, trace_tol=1.0,
+                           leak_threshold=None)
     want = _classic_rk4(lambda rho, t: lindblad_rhs(rho, g, t, binds), rho0, times)
     assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
 
-    psi0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    psi0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     psi0 /= np.linalg.norm(psi0)
-    res = integrate_schrodinger(g.H, psi0, times, binds, store_states=True, norm_tol=1.0)
+    res = integrate_schrodinger(g.H, psi0, times, binds, store_states=True, norm_tol=1.0,
+                                leak_threshold=None)
     want = _classic_rk4(lambda psi, t: -1j * g.H.evaluate(t, binds).matrix @ psi, psi0, times)
     assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
 
 
 def test_compiled_lindblad_matches_the_reference_on_any_matrix(rng):
-    g, binds = _reference_case(rng, "signals_2ch")
-    X = random_matrix(rng, 3)  # neither Hermitian nor of unit trace
-    t = 0.37
-    f = _compiled_lindblad(g, binds)(np.full((1, 3), t))
-    assert np.max(np.abs(f(X, 0, 1) - lindblad_rhs(X, g, t, binds))) < 1e-12
+    for two_mode in (False, True):  # dense at d=3, CSR at d=121
+        g, binds = _reference_case(rng, "signals_2ch", two_mode)
+        X = random_matrix(rng, g.space.total_dim)  # neither Hermitian nor of unit trace
+        t = 0.37
+        f = _compiled_lindblad(g, binds)(np.full((1, 3), t))
+        assert np.max(np.abs(f(X, 0, 1) - lindblad_rhs(X, g, t, binds))) < 1e-12
+
+
+CASCADE = """\
+space fock(cutoff={cutoff}) as c1
+space fock(cutoff={cutoff}) as c2
+signal u = gaussian_pulse(amplitude=(0.35 + -0.2i), center=0.4, width=0.25)
+component D = ADD(u=[u])
+component A = CAVITY(gamma=0.6, omega=1.1, mode=c1)
+component B = CAVITY(gamma=0.45, omega=0.7, mode=c2)
+network cascade = B <| A <| D
+"""
+
+
+def test_backend_follows_dimension_and_fill(rng):
+    stages = np.full((1, 3), 0.3)
+
+    def compiled(polys, binds=None):
+        return _compile(polys, binds, stages)(0, 1)
+
+    # one mode at d=16, the size of the chain_pulse workload, stays dense
+    sp = HilbertSpace.fock("c", 15)
+    chain = cavity(sp, "c", 0.4, 1.0)
+    assert all(isinstance(v, np.ndarray) for v in compiled([chain.H, *chain.L]))
+
+    # the banded two-cavity cascade at d=196 compiles to CSR
+    net = compile_netlist(parse_netlist(CASCADE.format(cutoff=13)))
+    g = net.triple
+    assert g.space.total_dim == 196
+    values = compiled([g.H, *g.L], net.signals)
+    assert all(sparse.issparse(v) for v in values)
+    for poly, value in zip([g.H, *g.L], values):
+        # one pattern, the union of the monomials' patterns, at every stage
+        assert value.nnz == np.count_nonzero(sum(np.abs(c) for c in poly.terms.values()))
+        assert np.max(np.abs(value.toarray() - poly.evaluate(0.3, net.signals).matrix)) < 1e-13
+
+    # a dense random coupling at the same d stays dense
+    dense = OpPolynomial.constant(Operator(g.space, random_matrix(rng, 196)))
+    assert isinstance(compiled([dense])[0], np.ndarray)
 
 
 def test_compiled_generators_need_every_signal_bound(rng):
@@ -366,7 +450,48 @@ def test_grid_past_a_sampled_table_fails_before_the_first_step(rng):
         integrate_master(g, random_density(rng, 3), times, binds, trace_tol=-1.0)
 
 
-# -- analytic oracle -------------------------------------------------------
+# -- analytic oracles ------------------------------------------------------
+
+
+@pytest.mark.parametrize("cutoff", [6, 9], ids=["d49_dense", "d100_sparse"])
+def test_simulate_matches_the_cascade_ode(cutoff, tmp_path):
+    """``simulate`` on B <| A <| ADD(u) against the coherent amplitudes of
+    the reduced cascade, written down by hand (no series product):
+
+        α̇₁ = -(iω₁ + γ₁/2) α₁ - √γ₁ u
+        α̇₂ = -(iω₂ + γ₂/2) α₂ - √(γ₁γ₂) α₁ - √γ₂ u
+
+    from vacuum, solved by ``solve_ivp``; one cutoff on each side of the
+    sparse crossover."""
+    text = CASCADE.format(cutoff=cutoff)
+    net = compile_netlist(parse_netlist(text))
+    d = net.triple.space.total_dim
+    assert sparse.issparse(_compile([net.triple.H], net.signals, np.zeros((1, 3)))(0, 0)[0]) \
+        == (d >= dynamics.SPARSE_MIN_DIM)
+    path = tmp_path / "cascade.slh"
+    path.write_text(text)
+    csv = tmp_path / "run.csv"
+    assert cli.main(["simulate", str(path), "--horizon", "1", "--step", "0.02",
+                     "--observable", "a:c1", "--observable", "a:c2", "-o", str(csv)]) == 0
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+    t = rows[:, 0]
+    got = rows[:, 1:5:2] + 1j * rows[:, 2:5:2]
+
+    u = net.signals["u"]
+    (g1, w1), (g2, w2) = (0.6, 1.1), (0.45, 0.7)
+
+    def rhs(s, y):
+        a1, a2 = y[0] + 1j * y[1], y[2] + 1j * y[3]
+        da1 = -(1j * w1 + g1 / 2) * a1 - math.sqrt(g1) * u(s)
+        da2 = -(1j * w2 + g2 / 2) * a2 - math.sqrt(g1 * g2) * a1 - math.sqrt(g2) * u(s)
+        return [da1.real, da1.imag, da2.real, da2.imag]
+
+    sol = solve_ivp(rhs, (0.0, 1.0), [0.0] * 4, t_eval=t, rtol=1e-11, atol=1e-13)
+    want = (sol.y[0::2] + 1j * sol.y[1::2]).T
+    assert np.max(np.abs(want)) > 0.1  # the pulse has driven both cavities
+    assert np.max(np.abs(got - want)) < 1e-7
+
+
 
 
 def test_oracle_constant_drive_without_detuning():

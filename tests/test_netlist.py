@@ -427,3 +427,18 @@ def test_degree_cap_points_at_the_product():
                          "network main = A\n")
     assert (err.line, err.col) == (3, 52) and "degree cap 8" in str(err)
 
+
+def test_nan_imaginary_part_is_not_real():
+    # the parser rejects non-finite literals and an overflowing operator is
+    # an error, so only a hand-built tree carries a NaN into a real slot
+    text = ("space fock(cutoff=1) as c\n"
+            "component C = CAVITY(gamma=1, omega=2i)\n"
+            "network main = C\n")
+    ast = parse_netlist(text)
+    omega = ast.components[0].args["omega"]
+    omega.value = math.nan  # nan·1j has a NaN imaginary part
+    with pytest.raises(NetlistSemanticError) as info:
+        compile_netlist(ast)
+    err = info.value
+    assert (err.line, err.col) == (2, text.splitlines()[1].index("2i") + 1)
+    assert "omega must be real" in str(err)
