@@ -19,16 +19,28 @@ this boundary: operators, polynomials, the series reduction and every
 report stay dense.  :func:`lindblad_rhs` evaluates the polynomials
 directly and is kept as the reference the compiled master generator is
 tested against.
+
+The workspace belongs to the run.  Each compiled polynomial keeps one
+matrix whose entries each stage rewrites in place; the RK4 slopes, the
+stage input and the generator's scratch matrices are allocated once; the
+state is updated in place; and every product writes into one of these
+buffers (:func:`_product`).  Once the loop starts, no state-sized array
+is allocated, so its cost does not depend on whether the allocator has
+returned freed memory to the kernel.  The buffered operations keep the
+order of the textbook RK4 update and of each product, so the results are
+those of the expressions written out with temporaries, bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.integrate import quad
 
 from .hilbert import FOCK, HilbertSpace, Operator
@@ -140,13 +152,20 @@ def coherent_vector(space: HilbertSpace, alpha: complex, mode: str | None = None
     if f.kind != FOCK:
         raise ValueError(f"factor {mode!r} is not a Fock factor")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude {alpha} is not finite")
     amps = np.zeros(f.dim, dtype=complex)
     term = 1.0 + 0.0j
     amps[0] = term
     for n in range(1, f.dim):
         term = term * alpha / math.sqrt(n)
         amps[n] = term
-    amps /= np.linalg.norm(amps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(amps)
+    if not math.isfinite(norm):
+        raise ValueError(f"coherent amplitude {alpha} overflows: the truncated state's "
+                         "norm is not finite")
+    amps /= norm
     if len(space.factors) == 1:
         return amps
     v = np.zeros(space.total_dim, dtype=complex)
@@ -322,8 +341,8 @@ def _diagnose(masks: Sequence[np.ndarray], y: np.ndarray) -> tuple[float, float,
 
 
 def _pattern(coeffs: Sequence[np.ndarray], d: int):
-    """The coefficients stacked on their union nonzero pattern, and the
-    function that turns one row of the stack into the matrix it stands for.
+    """The coefficients stacked on their union nonzero pattern, and one
+    matrix on that pattern holding a copy of the first row of the stack.
 
     The pattern is CSR, with sorted column indices and shared by every row
     of the stack, when d >= SPARSE_MIN_DIM and it holds at most
@@ -338,18 +357,39 @@ def _pattern(coeffs: Sequence[np.ndarray], d: int):
     if d < SPARSE_MIN_DIM or nnz > SPARSE_MAX_FILL * d * d:
         stack = (np.stack(coeffs).reshape(len(coeffs), d * d) if coeffs
                  else np.zeros((1, d * d), dtype=complex))
-        return stack, lambda row: row.reshape(d, d)
+        return stack, stack[0].reshape(d, d).copy()
     rows, cols = np.nonzero(mask)  # row-major: the CSR order
     cols = cols.astype(np.int32)
     indptr = np.searchsorted(rows, np.arange(d + 1)).astype(np.int32)
     stack = (np.stack([c[rows, cols] for c in coeffs]) if coeffs
              else np.zeros((1, nnz), dtype=complex))
-    return stack, lambda row: sparse.csr_array((row, cols, indptr), shape=(d, d))
+    return stack, sparse.csr_array((stack[0].copy(), cols, indptr), shape=(d, d))
+
+
+class _Compiled:
+    """Polynomials compiled on a stage-time table (see :func:`_compile`).
+
+    ``values`` holds one matrix per polynomial for the whole run, and
+    calling the object with a table index (k, j) rewrites the entries of
+    every non-constant one with its value at ``stages[k, j]``, in place,
+    and returns ``values``.
+    """
+
+    __slots__ = ("values", "_updates")
+
+    def __init__(self, values: list, updates: list):
+        self.values = values
+        self._updates = updates
+
+    def __call__(self, k: int, j: int) -> list:
+        for vals, stack, entries in self._updates:
+            np.matmul(vals[k, j], stack, out=entries)
+        return self.values
 
 
 def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
-             stages: np.ndarray) -> Callable[[int, int], list]:
-    """``polys`` on the stage-time table ``stages``: a function of a table
+             stages: np.ndarray) -> _Compiled:
+    """``polys`` on the stage-time table ``stages``: a callable of a table
     index (k, j) returning their values at ``stages[k, j]``, each a dense
     (d, d) array or a ``scipy.sparse.csr_array`` as :func:`_pattern`
     picks it per polynomial.
@@ -359,7 +399,10 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     signal is sampled once per stage time and each monomial becomes a
     table of scalar values, so a polynomial's value at a stage is one
     contraction of its k monomial values with its stack, over a fixed
-    pattern.  A constant polynomial compiles to one matrix.
+    pattern.  Every call returns the same matrices: each polynomial has
+    one for the whole run, and a stage rewrites its entries (the CSR
+    ``data``) in place, so the caller reads a value before it asks for the
+    next stage.  A constant polynomial's matrix is never rewritten.
     """
     d = polys[0].space.total_dim
     bindings = bindings or {}
@@ -371,7 +414,7 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
         samples[name] = np.array([complex(signal(t)) for t in stages.ravel()],
                                  dtype=complex).reshape(stages.shape)
 
-    def values(mono):
+    def monomial_values(mono):
         v = np.ones(stages.shape, dtype=complex)
         for name, p, q in mono.entries:
             if p:
@@ -380,34 +423,40 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
                 v *= samples[name].conj() ** q
         return v
 
-    parts = []
+    values, updates = [], []
     for poly in polys:
-        stack, build = _pattern(list(poly.terms.values()), d)
-        if poly.is_constant():
-            parts.append((None, build(stack[0]), None))
-        else:
-            parts.append((np.stack([values(m) for m in poly.terms], axis=-1), stack, build))
-    return lambda k, j: [mat if vals is None else build(vals[k, j] @ mat)
-                         for vals, mat, build in parts]
+        stack, value = _pattern(list(poly.terms.values()), d)
+        values.append(value)
+        if not poly.is_constant():
+            # the entries a stage rewrites: a dense matrix's flat view, or CSR data
+            entries = value.reshape(-1) if isinstance(value, np.ndarray) else value.data
+            updates.append((np.stack([monomial_values(m) for m in poly.terms], axis=-1),
+                            stack, entries))
+    return _Compiled(values, updates)
 
 
-def _times_dagger(x: np.ndarray, m) -> np.ndarray:
-    """x @ m† for a dense x and a value m of :func:`_compile`.
+def _product(m, x: np.ndarray, out: np.ndarray) -> None:
+    """out = m @ x, bitwise, for a value m of :func:`_compile` and a dense
+    C-ordered vector or matrix x, written into the C-ordered buffer out.
 
-    A dense m is conjugated once, O(d²).  A CSR m gives (m̄ xᵀ)ᵀ, with m̄
-    its conjugated data on its own pattern, O(nnz): scipy multiplies a
-    CSR matrix into the rows of a dense one, so the product takes a
-    C-ordered copy of xᵀ (scipy's own x @ m reads an F-ordered view and
-    is several times slower).
+    A dense m is one ``np.matmul``.  A CSR m calls the kernel that
+    ``csr_array.__matmul__`` itself calls, ``csr_matvec`` or
+    ``csr_matvecs``, which accumulates into out, so out is zeroed first.
     """
     if isinstance(m, np.ndarray):
-        return x @ m.conj().T
-    mbar = sparse.csr_array((m.data.conj(), m.indices, m.indptr), shape=m.shape)
-    return (mbar @ np.ascontiguousarray(x.T)).T
+        np.matmul(m, x, out=out)
+        return
+    out.fill(0)
+    n = m.shape[0]
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(n, n, m.indptr, m.indices, m.data, x, out)
+    else:
+        _sparsetools.csr_matvecs(n, n, x.shape[1], m.indptr, m.indices, m.data,
+                                 x.ravel(), out.ravel())
 
 
 def _rk4(
-    rhs: Callable[[np.ndarray], Callable[[np.ndarray, int, int], np.ndarray]],
+    rhs: Callable[[np.ndarray], Callable[[np.ndarray, int, int, np.ndarray], None]],
     y: np.ndarray,
     times: Sequence[float],
     space: HilbertSpace,
@@ -422,7 +471,15 @@ def _rk4(
 
     ``rhs(stages)`` compiles the generator for the (n-1, 3) table of the
     stage times t, t + h/2 and t + h of every step, and returns f with
-    ``f(y, k, j)`` = dy/dt at stage time ``stages[k, j]``.
+    ``f(y, k, j, out)`` writing dy/dt at stage time ``stages[k, j]`` into
+    out, which is never y.
+
+    The workspace belongs to the run: the four slopes and the stage input
+    are allocated once, shaped like y, and y itself (owned by the caller,
+    which passes a copy) is updated in place, so no state-sized array is
+    allocated once the loop starts.  The update is evaluated as
+    y + (h/6)·(((k1 + 2·k2) + 2·k3) + k4), in that order, with k1 as the
+    accumulator.  Stored states are copies.
 
     Aborts with IntegrationError on a non-finite diagnostic, on drift
     beyond ``drift_tol``, or on leak beyond ``leak_threshold`` (None
@@ -467,13 +524,20 @@ def _rk4(
     with np.errstate(over="ignore", invalid="ignore"):
         f = rhs(np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1))
         record(0, y)
+        k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
         for k in range(n_steps - 1):
             hk = h[k]
-            k1 = f(y, k, 0)
-            k2 = f(y + 0.5 * hk * k1, k, 1)
-            k3 = f(y + 0.5 * hk * k2, k, 1)
-            k4 = f(y + hk * k3, k, 2)
-            y = y + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            f(y, k, 0, k1)
+            np.add(y, np.multiply(0.5 * hk, k1, out=ys), out=ys)
+            f(ys, k, 1, k2)
+            np.add(y, np.multiply(0.5 * hk, k2, out=ys), out=ys)
+            f(ys, k, 1, k3)
+            np.add(y, np.multiply(hk, k3, out=ys), out=ys)
+            f(ys, k, 2, k4)
+            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+            np.add(k1, k4, out=k1)
+            np.add(y, np.multiply(hk / 6.0, k1, out=k1), out=y)
             record(k + 1, y)
 
     return SimulationResult(times, expect, drift, pur, leak, states)
@@ -481,17 +545,21 @@ def _rk4(
 
 def _compiled_lindblad(
     g: SLHTriple, bindings: Bindings | None,
-) -> Callable[[np.ndarray], Callable[[np.ndarray, int, int], np.ndarray]]:
+) -> Callable[[np.ndarray], Callable[[np.ndarray, int, int, np.ndarray], None]]:
     """The generator of :func:`lindblad_rhs` in the compiled form that
     :func:`_rk4` takes: K = -iH - ½ΣL†L is folded once, exactly, over the
     couplings that are not identically zero, and each stage computes
     Kρ + ρK† + Σ(Lρ)L† with no Hermiticity shortcut, so the map is the
     reference's for any matrix ρ.
 
-    K and each L compile once, dense or CSR (:func:`_compile`).  The
-    right factors K† and L† are read from the same stage values by
-    :func:`_times_dagger`: in CSR that is the conjugated data on the
-    operator's own pattern, O(nnz), and no dense d×d K† is formed.
+    K and each L compile once, dense or CSR (:func:`_compile`), and a
+    stage rewrites their entries in place.  A right factor ρM† is read
+    from the same stage value through its conjugate M̄: in CSR that is the
+    conjugated data on M's own pattern, O(nnz), and the product is
+    (M̄ρᵀ)ᵀ, so no dense d×d K† is formed.  The workspace belongs to the
+    run: each M̄, a C-ordered copy of ρᵀ (the CSR kernel multiplies into
+    the rows of a dense operand), Lρ and one product buffer are
+    allocated once, and every product writes into them (:func:`_product`).
     """
 
     def rhs(stages):
@@ -500,14 +568,33 @@ def _compiled_lindblad(
         for Lp in live:
             K = K + (Lp.dagger() * Lp).scale(-0.5)
         at = _compile([K] + live, bindings, stages)
+        bars = [np.empty_like(m) if isinstance(m, np.ndarray)
+                else sparse.csr_array((np.empty_like(m.data), m.indices, m.indptr), shape=m.shape)
+                for m in at.values]
+        d = g.space.total_dim
+        xt, lx, prod = (np.empty((d, d), dtype=complex) for _ in range(3))
 
-        def f(rho, k, j):
-            K, *Ls = at(k, j)
-            out = K @ rho
-            out += _times_dagger(rho, K)
-            for L in Ls:
-                out += _times_dagger(L @ rho, L)
-            return out
+        def add_times_dagger(out, x, m, mbar):
+            """out += x @ m†, with m† read through mbar = m̄."""
+            if isinstance(m, np.ndarray):
+                np.conjugate(m, out=mbar)
+                np.matmul(x, mbar.T, out=prod)
+                out += prod
+            else:
+                np.conjugate(m.data, out=mbar.data)
+                np.copyto(xt, x.T)
+                _product(mbar, xt, prod)
+                out += prod.T
+
+        (K_at, K_bar), *couplings = zip(at.values, bars)
+
+        def f(rho, k, j, out):
+            at(k, j)
+            _product(K_at, rho, out)
+            add_times_dagger(out, rho, K_at, K_bar)
+            for L, L_bar in couplings:
+                _product(L, rho, lx)
+                add_times_dagger(out, lx, L, L_bar)
 
         return f
 
@@ -573,7 +660,7 @@ def integrate_schrodinger(
 
     def rhs(stages):
         at = _compile([H.scale(-1j)], bindings, stages)
-        return lambda psi, k, j: at(k, j)[0] @ psi
+        return lambda psi, k, j, out: _product(at(k, j)[0], psi, out)
 
     return _rk4(rhs, psi, times, H.space, observables, store_states,
                 norm_tol, leak_threshold)

@@ -630,6 +630,11 @@ def triple_summary(g: SLHTriple) -> str:
     return f"channels={g.channels} S=[{s_rows}] L=[{l_entries}] H={g.H}"
 
 
+def _is_finite(polys: Sequence[OpPolynomial]) -> bool:
+    """Whether every coefficient entry of every polynomial is finite."""
+    return all(np.isfinite(c).all() for p in polys for c in p.terms.values())
+
+
 class _Analyzer:
     def __init__(self, ast: NetlistAST, base_dir: str = "."):
         self.ast = ast
@@ -781,7 +786,7 @@ class _Analyzer:
                         value = left + right if node.op == "+" else left - right
             except ValueError as exc:
                 self.fail(str(exc), node.pos)
-            if not all(np.isfinite(c).all() for c in value.terms.values()):
+            if not _is_finite([value]):
                 self.fail(f"'{node.op}' overflows: its value is not finite", node.pos)
             return value
         raise TypeError(f"unknown expression node {node!r}")  # pragma: no cover
@@ -835,8 +840,13 @@ class _Analyzer:
         steps = series_steps([self.components[name] for name in chain])
         trace: list[TraceStep] = []
         try:
-            for name, acc in zip(reversed(chain), steps):
-                trace.append(TraceStep(name, triple_summary(acc)))
+            # finite components overflow only here; the check below reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for name, acc in zip(reversed(chain), steps):
+                    if not _is_finite([*(e for row in acc.S for e in row), *acc.L, acc.H]):
+                        raise NetlistReductionError(
+                            f"composing {name!r} overflows: its value is not finite")
+                    trace.append(TraceStep(name, triple_summary(acc)))
         except ChannelMismatchError as exc:
             raise NetlistReductionError(str(exc)) from exc
         except ValueError as exc:

@@ -205,24 +205,44 @@ class OpPolynomial:
     The representation is canonical: coefficients that are exactly the
     zero matrix are pruned, so two polynomials built by different
     association orders of the same exact expression compare equal.
+
+    Coefficients are read-only, C-ordered complex arrays.  The constructor
+    copies the arrays a caller hands in, so changing them afterwards
+    leaves the polynomial unchanged.  The algebra copies nothing: a result
+    shares the coefficients it does not change with its operands and
+    freezes the arrays it has just computed.
     """
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space: HilbertSpace, terms: Mapping[SignalMonomial, np.ndarray] | None = None):
-        self.space = space
-        clean: dict[SignalMonomial, np.ndarray] = {}
         d = space.total_dim
+        copied = {}
         for mono, coeff in (terms or {}).items():
             coeff = np.asarray(coeff, dtype=complex)
             if coeff.shape != (d, d):
                 raise ValueError(f"coefficient shape {coeff.shape} does not match space dim {d}")
+            copied[mono] = coeff.copy()
+        self._adopt(space, copied)
+
+    @classmethod
+    def _shared(cls, space: HilbertSpace, terms: Mapping[SignalMonomial, np.ndarray]) -> "OpPolynomial":
+        """A polynomial on C-ordered complex (d, d) arrays that nothing
+        outside the algebra can write: results it has just computed, or
+        coefficients of other polynomials.  They are frozen, not copied."""
+        p = cls.__new__(cls)
+        p._adopt(space, terms)
+        return p
+
+    def _adopt(self, space: HilbertSpace, terms: Mapping[SignalMonomial, np.ndarray]):
+        clean: dict[SignalMonomial, np.ndarray] = {}
+        for mono, coeff in terms.items():
             if mono.degree > DEGREE_CAP:
                 raise ValueError(f"monomial {mono} exceeds degree cap {DEGREE_CAP}")
             if np.any(coeff):
-                c = coeff.copy()
-                c.setflags(write=False)
-                clean[mono] = c
+                coeff.setflags(write=False)
+                clean[mono] = coeff
+        self.space = space
         self.terms = clean
 
     # -- constructors -----------------------------------------------------
@@ -237,7 +257,7 @@ class OpPolynomial:
 
     @classmethod
     def scalar(cls, space: HilbertSpace, c: complex) -> "OpPolynomial":
-        return cls(space, {ONE: complex(c) * np.eye(space.total_dim)})
+        return cls._shared(space, {ONE: complex(c) * np.eye(space.total_dim)})
 
     @classmethod
     def of_signal(cls, space: HilbertSpace, name: str, coeff: Operator | complex = 1.0) -> "OpPolynomial":
@@ -260,17 +280,17 @@ class OpPolynomial:
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             terms[mono] = terms[mono] + coeff if mono in terms else coeff
-        return OpPolynomial(self.space, terms)
+        return OpPolynomial._shared(self.space, terms)
 
     def __sub__(self, other: "OpPolynomial") -> "OpPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "OpPolynomial":
-        return OpPolynomial(self.space, {m: -c for m, c in self.terms.items()})
+        return OpPolynomial._shared(self.space, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c: complex) -> "OpPolynomial":
         c = complex(c)
-        return OpPolynomial(self.space, {m: coeff * c for m, coeff in self.terms.items()})
+        return OpPolynomial._shared(self.space, {m: coeff * c for m, coeff in self.terms.items()})
 
     def __mul__(self, other) -> "OpPolynomial":
         if isinstance(other, OpPolynomial):
@@ -281,15 +301,15 @@ class OpPolynomial:
                     mono = m1 * m2
                     prod = c1 @ c2
                     terms[mono] = terms[mono] + prod if mono in terms else prod
-            return OpPolynomial(self.space, terms)
+            return OpPolynomial._shared(self.space, terms)
         return self.scale(other)
 
     def __rmul__(self, c) -> "OpPolynomial":
         return self.scale(c)
 
     def dagger(self) -> "OpPolynomial":
-        return OpPolynomial(
-            self.space, {m.dagger(): c.conj().T for m, c in self.terms.items()}
+        return OpPolynomial._shared(
+            self.space, {m.dagger(): _conj_transpose(c) for m, c in self.terms.items()}
         )
 
     def imag(self) -> "OpPolynomial":
@@ -357,6 +377,12 @@ class OpPolynomial:
 
     def __repr__(self) -> str:
         return f"OpPolynomial({len(self.terms)} terms, dim={self.space.total_dim})"
+
+
+def _conj_transpose(c: np.ndarray) -> np.ndarray:
+    """c† as a new C-ordered array."""
+    out = np.ascontiguousarray(c.T)
+    return np.conjugate(out, out=out)
 
 
 def _mono_key(m: SignalMonomial):

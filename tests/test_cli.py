@@ -190,8 +190,11 @@ def test_bad_time_grid_exits_2(argv, capsys):
       "-o", "{tmp}/absent/x.csv"], 1),
     (["verify", "{cavity}", "--horizon", "0.1", "--step", "0.01",
       "-o", "{tmp}/absent/x.json"], 1),
+    (["simulate", "{cavity}", "--horizon", "0.1", "--initial", "coherent:nan,0"], 2),
+    (["simulate", "{cavity}", "--horizon", "0.1", "--initial", "coherent:1e200,0"], 2),
 ], ids=["probe_not_a_number", "probe_not_finite", "input_not_utf8",
-        "reduce_output_unwritable", "simulate_output_unwritable", "verify_output_unwritable"])
+        "reduce_output_unwritable", "simulate_output_unwritable", "verify_output_unwritable",
+        "coherent_not_finite", "coherent_norm_overflows"])
 def test_bad_arguments_and_files_exit_with_their_code(argv, code, tmp_path, capsys):
     (tmp_path / "latin1.slh").write_bytes(b"\xff\xfe")
     paths = {"cavity": NETLISTS / "cavity.slh", "latin1": tmp_path / "latin1.slh",
@@ -242,6 +245,21 @@ def test_overflowing_expression_exits_2_at_its_operator(component, netlist, caps
     captured = capsys.readouterr()
     assert captured.err == (f"reduction error: line 4, col {col}: "
                             "'*' overflows: its value is not finite\n")
+    assert captured.out == ""
+
+
+def test_overflowing_series_product_exits_2_naming_the_component(netlist, capsys):
+    text = ("space fock(cutoff=2) as c\n"
+            "component G = SYS(L=[1e200 * a(c)])\n"
+            "component H = HAM(1e200 * n(c))\n"
+            "network main = H <| G <| G\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["reduce", netlist(text)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    # G <| G is the first product, and its Im(L†L) term overflows
+    assert captured.err == "reduction error: composing 'G' overflows: its value is not finite\n"
     assert captured.out == ""
 
 

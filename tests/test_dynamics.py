@@ -27,6 +27,7 @@ from slhforge import (
     coherent_vector,
     expectation,
     heisenberg_generator,
+    identity,
     integrate_master,
     integrate_schrodinger,
     lindblad_rhs,
@@ -101,6 +102,19 @@ def test_coherent_vector_needs_a_unique_fock_factor():
     sp = HilbertSpace.generic("q", 3)
     with pytest.raises(ValueError):
         coherent_vector(sp, 1.0)
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (complex("nan"), "is not finite"),
+    (complex(0.0, float("inf")), "is not finite"),
+    (1e200, "norm is not finite"),
+], ids=["nan", "infinite", "norm_overflows"])
+def test_coherent_vector_rejects_a_non_finite_state(alpha, message):
+    sp = HilbertSpace.fock("c", 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            coherent_vector(sp, alpha)
 
 
 def test_density_and_purity(rng):
@@ -257,6 +271,30 @@ def test_stored_states_and_output_expectation():
         output_expectation(g, res2, 0.5, {"u": u})
 
 
+@pytest.mark.parametrize("two_mode", [False, True], ids=["dense", "d121_csr"])
+def test_stored_states_are_copies_of_the_state_updated_in_place(rng, two_mode):
+    g, binds = _reference_case(rng, "signals_2ch", two_mode)
+    d = g.space.total_dim
+    times = np.linspace(0.0, 0.05, 6)
+    rho0 = random_density(rng, d)
+    kept = rho0.copy()
+    psi0 = coherent_vector(g.space, 0.3, "a") if two_mode else np.eye(d)[0].astype(complex)
+    runs = [
+        (rho0, integrate_master(g, rho0, times, binds, store_states=True, trace_tol=1.0,
+                                leak_threshold=None)),
+        (psi0, integrate_schrodinger(g.H, psi0, times, binds, store_states=True,
+                                     norm_tol=1.0, leak_threshold=None)),
+    ]
+    assert np.array_equal(rho0, kept)  # the caller's state is not the run's
+    for y0, res in runs:
+        assert len(res.states) == len(times)
+        assert np.array_equal(res.states[0], y0)
+        for k, state in enumerate(res.states):
+            assert not any(np.shares_memory(state, other) for other in res.states[k + 1:])
+            if k:
+                assert not np.array_equal(state, res.states[k - 1])
+
+
 def test_result_csv_format():
     sp = HilbertSpace.fock("c", 3)
     H = OpPolynomial.constant(number_op(sp, "c"))
@@ -388,7 +426,9 @@ def test_compiled_lindblad_matches_the_reference_on_any_matrix(rng):
         X = random_matrix(rng, g.space.total_dim)  # neither Hermitian nor of unit trace
         t = 0.37
         f = _compiled_lindblad(g, binds)(np.full((1, 3), t))
-        assert np.max(np.abs(f(X, 0, 1) - lindblad_rhs(X, g, t, binds))) < 1e-12
+        out = np.empty_like(X)
+        f(X, 0, 1, out)
+        assert np.max(np.abs(out - lindblad_rhs(X, g, t, binds))) < 1e-12
 
 
 CASCADE = """\
@@ -427,6 +467,42 @@ def test_backend_follows_dimension_and_fill(rng):
     # a dense random coupling at the same d stays dense
     dense = OpPolynomial.constant(Operator(g.space, random_matrix(rng, 196)))
     assert isinstance(compiled([dense])[0], np.ndarray)
+
+
+@pytest.mark.parametrize("two_mode", [False, True], ids=["dense", "d121_csr"])
+def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
+    g, binds = _reference_case(rng, "signals_2ch", two_mode)
+    polys = [g.H, *g.L, OpPolynomial.constant(identity(g.space))]
+    stages = np.array([[0.1, 0.15, 0.2]])
+    at = _compile(polys, binds, stages)
+    first = at(0, 0)
+    before = [v.copy() for v in first]
+    second = at(0, 1)
+    assert second is first
+    for poly, value, old in zip(polys, second, before):
+        want = poly.evaluate(0.15, binds).matrix
+        got = value if isinstance(value, np.ndarray) else value.toarray()
+        assert np.max(np.abs(got - want)) < 1e-13
+        old = old if isinstance(old, np.ndarray) else old.toarray()
+        assert np.array_equal(got, old) == poly.is_constant()
+
+
+def _bits(x):
+    return x.dtype, x.shape, x.tobytes()
+
+
+def test_product_matches_matmul_bitwise(rng):
+    g, binds = _reference_case(rng, "signals_2ch", two_mode=True)
+    d = g.space.total_dim
+    values = _compile([g.H, *g.L], binds, np.full((1, 3), 0.2))(0, 1)
+    assert all(sparse.issparse(m) for m in values)
+    X = random_matrix(rng, d)
+    v = X[:, 0].copy()
+    for m in [*values, random_matrix(rng, d)]:
+        for x in (X, v):
+            out = np.full_like(x, np.nan)  # the kernel must not read what out held
+            dynamics._product(m, x, out)
+            assert _bits(out) == _bits(m @ x)
 
 
 def test_compiled_generators_need_every_signal_bound(rng):

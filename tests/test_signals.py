@@ -140,6 +140,24 @@ def test_equality_is_canonical(rng):
     assert p != p + q or q.is_zero()
 
 
+def test_coefficients_are_copied_in_and_shared_read_only(rng):
+    m = random_operator(rng, SP).matrix.copy()
+    p = OpPolynomial(SP, {SignalMonomial(): m})
+    m[0, 0] += 1.0
+    assert not np.array_equal(p.terms[SignalMonomial()], m)
+    coeff = p.terms[SignalMonomial()]
+    assert not coeff.flags.writeable
+    with pytest.raises(ValueError):
+        coeff[0, 0] = 0.0
+    # the algebra shares a coefficient it does not change, and freezes what it computes
+    q = p + OpPolynomial.of_signal(SP, "u")
+    assert q.terms[SignalMonomial()] is coeff
+    r = p.scale(2.0) * q
+    assert all(not c.flags.writeable and c.flags.c_contiguous for c in r.terms.values())
+    d = (p * q).dagger()
+    assert all(not c.flags.writeable and c.flags.c_contiguous for c in d.terms.values())
+
+
 def test_polynomials_are_not_hashable():
     with pytest.raises(TypeError):
         hash(OpPolynomial.constant(identity(SP)))
