@@ -5,6 +5,9 @@ with %.12e, so golden files diff cleanly.
 
 Exit codes: 0 ok, 1 parse or file I/O error, 2 reduction error or bad
 argument, 3 validation or verification failure, 4 integration abort.
+Commands return 0 or 3 and raise every other failure; ``FAILURES`` is
+the one table in which ``main`` turns each exception into its exit code
+and its one stderr line.
 """
 
 from __future__ import annotations
@@ -53,6 +56,24 @@ MAX_STEPS = 10**6
 log = logging.getLogger("slhforge")
 
 
+class ArgumentError(ValueError):
+    """A command-line value the command cannot use."""
+
+
+#: Each failure a command raises: its exit code and the prefix of its
+#: stderr line, which ends with the exception's message.  An exception
+#: takes the entry of its nearest listed class.
+FAILURES = {
+    OSError: (EXIT_PARSE, "error"),
+    UnicodeDecodeError: (EXIT_PARSE, "error"),
+    NetlistSyntaxError: (EXIT_PARSE, "parse error"),
+    NetlistSemanticError: (EXIT_REDUCE, "reduction error"),
+    NetlistReductionError: (EXIT_REDUCE, "reduction error"),
+    ArgumentError: (EXIT_REDUCE, "error"),
+    IntegrationError: (EXIT_DYNAMICS, "integration aborted"),
+}
+
+
 def _fmt(x: float) -> str:
     return "%.12e" % float(x)
 
@@ -62,43 +83,31 @@ def _dump_matrix(mat: np.ndarray) -> list:
 
 
 def _dump_poly(p: OpPolynomial) -> dict:
-    terms = []
-    for mono in sorted(p.terms, key=lambda m: (m.degree, m.entries)):
-        terms.append({"monomial": str(mono), "matrix": _dump_matrix(p.terms[mono])})
-    return {"terms": terms}
+    monos = sorted(p.terms, key=lambda m: (m.degree, m.entries))
+    return {"terms": [{"monomial": str(m), "matrix": _dump_matrix(p.terms[m])} for m in monos]}
 
 
 def _write_output(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            _exit(EXIT_PARSE, f"error: {exc}")
-
-
-def _exit(code: int, message: str):
-    """End the command: the message goes to stderr, the code to main."""
-    print(message, file=sys.stderr)
-    raise SystemExit(code)
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def _load(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        _exit(EXIT_PARSE, f"error: {exc}")
-    try:
-        ast = parse_netlist(text)
-    except NetlistSyntaxError as exc:
-        _exit(EXIT_PARSE, f"parse error: {exc}")
-    try:
-        return compile_netlist(ast, base_dir=os.path.dirname(path) or ".")
-    except (NetlistSemanticError, NetlistReductionError) as exc:
-        _exit(EXIT_REDUCE, f"reduction error: {exc}")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return compile_netlist(parse_netlist(text), base_dir=os.path.dirname(path) or ".")
+
+
+def _check_tolerances(args):
+    """Each tolerance flag the command has must be a number >= 0."""
+    for name in ("tol", "trace_tol", "leak_threshold"):
+        value = getattr(args, name, 0.0)
+        if not value >= 0:
+            flag = "--" + name.replace("_", "-")
+            raise ArgumentError(f"{flag} must be a number >= 0, got {value!r}")
 
 
 # -- reduce ---------------------------------------------------------------
@@ -114,7 +123,7 @@ def _probe_times(spec: str | None) -> list[float]:
             return probes
     except ValueError:
         pass
-    _exit(EXIT_REDUCE, f"error: --probe-times must be finite numbers, got {spec!r}")
+    raise ArgumentError(f"--probe-times must be finite numbers, got {spec!r}")
 
 
 def cmd_reduce(args) -> int:
@@ -164,28 +173,28 @@ def _grid(horizon: float, step: float, bindings) -> np.ndarray:
     and nonnegative, a ratio horizon / step that is not finite or exceeds
     MAX_STEPS, a horizon that is not a whole number of steps (within
     1e-9 * max(1, horizon)), or a bound signal whose horizon does not
-    cover the grid ends the command with exit code 2 before anything
+    cover the grid raises ArgumentError (exit 2) before anything
     integrates.
     """
     if not (math.isfinite(step) and step > 0):
-        _exit(EXIT_REDUCE, f"error: step must be finite and > 0, got {step!r}")
+        raise ArgumentError(f"step must be finite and > 0, got {step!r}")
     if not (math.isfinite(horizon) and horizon >= 0):
-        _exit(EXIT_REDUCE, f"error: horizon must be finite and >= 0, got {horizon!r}")
+        raise ArgumentError(f"horizon must be finite and >= 0, got {horizon!r}")
     ratio = horizon / step
     if not (math.isfinite(ratio) and ratio <= MAX_STEPS):
-        _exit(EXIT_REDUCE, f"error: horizon / step = {ratio:g} steps exceeds "
-                           f"the limit of {MAX_STEPS} steps")
+        raise ArgumentError(f"horizon / step = {ratio:g} steps exceeds "
+                            f"the limit of {MAX_STEPS} steps")
     n = int(round(ratio))
     if abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
-        _exit(EXIT_REDUCE, f"error: horizon {horizon!r} is not a whole number of "
-                           f"steps of {step!r}")
+        raise ArgumentError(f"horizon {horizon!r} is not a whole number of "
+                            f"steps of {step!r}")
     times = np.linspace(0.0, n * step, n + 1)
     for name, signal in sorted(bindings.items()):
         span = signal.horizon
         if span is not None and not (span[0] <= 0.0 and times[-1] <= span[1]):
-            _exit(EXIT_REDUCE, f"error: signal {name!r} is defined on "
-                               f"[{span[0]:g}, {span[1]:g}], which does not cover "
-                               f"the grid [0, {times[-1]:g}]")
+            raise ArgumentError(f"signal {name!r} is defined on "
+                                f"[{span[0]:g}, {span[1]:g}], which does not cover "
+                                f"the grid [0, {times[-1]:g}]")
     return times
 
 
@@ -229,25 +238,19 @@ def cmd_simulate(args) -> int:
         state = _initial_state(args.initial, space)
         observables = {name: _observable(name, space) for name in args.observable}
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REDUCE
+        raise ArgumentError(str(exc)) from exc
     times = _grid(args.horizon, args.step, compiled.signals)
-    closed = all(entry.is_zero() for entry in g.L)
-    try:
-        if closed and state.is_pure:
-            log.info("closed system and pure state: Schrodinger integration")
-            result = integrate_schrodinger(
-                g.H, state, times, compiled.signals, observables,
-                leak_threshold=args.leak_threshold,
-            )
-        else:
-            result = integrate_master(
-                g, state, times, compiled.signals, observables,
-                trace_tol=args.trace_tol, leak_threshold=args.leak_threshold,
-            )
-    except IntegrationError as exc:
-        print(f"integration aborted: {exc}", file=sys.stderr)
-        return EXIT_DYNAMICS
+    if all(entry.is_zero() for entry in g.L) and state.is_pure:
+        log.info("closed system and pure state: Schrodinger integration")
+        result = integrate_schrodinger(
+            g.H, state, times, compiled.signals, observables,
+            norm_tol=args.trace_tol, leak_threshold=args.leak_threshold,
+        )
+    else:
+        result = integrate_master(
+            g, state, times, compiled.signals, observables,
+            trace_tol=args.trace_tol, leak_threshold=args.leak_threshold,
+        )
     _write_output(args.output, result.to_csv())
     return 0
 
@@ -257,18 +260,34 @@ def cmd_simulate(args) -> int:
 
 def _check(name, measured, tolerance, larger_ok=False):
     passed = measured > tolerance if larger_ok else measured < tolerance
-    return {
-        "name": name,
-        "passed": bool(passed),
-        "measured": _fmt(measured),
-        "tolerance": _fmt(tolerance),
-    }
+    return {"name": name, "passed": bool(passed), "measured": _fmt(measured),
+            "tolerance": _fmt(tolerance)}
 
 
-def _dynamics_ladder(g, bindings, times) -> tuple[list, SimulationResult]:
-    """Master and Schrodinger runs from vacuum on a closed triple: the
-    agreement, purity and output-field checks, plus the Schrodinger run.
+def _verify_ladder(g, bindings, horizon, args) -> tuple[list, SimulationResult | None]:
+    """The checks every verified triple gets, from a file or from --demo.
+
+    The couplings must cancel exactly and the triple must be valid at
+    0, horizon/2 and horizon within --tol.  A closed triple then runs
+    from vacuum under the master and Schrodinger equations, which must
+    agree, keep the state pure and leave the output field at zero; that
+    Schrodinger run is returned with the checks (None when open).
     """
+    nonzero = [i for i, entry in enumerate(g.L) if not entry.is_zero()]
+    c = _check("couplings_cancel_exactly", 1.0 if nonzero else 0.0, 0.5)
+    if nonzero:
+        c["detail"] = f"nonzero L entries at channels {nonzero}"
+    checks = [c]
+    try:
+        validate_triple(g, probe_times=[0.0, horizon / 2, horizon], bindings=bindings,
+                        tol=args.tol)
+        checks.append(_check("triple_valid", 0.0, 0.5))
+    except ValueError as exc:
+        checks.append(dict(_check("triple_valid", 1.0, 0.5), detail=str(exc)))
+    if nonzero:
+        return checks, None
+
+    times = _grid(horizon, args.step, bindings)
     vac = QuantumState.vacuum(g.space)
     master = integrate_master(g, vac, times, bindings, store_states=True)
     schro = integrate_schrodinger(g.H, vac, times, bindings, store_states=True)
@@ -277,7 +296,7 @@ def _dynamics_ladder(g, bindings, times) -> tuple[list, SimulationResult]:
     out_dev = 0.0
     for t in times[:: max(1, (times.size - 1) // 20)]:
         out_dev = max(out_dev, float(np.max(np.abs(output_expectation(g, master, t, bindings)))))
-    checks = [
+    checks += [
         _check("master_vs_schrodinger_trace_distance", dist, 1e-6),
         _check("purity_drift", float(np.max(np.abs(master.purity - 1.0))), 1e-8),
         _check("output_expectation_zero", out_dev, 1e-8),
@@ -285,7 +304,7 @@ def _dynamics_ladder(g, bindings, times) -> tuple[list, SimulationResult]:
     return checks, schro
 
 
-def _verify_demo(args) -> tuple[dict, list]:
+def _verify_demo(args) -> list:
     """Flagship instance: cavity coupling sqrt(gamma) a, Hamiltonian
     omega0 a†a, Gaussian-pulse drive, fed through the feedback chain."""
     gamma, omega0 = 0.4, 1.0
@@ -295,78 +314,41 @@ def _verify_demo(args) -> tuple[dict, list]:
     L = np.sqrt(gamma) * a
     H0 = omega0 * number_op(space, "c")
     u = GaussianPulseSignal("u", amplitude=0.5, center=3.0, width=0.5)
-    bindings = {"u": u}
     # by default the run lasts until the pulse has passed, so the oracle
     # compares a driven amplitude rather than a vacuum one
     horizon = u.center + 6 * u.width if args.horizon is None else args.horizon
-    times = _grid(horizon, args.step, bindings)
 
     g = build_cancellation_chain([L], H0, ["u"], space)
-    checks = []
+    checks, schro = _verify_ladder(g, {"u": u}, horizon, args)
 
-    # algebraic reduction: couplings cancel, H picks up the bilinear term
-    # twice over (once per pass of the noise through the coupling)
-    l_dev = max(
-        (float(np.max(np.abs(c))) for entry in g.L for c in entry.terms.values()),
-        default=0.0,
-    )
-    c = _check("couplings_cancel_exactly", l_dev, 0.0)
-    c["passed"] = l_dev == 0.0
-    checks.append(c)
+    # H picks up the bilinear term twice over (once per pass of the noise
+    # through the coupling)
     expected_H = OpPolynomial.constant(H0) + 2.0 * (
         OpPolynomial.constant(L.dagger()) * OpPolynomial.of_signal(space, "u")
     ).imag()
     checks.append(_check("hamiltonian_term", g.H.max_coeff_diff(expected_H), args.tol))
 
-    ladder, schro = _dynamics_ladder(g, bindings, times)
-    checks += ladder
-
     # driven-cavity oracle: the chain's Hamiltonian term doubles the
     # drive, so compare against the oracle fed with 2u
     psi_T = schro.states[-1]
     a_T = complex(psi_T.conj() @ a.matrix @ psi_T)
-    alpha_T = analytic_driven_cavity(omega0, gamma, lambda s: 2.0 * u(s), times[-1])
+    alpha_T = analytic_driven_cavity(omega0, gamma, lambda s: 2.0 * u(s), schro.times[-1])
     checks.append(_check("driven_cavity_oracle", abs(a_T - alpha_T), 1e-4))
     fid = coherent_fidelity(QuantumState(space, vector=psi_T / np.linalg.norm(psi_T)), alpha_T)
     checks.append(_check("coherent_fidelity", fid, 1.0 - 1e-6, larger_ok=True))
-    return {"instance": "demo"}, checks
-
-
-def _verify_file(args) -> tuple[dict, list]:
-    compiled = _load(args.file)
-    g = compiled.triple
-    bindings = compiled.signals
-    horizon = 1.0 if args.horizon is None else args.horizon
-    checks = []
-    l_zero = all(entry.is_zero() for entry in g.L)
-    c = _check("couplings_cancel_exactly", 0.0 if l_zero else 1.0, 0.5)
-    c["passed"] = l_zero
-    if not l_zero:
-        nonzero = [i for i, entry in enumerate(g.L) if not entry.is_zero()]
-        c["detail"] = f"nonzero L entries at channels {nonzero}"
-    checks.append(c)
-    try:
-        validate_triple(g, probe_times=[0.0, horizon / 2, horizon], bindings=bindings)
-        checks.append(_check("triple_valid", 0.0, 0.5))
-    except ValueError as exc:
-        c = _check("triple_valid", 1.0, 0.5)
-        c["detail"] = str(exc)
-        checks.append(c)
-    if l_zero:
-        checks += _dynamics_ladder(g, bindings, _grid(horizon, args.step, bindings))[0]
-    return {"instance": args.file}, checks
+    return checks
 
 
 def cmd_verify(args) -> int:
-    try:
-        header, checks = _verify_demo(args) if args.demo else _verify_file(args)
-    except IntegrationError as exc:
-        print(f"integration aborted: {exc}", file=sys.stderr)
-        return EXIT_DYNAMICS
+    if args.demo:
+        instance, checks = "demo", _verify_demo(args)
+    else:
+        compiled = _load(args.file)
+        horizon = 1.0 if args.horizon is None else args.horizon
+        instance = args.file
+        checks = _verify_ladder(compiled.triple, compiled.signals, horizon, args)[0]
     passed = all(c["passed"] for c in checks)
-    bundle = dict(header)
-    bundle["checks"] = checks
-    bundle["passed"] = passed
+    bundle = {"instance": instance, "checks": checks, "passed": passed}
     _write_output(args.output, json.dumps(bundle, indent=2) + "\n")
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
@@ -402,8 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--initial", default="vacuum")
     p.add_argument("--observable", action="append", default=[])
-    p.add_argument("--trace-tol", type=float, default=1e-6)
-    p.add_argument("--leak-threshold", type=float, default=1e-6)
+    p.add_argument("--trace-tol", type=float, default=1e-6,
+                   help="largest trace (master) or norm (Schrodinger) drift")
+    p.add_argument("--leak-threshold", type=float, default=1e-6,
+                   help="largest population of the top two Fock levels")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -414,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="end time (default: 6.0 for --demo, its pulse centre plus six "
                         "widths; 1.0 for a file)")
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="tolerance of triple_valid (and of the demo's hamiltonian_term)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -429,9 +414,12 @@ def main(argv=None) -> int:
         print("error: give a netlist file or --demo", file=sys.stderr)
         return EXIT_PARSE
     try:
+        _check_tolerances(args)
         return args.func(args)
-    except SystemExit as exc:  # loader failures carry the exit code
-        return int(exc.code)
+    except tuple(FAILURES) as exc:
+        code, prefix = next(FAILURES[k] for k in type(exc).__mro__ if k in FAILURES)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -635,6 +635,11 @@ def _is_finite(polys: Sequence[OpPolynomial]) -> bool:
     return all(np.isfinite(c).all() for p in polys for c in p.terms.values())
 
 
+def _entries(g: SLHTriple) -> list[OpPolynomial]:
+    """Every polynomial of the triple: S row by row, then L, then H."""
+    return [*(e for row in g.S for e in row), *g.L, g.H]
+
+
 class _Analyzer:
     def __init__(self, ast: NetlistAST, base_dir: str = "."):
         self.ast = ast
@@ -794,6 +799,14 @@ class _Analyzer:
     # -- components -------------------------------------------------------
 
     def build_component(self, decl: ComponentDecl) -> SLHTriple:
+        # finite keyword values overflow only here; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.construct(decl)
+        if not _is_finite(_entries(g)):
+            self.fail(f"component {decl.name!r} overflows: its value is not finite", decl.pos)
+        return g
+
+    def construct(self, decl: ComponentDecl) -> SLHTriple:
         try:
             if decl.kind == "SYS":
                 return system_coupling([self.eval_expr(e) for e in decl.args["L"]], self.space)
@@ -843,7 +856,7 @@ class _Analyzer:
             # finite components overflow only here; the check below reports it
             with np.errstate(over="ignore", invalid="ignore"):
                 for name, acc in zip(reversed(chain), steps):
-                    if not _is_finite([*(e for row in acc.S for e in row), *acc.L, acc.H]):
+                    if not _is_finite(_entries(acc)):
                         raise NetlistReductionError(
                             f"composing {name!r} overflows: its value is not finite")
                     trace.append(TraceStep(name, triple_summary(acc)))

@@ -1,6 +1,9 @@
 """End-to-end checks of the reduce / simulate / verify commands."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -192,9 +195,16 @@ def test_bad_time_grid_exits_2(argv, capsys):
       "-o", "{tmp}/absent/x.json"], 1),
     (["simulate", "{cavity}", "--horizon", "0.1", "--initial", "coherent:nan,0"], 2),
     (["simulate", "{cavity}", "--horizon", "0.1", "--initial", "coherent:1e200,0"], 2),
+    # a tolerance flag is checked before the netlist is read
+    (["reduce", "{latin1}", "--tol", "nan"], 2),
+    (["reduce", "{cavity}", "--tol=-1e-10"], 2),
+    (["verify", "{cavity}", "--tol", "nan"], 2),
+    (["simulate", "{cavity}", "--horizon", "0.1", "--trace-tol", "nan"], 2),
+    (["simulate", "{cavity}", "--horizon", "0.1", "--leak-threshold", "-1"], 2),
 ], ids=["probe_not_a_number", "probe_not_finite", "input_not_utf8",
         "reduce_output_unwritable", "simulate_output_unwritable", "verify_output_unwritable",
-        "coherent_not_finite", "coherent_norm_overflows"])
+        "coherent_not_finite", "coherent_norm_overflows", "reduce_tol_nan",
+        "reduce_tol_negative", "verify_tol_nan", "trace_tol_nan", "leak_threshold_negative"])
 def test_bad_arguments_and_files_exit_with_their_code(argv, code, tmp_path, capsys):
     (tmp_path / "latin1.slh").write_bytes(b"\xff\xfe")
     paths = {"cavity": NETLISTS / "cavity.slh", "latin1": tmp_path / "latin1.slh",
@@ -263,6 +273,86 @@ def test_overflowing_series_product_exits_2_naming_the_component(netlist, capsys
     assert captured.out == ""
 
 
+def test_overflowing_component_exits_2_naming_it(netlist, capsys):
+    text = ("space fock(cutoff=2) as c\n"
+            "component A = CAVITY(gamma=1, omega=1e308, mode=c)\n"
+            "network main = A\n")
+    # omega * a†a holds 2 * 1e308 at the top Fock level
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["reduce", netlist(text)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("reduction error: line 2, col 1: "
+                            "component 'A' overflows: its value is not finite\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, text, code, line", [
+    (["reduce"], "space fock(cutoff=0) as c\ncomponent H = HAM(n(c))\nnetwork main = H\n",
+     2, "reduction error: line 1, col 1: cutoff must be >= 1, got 0"),
+    (["reduce"], "space fock(cutoff=2) as c\ncomponent B = BS(T=[[1, 0], [0]])\n"
+     "network main = B\n",
+     2, "reduction error: line 2, col 1: BS matrix must be square"),
+    (["reduce"], "space fock(cutoff=2) as c\nspace fock(cutoff=2) as d\n"
+     "component C = CAVITY(gamma=1, omega=1)\nnetwork main = C\n",
+     2, "reduction error: line 3, col 1: "
+        "CAVITY needs mode= when there is not exactly one Fock factor"),
+    (["reduce"], "space fock(cutoff=2) as c\n"
+     "signal u = gaussian_pulse(amplitude=1, center=0, width=0)\n"
+     "component A = ADD(u=[u])\nnetwork main = A\n",
+     2, "reduction error: line 2, col 1: pulse width must be positive"),
+    (["reduce"], "space fock(cutoff=2) as c\nsignal u = constant(1)\n"
+     "component G = SYS(L=[u * u * u * u * u * a(c)])\nnetwork main = G <| G\n",
+     2, "reduction error: composing 'G': monomial u^5*conj(u)^5 exceeds degree cap 8"),
+    (["verify", "--horizon", "0.01", "--step", "0.001"],
+     "space fock(cutoff=2) as c\ncomponent H = HAM(1e200 * (a(c) + adag(c)))\n"
+     "network main = H\n",
+     4, "integration aborted: non-finite state at t=0.001 (value nan)"),
+], ids=["cutoff_zero", "bs_not_square", "cavity_needs_mode", "pulse_width_zero",
+        "degree_cap", "verify_non_finite_state"])
+def test_error_paths_exit_with_their_one_line(argv, text, code, line, netlist, capsys):
+    rc = main([argv[0], netlist(text), *argv[1:]])
+    assert rc == code
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    # the Schrodinger path: closed chain from vacuum, drift ~1e-16
+    (["simulate", str(NETLISTS / "cancel_chain.slh"), "--horizon", "0.5", "--step", "0.01"],
+     "integration aborted: norm drift exceeds tolerance at "),
+    (["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "0.1", "--step", "0.01",
+      "--initial", "fock:1"],
+     "integration aborted: trace drift exceeds tolerance at "),
+], ids=["schrodinger", "master"])
+def test_trace_tol_bounds_either_integrator(argv, prefix, capsys):
+    assert main(argv) == 0
+    capsys.readouterr()
+    rc = main([*argv, "--trace-tol", "1e-300"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["reduce", str(NETLISTS / "cavity.slh")], 0, ""),
+    (["reduce", str(NETLISTS / "err_bad_char.slh")], 1, "parse error: "),
+    (["reduce", str(NETLISTS / "err_nonunitary_bs.slh")], 2, "reduction error: "),
+], ids=["ok", "parse_error", "reduction_error"])
+def test_module_entry_point_exits_with_the_code(argv, code, prefix):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "slhforge.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(prefix)
+    assert (proc.stdout != "") == (code == 0)
+
+
 def test_simulate_unknown_observable_label_exits_2(capsys):
     rc = main(["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "0.1",
                "--observable", "n:zz"])
@@ -294,17 +384,19 @@ def test_verify_demo_passes(tmp_path, capsys, monkeypatch):
     bundle = json.loads(out.read_text())
     assert bundle["passed"] is True
     names = [c["name"] for c in bundle["checks"]]
+    # the ladder every triple gets, then the checks of this instance
     assert names == [
         "couplings_cancel_exactly",
-        "hamiltonian_term",
+        "triple_valid",
         "master_vs_schrodinger_trace_distance",
         "purity_drift",
         "output_expectation_zero",
+        "hamiltonian_term",
         "driven_cavity_oracle",
         "coherent_fidelity",
     ]
     err = capsys.readouterr().err
-    assert err.count("PASS") == 7 and "FAIL" not in err
+    assert err.count("PASS") == 8 and "FAIL" not in err
 
 
 def test_verify_file_with_open_coupling_fails(netlist, tmp_path, capsys):
@@ -316,6 +408,28 @@ def test_verify_file_with_open_coupling_fails(netlist, tmp_path, capsys):
     by_name = {c["name"]: c for c in bundle["checks"]}
     assert by_name["couplings_cancel_exactly"]["passed"] is False
     assert "nonzero L entries" in by_name["couplings_cancel_exactly"]["detail"]
+
+
+def test_tol_governs_reduce_and_verify_alike(netlist, tmp_path, capsys):
+    # H and H† differ by ~1e-12: within the default 1e-10, not within 1e-16
+    path = netlist("space fock(cutoff=3) as c\n"
+                   "component H = HAM(n(c) + 2e-12i * a(c) - 1e-12i * adag(c))\n"
+                   "network main = H\n")
+    report, bundle = tmp_path / "reduce.json", tmp_path / "verify.json"
+    verify = ["verify", path, "--horizon", "0.1", "--step", "0.01", "-o", str(bundle)]
+    assert main(["reduce", path, "-o", str(report)]) == 0
+    assert main(verify) == 0
+    capsys.readouterr()
+
+    assert main(["reduce", path, "--tol", "1e-16", "-o", str(report)]) == 3
+    assert capsys.readouterr().err == "validation failure: see report\n"
+    assert json.loads(report.read_text())["validation"]["h_self_adjoint"] is False
+
+    assert main([*verify, "--tol", "1e-16"]) == 3
+    by_name = {c["name"]: c for c in json.loads(bundle.read_text())["checks"]}
+    assert by_name["triple_valid"]["passed"] is False
+    assert by_name["triple_valid"]["detail"] == "H is not self-adjoint"
+    assert capsys.readouterr().err.endswith("verification failed: triple_valid\n")
 
 
 def test_verify_closed_file_passes(netlist, tmp_path):
