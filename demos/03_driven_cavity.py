@@ -37,7 +37,7 @@ H = OpPolynomial.constant(omega0 * number_op(space, "c")) + (
 
 times = np.linspace(0.0, 10.0, 10001)
 res = integrate_schrodinger(H, QuantumState.vacuum(space), times, {"u": u},
-                            observables={"a": a}, store_states=True)
+                            observables={"a": a})
 
 print(" t     |<a>|     |alpha|   deviation")
 for t in np.arange(0.0, 10.5, 1.0):
@@ -46,6 +46,6 @@ for t in np.arange(0.0, 10.5, 1.0):
     print(f"{t:4.1f}   {abs(got):7.4f}   {abs(alpha):7.4f}   {abs(got - alpha):.2e}")
 
 alpha_T = analytic_driven_cavity(omega0, gamma, u, 10.0)
-fid = abs(np.vdot(coherent_vector(space, alpha_T), res.states[-1])) ** 2
+fid = abs(np.vdot(coherent_vector(space, alpha_T), res.final)) ** 2
 print(f"\nfidelity with |alpha(10)> : 1 - {1.0 - fid:.2e}")
 print(f"norm drift                : {float(np.max(res.drift)):.2e}")

@@ -265,7 +265,8 @@ class SimulationResult:
 
     ``drift`` is |trace(rho) - 1| for master runs and the norm deviation
     for pure-state runs; ``leak`` is the summed population of the top
-    two levels of the worst Fock factor.
+    two levels of the worst Fock factor.  ``final`` is the state at the
+    last grid point; ``states``, when stored, holds every one.
     """
 
     times: np.ndarray
@@ -274,6 +275,7 @@ class SimulationResult:
     purity: np.ndarray | None = None
     leak: np.ndarray | None = None
     states: list | None = None
+    final: np.ndarray | None = None
 
     def index_of(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -479,7 +481,7 @@ def _rk4(
     which passes a copy) is updated in place, so no state-sized array is
     allocated once the loop starts.  The update is evaluated as
     y + (h/6)·(((k1 + 2·k2) + 2·k3) + k4), in that order, with k1 as the
-    accumulator.  Stored states are copies.
+    accumulator.  Stored states are copies; the result's ``final`` is y.
 
     Aborts with IntegrationError on a non-finite diagnostic, on drift
     beyond ``drift_tol``, or on leak beyond ``leak_threshold`` (None
@@ -540,7 +542,7 @@ def _rk4(
             np.add(y, np.multiply(hk / 6.0, k1, out=k1), out=y)
             record(k + 1, y)
 
-    return SimulationResult(times, expect, drift, pur, leak, states)
+    return SimulationResult(times, expect, drift, pur, leak, states, y)
 
 
 def _compiled_lindblad(
@@ -695,7 +697,7 @@ def output_expectation(
 
 
 def analytic_driven_cavity(
-    omega0: float,
+    omega0: complex,
     gamma: float,
     u: Callable[[float], complex],
     t: float,
@@ -705,7 +707,8 @@ def analytic_driven_cavity(
 
         alpha(t) = -(sqrt(gamma)/2) * integral_0^t exp(-i omega0 (t-s)) u(s) ds
 
-    evaluated by adaptive quadrature (absolute tolerance ``tol``).
+    evaluated by adaptive quadrature (absolute tolerance ``tol``).  A
+    complex ``omega0 = w0 - i*gamma/2`` gives the damped cavity.
     """
     if t == 0.0:
         return 0.0

@@ -77,12 +77,20 @@ def validate_triple(
     bindings: Bindings | None = None,
     tol: float = DEFAULT_TOL,
 ) -> None:
-    """Check the triple invariants: H formally self-adjoint, S unitary at
-    the probe times.  Warns if S has acquired signal dependence (no
-    construction in scope produces one).
+    """Check the triple invariants: H formally self-adjoint, then S as
+    :func:`validate_scattering` checks it.
     """
     if not g.H.dagger().approx_equal(g.H, tol):
         raise ValueError("H is not self-adjoint")
+    validate_scattering(g, probe_times, bindings, tol)
+
+
+def validate_scattering(g: SLHTriple, probe_times: Sequence[float] = (0.0,),
+                        bindings: Bindings | None = None, tol: float = DEFAULT_TOL) -> None:
+    """Check that S is unitary at the probe times, whatever H is.  Warns
+    if S has acquired signal dependence (no construction in scope
+    produces one).
+    """
     s_signals = set()
     for row in g.S:
         for entry in row:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 
 from slhforge import cli
 from slhforge.cli import main
+from slhforge.network import SLHTriple
+from slhforge.signals import OpPolynomial
 
 NETLISTS = Path(__file__).parent / "netlists"
 
@@ -174,8 +177,12 @@ def test_simulate_non_finite_state_exits_4(netlist, capsys):
     ["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "1e9", "--step", "1e-3"],
     # 0.5 / 0.3 rounds to 2 steps, which would end the run at 0.6
     ["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "0.5", "--step", "0.3"],
+    # an open triple is never integrated, but its grid is still checked
+    ["verify", str(NETLISTS / "cavity.slh"), "--step", "0"],
+    ["verify", str(NETLISTS / "cavity.slh"), "--horizon", "nan"],
 ], ids=["zero_step", "negative_horizon", "demo_zero_step", "past_sampled_table",
-        "overflowing_step_count", "step_count_over_max", "horizon_not_whole_steps"])
+        "overflowing_step_count", "step_count_over_max", "horizon_not_whole_steps",
+        "verify_open_zero_step", "verify_open_nan_horizon"])
 def test_bad_time_grid_exits_2(argv, capsys):
     rc = main(argv)
     assert rc == 2
@@ -369,7 +376,8 @@ def test_verify_demo_passes(tmp_path, capsys, monkeypatch):
 
     def oracle(omega0, gamma, u, t):
         alpha = analytic(omega0, gamma, u, t)
-        oracle_calls.append((t, alpha))
+        if complex(omega0).imag == 0:  # the closed cavity, not output_field_oracle's
+            oracle_calls.append((t, alpha))
         return alpha
 
     monkeypatch.setattr(cli, "analytic_driven_cavity", oracle)
@@ -390,13 +398,65 @@ def test_verify_demo_passes(tmp_path, capsys, monkeypatch):
         "triple_valid",
         "master_vs_schrodinger_trace_distance",
         "purity_drift",
-        "output_expectation_zero",
         "hamiltonian_term",
         "driven_cavity_oracle",
         "coherent_fidelity",
+        "output_field_oracle",
     ]
     err = capsys.readouterr().err
     assert err.count("PASS") == 8 and "FAIL" not in err
+
+
+def test_output_field_oracle_rejects_the_coefficient_1_construction(tmp_path, capsys,
+                                                                   monkeypatch):
+    noisy = cli.build_noisy_construction
+
+    def coefficient_1(T, Ls, H0, signals, space):
+        # the coefficient-1 triple: H0 + Im(L†u) in place of H0 + 2 Im(L†u)
+        g = noisy(T, Ls, H0, signals, space)
+        H = OpPolynomial.constant(H0) + (OpPolynomial.constant(Ls[0].dagger())
+                                         * OpPolynomial.of_signal(space, signals[0])).imag()
+        return SLHTriple(g.S, g.L, H)
+
+    monkeypatch.setattr(cli, "build_noisy_construction", coefficient_1)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--demo", "--step", "0.002", "-o", str(out)]) == 3
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert by_name["output_field_oracle"]["passed"] is False
+    assert float(by_name["output_field_oracle"]["measured"]) > 1e-2
+    assert capsys.readouterr().err.endswith("verification failed: output_field_oracle\n")
+
+
+CHAIN_D36 = """\
+space fock(cutoff=5) as c
+space fock(cutoff=5) as d
+signal u = gaussian_pulse(amplitude=0.4, center=0.5, width=0.2)
+component H0 = HAM(n(c) + 0.5 * n(d) + 0.1 * (adag(c) * a(d) + adag(d) * a(c)))
+component P = ADD(u=[u])
+component M = ADD(u=[-u])
+component R = BS(T=[[-1]])
+component G = SYS(L=[sqrt(0.4) * a(c)])
+network loop = H0 <| P <| R <| G <| R <| M <| G
+"""
+
+
+def test_verify_memory_does_not_grow_with_the_step_count(netlist, tmp_path):
+    # the ladder reads final states only, so 8x the steps costs no more
+    # memory; a stored trajectory would take 36*36*16 bytes per step
+    path = netlist(CHAIN_D36)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for horizon in ("0.1", "0.8"):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rc = main(["verify", path, "--horizon", horizon, "--step", "0.001",
+                       "-o", str(tmp_path / "verify.json")])
+            assert rc == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 def test_verify_file_with_open_coupling_fails(netlist, tmp_path, capsys):
@@ -423,7 +483,10 @@ def test_tol_governs_reduce_and_verify_alike(netlist, tmp_path, capsys):
 
     assert main(["reduce", path, "--tol", "1e-16", "-o", str(report)]) == 3
     assert capsys.readouterr().err == "validation failure: see report\n"
-    assert json.loads(report.read_text())["validation"]["h_self_adjoint"] is False
+    validation = json.loads(report.read_text())["validation"]
+    assert validation["h_self_adjoint"] is False
+    # S = I is unitary whatever H is
+    assert validation["s_unitary_at_probes"] is True
 
     assert main([*verify, "--tol", "1e-16"]) == 3
     by_name = {c["name"]: c for c in json.loads(bundle.read_text())["checks"]}
@@ -444,5 +507,5 @@ def test_verify_closed_file_passes(netlist, tmp_path):
 
 def test_verify_needs_a_target(capsys):
     rc = main(["verify"])
-    assert rc == 1
-    assert "give a netlist file or --demo" in capsys.readouterr().err
+    assert rc == 2
+    assert capsys.readouterr().err == "error: give a netlist file or --demo\n"

@@ -293,6 +293,10 @@ def test_stored_states_are_copies_of_the_state_updated_in_place(rng, two_mode):
             assert not any(np.shares_memory(state, other) for other in res.states[k + 1:])
             if k:
                 assert not np.array_equal(state, res.states[k - 1])
+        # the final state is the run's own buffer: the last stored state,
+        # bit for bit, in memory the caller does not hold
+        assert res.final.tobytes() == res.states[-1].tobytes()
+        assert not np.shares_memory(res.final, y0)
 
 
 def test_result_csv_format():
