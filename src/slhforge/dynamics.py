@@ -14,11 +14,14 @@ at a stage is a single contraction of that stage's monomial values with
 its stack.  The stack is CSR, multiplied into a dense state, when the
 space has at least ``SPARSE_MIN_DIM`` states and the union pattern fills
 at most ``SPARSE_MAX_FILL`` of the matrix; otherwise it is dense.  The
-choice is made per polynomial, from the input alone.  Sparsity stops at
+choice is made per polynomial, from the input alone, and scipy.sparse is
+imported only when a polynomial is CSR (scipy.integrate only by the
+analytic oracle), so a small run loads neither.  Sparsity stops at
 this boundary: operators, polynomials, the series reduction and every
 report stay dense.  :func:`lindblad_rhs` evaluates the polynomials
 directly and is kept as the reference the compiled master generator is
-tested against.
+tested against.  Each observable is compiled too, onto its nonzero
+pattern, so reading it at a grid point costs O(nnz).
 
 The workspace belongs to the run.  Each compiled polynomial keeps one
 matrix whose entries each stage rewrites in place; the RK4 slopes, the
@@ -26,9 +29,12 @@ stage input and the generator's scratch matrices are allocated once; the
 state is updated in place; and every product writes into one of these
 buffers (:func:`_product`).  Once the loop starts, no state-sized array
 is allocated, so its cost does not depend on whether the allocator has
-returned freed memory to the kernel.  The buffered operations keep the
-order of the textbook RK4 update and of each product, so the results are
-those of the expressions written out with temporaries, bit for bit.
+returned freed memory to the kernel.  The buffered RK4 update and each
+product keep the order of the expressions written out with temporaries,
+bit for bit.  The master-equation stage sums its terms in its own order
+(:func:`_compiled_lindblad`): on CSR values the kernels accumulate Kρ
+and each Lᵢ(ρLᵢ†) onto ρK† entry by entry, which agrees with the
+reference to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -39,13 +45,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
-from scipy.integrate import quad
 
 from .hilbert import FOCK, HilbertSpace, Operator
 from .network import SLHTriple
-from .signals import Bindings, OpPolynomial
+from .signals import SPARSE_MIN_DIM, Bindings, OpPolynomial
 
 DEFAULT_TRACE_TOL = 1e-6
 DEFAULT_LEAK_THRESHOLD = 1e-6
@@ -54,9 +57,9 @@ DEFAULT_LEAK_THRESHOLD = 1e-6
 # per-stage crossover table in CHANGES.md.  On the two-cavity cascade,
 # CSR overtakes dense BLAS products at d ≈ 50 for the master equation and
 # between d = 64 and 100 for the Schrödinger equation, so both stay dense
-# below 100.  At d = 100…400 the fill at which dense wins again measured
+# below SPARSE_MIN_DIM = 100 (defined in signals, whose products read it
+# too).  At d = 100…400 the fill at which dense wins again measured
 # 7–12% of the matrix across runs; SPARSE_MAX_FILL stays below it.
-SPARSE_MIN_DIM = 100
 SPARSE_MAX_FILL = 1 / 16
 
 
@@ -351,6 +354,7 @@ def _pattern(coeffs: Sequence[np.ndarray], d: int):
     SPARSE_MAX_FILL·d² entries; otherwise each row is a dense d·d matrix.
     A coefficient that misses part of the union holds explicit zeros
     there.  The zero polynomial (no coefficients) stacks one zero row.
+    scipy.sparse is imported only when a polynomial takes the CSR branch.
     """
     mask = np.zeros((d, d), dtype=bool)
     for c in coeffs:
@@ -360,6 +364,8 @@ def _pattern(coeffs: Sequence[np.ndarray], d: int):
         stack = (np.stack(coeffs).reshape(len(coeffs), d * d) if coeffs
                  else np.zeros((1, d * d), dtype=complex))
         return stack, stack[0].reshape(d, d).copy()
+    from scipy import sparse
+
     rows, cols = np.nonzero(mask)  # row-major: the CSR order
     cols = cols.astype(np.int32)
     indptr = np.searchsorted(rows, np.arange(d + 1)).astype(np.int32)
@@ -374,18 +380,23 @@ class _Compiled:
     ``values`` holds one matrix per polynomial for the whole run, and
     calling the object with a table index (k, j) rewrites the entries of
     every non-constant one with its value at ``stages[k, j]``, in place,
-    and returns ``values``.
+    and returns ``values``.  The values are rewritten once per index: a
+    call at the index of the call before it (RK4's k₂ and k₃ share
+    (k, 1)) rewrites nothing.
     """
 
-    __slots__ = ("values", "_updates")
+    __slots__ = ("values", "_updates", "_index")
 
     def __init__(self, values: list, updates: list):
         self.values = values
         self._updates = updates
+        self._index = None
 
     def __call__(self, k: int, j: int) -> list:
-        for vals, stack, entries in self._updates:
-            np.matmul(vals[k, j], stack, out=entries)
+        if (k, j) != self._index:
+            for vals, stack, entries in self._updates:
+                np.matmul(vals[k, j], stack, out=entries)
+            self._index = (k, j)
         return self.values
 
 
@@ -438,23 +449,80 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
 
 
 def _product(m, x: np.ndarray, out: np.ndarray) -> None:
-    """out = m @ x, bitwise, for a value m of :func:`_compile` and a dense
-    C-ordered vector or matrix x, written into the C-ordered buffer out.
+    """out = m @ x, bitwise, for a dense or CSR matrix m (a value of
+    :func:`_compile`, or a stack of them) and a dense C-ordered vector or
+    matrix x, written into the C-ordered buffer out.
 
     A dense m is one ``np.matmul``.  A CSR m calls the kernel that
-    ``csr_array.__matmul__`` itself calls, ``csr_matvec`` or
-    ``csr_matvecs``, which accumulates into out, so out is zeroed first.
+    ``csr_array.__matmul__`` itself calls (:func:`_csr_accumulate`), which
+    accumulates into out, so out is zeroed first.
     """
     if isinstance(m, np.ndarray):
         np.matmul(m, x, out=out)
         return
     out.fill(0)
-    n = m.shape[0]
-    if x.ndim == 1:
-        _sparsetools.csr_matvec(n, n, m.indptr, m.indices, m.data, x, out)
+    _csr_accumulate(m, x, out)
+
+
+def _product_plus(m, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """out = m @ x + y for m and x as in :func:`_product` and a dense
+    (d, d) matrix y, without zeroing out: a dense m writes m @ x there and
+    adds y, and a CSR m copies y there and its kernel accumulates m @ x."""
+    if isinstance(m, np.ndarray):
+        np.matmul(m, x, out=out)
+        out += y
     else:
-        _sparsetools.csr_matvecs(n, n, x.shape[1], m.indptr, m.indices, m.data,
+        np.copyto(out, y)
+        _csr_accumulate(m, x, out)
+
+
+def _add_product(m, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out += m @ x for m as in :func:`_product` and any dense (d, d)
+    matrix x, such as a transposed view, through the C-ordered (d, d)
+    buffer scratch: a dense m writes its product there, and a CSR m, whose
+    kernel accumulates into out itself, reads x from a copy there."""
+    if isinstance(m, np.ndarray):
+        np.matmul(m, x, out=scratch)
+        out += scratch
+    else:
+        np.copyto(scratch, x)
+        _csr_accumulate(m, scratch, out)
+
+
+def _csr_accumulate(m, x: np.ndarray, out: np.ndarray) -> None:
+    """out += m @ x with scipy's own ``csr_matvec`` or ``csr_matvecs``."""
+    from scipy.sparse import _sparsetools
+
+    n_row, n_col = m.shape
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(n_row, n_col, m.indptr, m.indices, m.data, x, out)
+    else:
+        _sparsetools.csr_matvecs(n_row, n_col, x.shape[1], m.indptr, m.indices, m.data,
                                  x.ravel(), out.ravel())
+
+
+def _observable(matrix: np.ndarray, pure: bool) -> Callable[[np.ndarray], complex]:
+    """A reader of the observable A = ``matrix`` on its nonzero pattern:
+    ψ†Aψ of a state vector when ``pure``, else Tr(ρA) of a C-ordered
+    density matrix, each one gather and one dot over the nnz(A) entries.
+    The gather buffers are allocated here, once."""
+    rows, cols = np.nonzero(matrix)
+    vals = matrix[rows, cols]
+    taken = np.empty(vals.size, dtype=complex)
+    if pure:
+        left = np.empty_like(taken)
+
+        def read(psi):
+            np.take(psi, rows, out=left)
+            np.multiply(vals, np.take(psi, cols, out=taken), out=taken)
+            return np.vdot(left, taken)
+    else:
+        # Tr(ρA) pairs A[r, c] with ρ[c, r]
+        flat = cols * matrix.shape[0] + rows
+
+        def read(rho):
+            return np.dot(vals, np.take(rho.reshape(-1), flat, out=taken))
+    return read
 
 
 def _rk4(
@@ -474,7 +542,11 @@ def _rk4(
     ``rhs(stages)`` compiles the generator for the (n-1, 3) table of the
     stage times t, t + h/2 and t + h of every step, and returns f with
     ``f(y, k, j, out)`` writing dy/dt at stage time ``stages[k, j]`` into
-    out, which is never y.
+    out, which is never y.  A step calls f at (k, 0), (k, 1) twice and
+    (k, 2), so compiled values are rewritten three times a step
+    (:class:`_Compiled`).  Each observable is compiled once onto its
+    nonzero pattern (:func:`_observable`), so a grid point reads Tr(ρA) or
+    ψ†Aψ as a gather and a dot over nnz(A) entries.
 
     The workspace belongs to the run: the four slopes and the stage input
     are allocated once, shaped like y, and y itself (owned by the caller,
@@ -492,22 +564,21 @@ def _rk4(
         raise ValueError("times must be a strictly increasing 1-d grid")
     pure = y.ndim == 1
     drift_message = "norm drift exceeds tolerance" if pure else "trace drift exceeds tolerance"
-    observables = observables or {}
+    readers = {name: _observable(op.matrix, pure) for name, op in (observables or {}).items()}
     masks = _leak_masks(space)
 
     n_steps = times.size
     drift = np.empty(n_steps)
     pur = np.empty(n_steps)
     leak = np.empty(n_steps)
-    expect = {name: np.empty(n_steps, dtype=complex) for name in observables}
+    expect = {name: np.empty(n_steps, dtype=complex) for name in readers}
     states = [] if store_states else None
 
     def record(k, y):
         d, p, lk = _diagnose(masks, y)
         drift[k], pur[k], leak[k] = d, p, lk
-        for name, op in observables.items():
-            expect[name][k] = (y.conj() @ op.matrix @ y if pure
-                               else np.einsum("ij,ji->", y, op.matrix))
+        for name, read in readers.items():
+            expect[name][k] = read(y)
         if states is not None:
             states.append(y.copy())
         t = times[k]
@@ -551,17 +622,19 @@ def _compiled_lindblad(
     """The generator of :func:`lindblad_rhs` in the compiled form that
     :func:`_rk4` takes: K = -iH - ½ΣL†L is folded once, exactly, over the
     couplings that are not identically zero, and each stage computes
-    Kρ + ρK† + Σ(Lρ)L† with no Hermiticity shortcut, so the map is the
+    Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) with no Hermiticity shortcut, so the map is the
     reference's for any matrix ρ.
 
-    K and each L compile once, dense or CSR (:func:`_compile`), and a
-    stage rewrites their entries in place.  A right factor ρM† is read
-    from the same stage value through its conjugate M̄: in CSR that is the
-    conjugated data on M's own pattern, O(nnz), and the product is
-    (M̄ρᵀ)ᵀ, so no dense d×d K† is formed.  The workspace belongs to the
-    run: each M̄, a C-ordered copy of ρᵀ (the CSR kernel multiplies into
-    the rows of a dense operand), Lρ and one product buffer are
-    allocated once, and every product writes into them (:func:`_product`).
+    K and each L compile once, dense or CSR (:func:`_compile`).  All right
+    products ρM† (M = K, L₁…L_c) of a backend come from one stacked
+    product of ρ with their conjugates (:func:`_right_products`), so a
+    stage makes one such call when K and the couplings share a backend.
+    out is never zeroed: it starts as Kρ + ρK† (:func:`_product_plus`: a
+    CSR K accumulates Kρ onto a copy of ρK†, and a dense K adds ρK† to Kρ,
+    so a closed dense triple rounds only the two products and their sum),
+    and each Lᵢ(ρLᵢ†) accumulates straight into it (:func:`_add_product`).
+    The workspace belongs to the run: the stacks, their products and one
+    scratch matrix are allocated once.
     """
 
     def rhs(stages):
@@ -570,37 +643,77 @@ def _compiled_lindblad(
         for Lp in live:
             K = K + (Lp.dagger() * Lp).scale(-0.5)
         at = _compile([K] + live, bindings, stages)
-        bars = [np.empty_like(m) if isinstance(m, np.ndarray)
-                else sparse.csr_array((np.empty_like(m.data), m.indices, m.indptr), shape=m.shape)
-                for m in at.values]
-        d = g.space.total_dim
-        xt, lx, prod = (np.empty((d, d), dtype=complex) for _ in range(3))
-
-        def add_times_dagger(out, x, m, mbar):
-            """out += x @ m†, with m† read through mbar = m̄."""
-            if isinstance(m, np.ndarray):
-                np.conjugate(m, out=mbar)
-                np.matmul(x, mbar.T, out=prod)
-                out += prod
-            else:
-                np.conjugate(m.data, out=mbar.data)
-                np.copyto(xt, x.T)
-                _product(mbar, xt, prod)
-                out += prod.T
-
-        (K_at, K_bar), *couplings = zip(at.values, bars)
+        updates, right = [], [None] * len(at.values)
+        for dense in (True, False):
+            members = [i for i, m in enumerate(at.values) if isinstance(m, np.ndarray) == dense]
+            if members:
+                update, blocks = _right_products([at.values[i] for i in members])
+                updates.append(update)
+                for i, block in zip(members, blocks):
+                    right[i] = block
+        (K_at, K_right), *couplings = zip(at.values, right)
+        scratch = np.empty((g.space.total_dim,) * 2, dtype=complex)
 
         def f(rho, k, j, out):
             at(k, j)
-            _product(K_at, rho, out)
-            add_times_dagger(out, rho, K_at, K_bar)
-            for L, L_bar in couplings:
-                _product(L, rho, lx)
-                add_times_dagger(out, lx, L, L_bar)
+            for update in updates:
+                update(rho)
+            _product_plus(K_at, rho, K_right, out)
+            for L, L_right in couplings:
+                _add_product(L, L_right, out, scratch)
 
         return f
 
     return rhs
+
+
+def _right_products(values: list):
+    """The products ρM† for the d×d ``values`` M (all dense or all CSR) of
+    one stage: an update f(ρ) that recomputes them from the values'
+    current entries, and the d×d views it writes them to, in order.
+
+    The conjugates M̄ are stacked as the row blocks of one (n·d, d)
+    operator S̄, which each update rewrites, so the products are the
+    blocks of one product with S̄ on M's own patterns.  A dense S̄ is
+    multiplied as ρS̄ᵀ, which BLAS reads without a copy, and the i-th
+    block of columns is ρMᵢ†.  A CSR S̄ is multiplied as S̄ρᵀ, as the CSR
+    kernel only multiplies into the rows of a C-ordered operand: ρᵀ is
+    copied once per update, and the transpose of the i-th block of rows
+    is ρMᵢ†.  The CSR stack keeps every value's pattern: its ``indptr``
+    chains theirs and its ``indices`` are theirs in order.
+    """
+    n, d = len(values), values[0].shape[0]
+    if isinstance(values[0], np.ndarray):
+        stack = np.empty((n * d, d), dtype=complex)
+        pairs = [(m, stack[i * d:(i + 1) * d]) for i, m in enumerate(values)]
+        products = np.empty((d, n * d), dtype=complex)
+        blocks = [products[:, i * d:(i + 1) * d] for i in range(n)]
+
+        def update(rho):
+            for entries, conjugate in pairs:
+                np.conjugate(entries, out=conjugate)
+            np.matmul(rho, stack.T, out=products)
+    else:
+        from scipy import sparse
+
+        offsets = np.cumsum([0] + [m.nnz for m in values])
+        indptr = np.concatenate([values[0].indptr[:1]]
+                                + [m.indptr[1:] + o for m, o in zip(values, offsets)])
+        stack = sparse.csr_array((np.empty(offsets[-1], dtype=complex),
+                                  np.concatenate([m.indices for m in values]),
+                                  indptr.astype(np.int32)), shape=(n * d, d))
+        pairs = [(m.data, stack.data[o:o + m.nnz]) for m, o in zip(values, offsets)]
+        rho_t = np.empty((d, d), dtype=complex)
+        products = np.empty((n * d, d), dtype=complex)
+        blocks = [products[i * d:(i + 1) * d].T for i in range(n)]
+
+        def update(rho):
+            for entries, conjugate in pairs:
+                np.conjugate(entries, out=conjugate)
+            np.copyto(rho_t, rho.T)
+            _product(stack, rho_t, products)
+
+    return update, blocks
 
 
 def integrate_master(
@@ -618,8 +731,9 @@ def integrate_master(
     The generator is compiled once per run (:func:`_compiled_lindblad`):
     K = -iH - ½ΣL†L and the couplings that are not identically zero are
     stacked once, each on its union nonzero pattern, and each stage
-    computes Kρ + ρK† + Σ(Lρ)L†, the map of :func:`lindblad_rhs`.  A
-    polynomial is stacked as CSR when d >= ``SPARSE_MIN_DIM`` and its
+    computes Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†), the map of :func:`lindblad_rhs`, with
+    every right product ρM† of a backend taken from one stacked product.
+    A polynomial is stacked as CSR when d >= ``SPARSE_MIN_DIM`` and its
     pattern fills at most ``SPARSE_MAX_FILL`` of the matrix, and dense
     otherwise; ρ is always dense.  The run aborts (IntegrationError) when a
     diagnostic is not finite, the trace drifts beyond ``trace_tol`` or
@@ -718,6 +832,8 @@ def analytic_driven_cavity(
 
     def integrand_im(s):
         return (np.exp(-1j * omega0 * (t - s)) * complex(u(s))).imag
+
+    from scipy.integrate import quad
 
     re, err_re = quad(integrand_re, 0.0, t, epsabs=tol, epsrel=tol, limit=500)
     im, err_im = quad(integrand_im, 0.0, t, epsabs=tol, epsrel=tol, limit=500)

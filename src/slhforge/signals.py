@@ -20,6 +20,12 @@ from .hilbert import DEFAULT_TOL, HilbertSpace, Operator
 #: Guard against pathological compositions; nothing in scope exceeds degree 2.
 DEGREE_CAP = 8
 
+#: Spaces with at least this many states take the sparse paths: the
+#: compiled generator may stack a polynomial as CSR (see ``dynamics``), and
+#: a coefficient product with an exact c·I factor is a scale of the other
+#: factor, not a dense O(d³) product.
+SPARSE_MIN_DIM = 100
+
 
 # -- signals --------------------------------------------------------------
 
@@ -293,13 +299,26 @@ class OpPolynomial:
         return OpPolynomial._shared(self.space, {m: coeff * c for m, coeff in self.terms.items()})
 
     def __mul__(self, other) -> "OpPolynomial":
+        """The product; on a space of at least ``SPARSE_MIN_DIM`` states, a
+        coefficient that is exactly c·I multiplies the other one as the
+        scalar c."""
         if isinstance(other, OpPolynomial):
             self._check_space(other)
+            large = self.space.total_dim >= SPARSE_MIN_DIM
+            scalars = {m2: _identity_multiple(c2) if large else None
+                       for m2, c2 in other.terms.items()}
             terms: dict[SignalMonomial, np.ndarray] = {}
             for m1, c1 in self.terms.items():
+                s1 = _identity_multiple(c1) if large else None
                 for m2, c2 in other.terms.items():
                     mono = m1 * m2
-                    prod = c1 @ c2
+                    s2 = scalars[m2]
+                    if s1 is not None:
+                        prod = s1 * c2
+                    elif s2 is not None:
+                        prod = c1 * s2
+                    else:
+                        prod = c1 @ c2
                     terms[mono] = terms[mono] + prod if mono in terms else prod
             return OpPolynomial._shared(self.space, terms)
         return self.scale(other)
@@ -377,6 +396,14 @@ class OpPolynomial:
 
     def __repr__(self) -> str:
         return f"OpPolynomial({len(self.terms)} terms, dim={self.space.total_dim})"
+
+
+def _identity_multiple(c: np.ndarray) -> complex | None:
+    """c when the matrix is exactly c·I with c != 0, else None."""
+    s = c[0, 0]
+    if s != 0 and np.count_nonzero(c) == c.shape[0] and np.all(c.diagonal() == s):
+        return s
+    return None
 
 
 def _conj_transpose(c: np.ndarray) -> np.ndarray:

@@ -360,6 +360,27 @@ def test_module_entry_point_exits_with_the_code(argv, code, prefix):
     assert (proc.stdout != "") == (code == 0)
 
 
+def test_reduce_and_a_small_simulate_import_no_scipy(tmp_path):
+    # scipy.sparse serves the CSR backend (d >= 100) and scipy.integrate the
+    # analytic oracle; a fresh interpreter that needs neither loads neither
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cavity = str(NETLISTS / "cavity.slh")
+    code = "\n".join([
+        "import sys",
+        "from slhforge.cli import main",
+        f"assert main(['reduce', {cavity!r}, '-o', {str(tmp_path / 'r.json')!r}]) == 0",
+        f"assert main(['simulate', {cavity!r}, '--horizon', '0.1', '--step', '0.01',",
+        f"             '--observable', 'n', '-o', {str(tmp_path / 's.csv')!r}]) == 0",
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.integrate') if m in sys.modules))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "s.csv").read_text().count("\n") == 12
+
+
 def test_simulate_unknown_observable_label_exits_2(capsys):
     rc = main(["simulate", str(NETLISTS / "cavity.slh"), "--horizon", "0.1",
                "--observable", "n:zz"])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -425,14 +426,22 @@ def test_compiled_integrators_match_the_reference(rng, case):
 
 
 def test_compiled_lindblad_matches_the_reference_on_any_matrix(rng):
-    for two_mode in (False, True):  # dense at d=3, CSR at d=121
-        g, binds = _reference_case(rng, "signals_2ch", two_mode)
-        X = random_matrix(rng, g.space.total_dim)  # neither Hermitian nor of unit trace
-        t = 0.37
-        f = _compiled_lindblad(g, binds)(np.full((1, 3), t))
-        out = np.empty_like(X)
-        f(X, 0, 1, out)
-        assert np.max(np.abs(out - lindblad_rhs(X, g, t, binds))) < 1e-12
+    # dense at d=3, CSR at d=121 (dense K beside CSR couplings in signals_3ch)
+    for case in CASES:
+        for two_mode in (False, True):
+            g, binds = _reference_case(rng, case, two_mode)
+            X = random_matrix(rng, g.space.total_dim)  # neither Hermitian nor of unit trace
+            t = 0.17  # inside the sampled table's horizon
+            f = _compiled_lindblad(g, binds)(np.full((1, 3), t))
+            out = np.full_like(X, np.nan)  # the stage must not read what out held
+            f(X, 0, 1, out)
+            assert np.max(np.abs(out - lindblad_rhs(X, g, t, binds))) < 1e-12, (case, two_mode)
+            if two_mode:  # a stage allocates no state-sized array
+                tracemalloc.start()
+                f(X, 0, 2, out)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < X.nbytes // 4, (case, peak)
 
 
 CASCADE = """\
@@ -489,6 +498,32 @@ def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
         assert np.max(np.abs(got - want)) < 1e-13
         old = old if isinstance(old, np.ndarray) else old.toarray()
         assert np.array_equal(got, old) == poly.is_constant()
+
+    # a second call at the same index rewrites nothing; another index does
+    def entries(value):
+        return value.reshape(-1) if isinstance(value, np.ndarray) else value.data
+
+    for value in second:
+        entries(value)[:] = np.nan
+    assert all(np.isnan(entries(v)).all() for v in at(0, 1))
+    third = at(0, 0)
+    for poly, value in zip(polys, third):
+        assert np.isnan(entries(value)).all() == poly.is_constant()
+
+
+def test_observable_read_matches_the_trace_and_the_quadratic_form(rng):
+    sp = HilbertSpace([HilbertSpace.fock("a", 10).factors[0],
+                       HilbertSpace.fock("b", 10).factors[0]])
+    a = annihilator(sp, "a")
+    cases = [(a.matrix, 121), (a.dagger().matrix, 121), (number_op(sp, "b").matrix, 121),
+             (random_matrix(rng, 3), 3)]
+    for A, d in cases:
+        X = random_matrix(rng, d)  # not Hermitian; unit Frobenius norm, as ψ has
+        X /= np.linalg.norm(X)
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
+        assert abs(dynamics._observable(A, pure=False)(X) - np.einsum("ij,ji->", X, A)) < 1e-13
+        assert abs(dynamics._observable(A, pure=True)(psi) - psi.conj() @ A @ psi) < 1e-13
 
 
 def _bits(x):

@@ -16,6 +16,7 @@ from slhforge import (
     SignalMonomial,
     identity,
 )
+from slhforge.signals import SPARSE_MIN_DIM
 from conftest import random_operator, random_poly, random_bindings
 
 
@@ -215,6 +216,31 @@ def test_scalar_and_scale(rng):
     q = random_poly(rng, SP, ["u"])
     assert (2.0 * q).approx_equal(q + q, 1e-12)
     assert (q * 2.0).approx_equal(q.scale(2.0))
+
+
+@pytest.mark.parametrize("dim", [3, SPARSE_MIN_DIM])
+def test_products_with_identity_multiples_match_matmul(rng, dim):
+    sp = HilbertSpace.generic("q", dim)
+    eye = np.eye(dim)
+    near = [eye.copy() for _ in range(3)]  # one entry off c·I each
+    near[0][dim - 1, dim - 1] = 2.0
+    near[1][0, dim - 1] = 0.5
+    near[2][0, 0] = 0.0
+    perm = eye[[0, 2, 1, *range(3, dim)]]  # d nonzeros with [0, 0] = 1, not diagonal
+    shift = np.roll(eye, 1, axis=1)  # d nonzeros and a zero diagonal
+    coeffs = [(0.3 - 1.7j) * eye, -eye, *near, perm, shift,
+              random_operator(rng, sp).matrix]
+    monos = [SignalMonomial.of(name, p, q) for name in ("u", "v") for p, q in ((1, 0), (0, 1))]
+    monos += [SignalMonomial(), SignalMonomial.of("u", 1, 1), SignalMonomial.of("v", 2, 0),
+              SignalMonomial.of("v", 1, 1)]
+    left = OpPolynomial(sp, dict(zip(monos, coeffs)))
+    right = OpPolynomial(sp, dict(zip(monos[::-1], coeffs)))
+    for a, b in ((left, right), (right, left), (left, left)):
+        want: dict = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                want[m1 * m2] = want.get(m1 * m2, 0) + c1 @ c2
+        assert (a * b).max_coeff_diff(OpPolynomial(sp, want)) < 1e-12
 
 
 def test_mismatched_spaces_are_rejected(rng):
