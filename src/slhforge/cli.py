@@ -22,6 +22,8 @@ import sys
 import numpy as np
 
 from .dynamics import (
+    DEFAULT_LEAK_THRESHOLD,
+    DEFAULT_TRACE_TOL,
     IntegrationError,
     QuantumState,
     SimulationResult,
@@ -31,7 +33,7 @@ from .dynamics import (
     integrate_schrodinger,
     trace_distance,
 )
-from .hilbert import HilbertSpace, annihilator, creator, number_op
+from .hilbert import DEFAULT_TOL, MODE_OPERATORS, HilbertSpace, annihilator, number_op
 from .netlist import (
     NetlistReductionError,
     NetlistSemanticError,
@@ -221,12 +223,8 @@ def _observable(name: str, space):
         label = fock_labels[0]
     if label not in space:
         raise ValueError(f"observable {name!r}: no factor labeled {label!r} in {space}")
-    if kind == "a":
-        return annihilator(space, label)
-    if kind == "adag":
-        return creator(space, label)
-    if kind == "n":
-        return number_op(space, label)
+    if kind in MODE_OPERATORS:
+        return MODE_OPERATORS[kind](space, label)
     raise ValueError(f"unknown observable {name!r} (a | adag | n, optionally :label)")
 
 
@@ -380,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce a netlist to its effective triple")
     p.add_argument("file")
     p.add_argument("--probe-times", default=None, help="comma-separated validation times")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_reduce)
 
@@ -390,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--initial", default="vacuum")
     p.add_argument("--observable", action="append", default=[])
-    p.add_argument("--trace-tol", type=float, default=1e-6,
+    p.add_argument("--trace-tol", type=float, default=DEFAULT_TRACE_TOL,
                    help="largest trace (master) or norm (Schrodinger) drift")
-    p.add_argument("--leak-threshold", type=float, default=1e-6,
+    p.add_argument("--leak-threshold", type=float, default=DEFAULT_LEAK_THRESHOLD,
                    help="largest population of the top two Fock levels")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_simulate)
@@ -404,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="end time (default: 6.0 for --demo, its pulse centre plus six "
                         "widths; 1.0 for a file)")
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="tolerance of triple_valid (and of the demo's hamiltonian_term)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)

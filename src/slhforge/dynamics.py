@@ -11,17 +11,15 @@ Each run compiles its generator once: every signal is sampled once per
 RK4 stage time, and each polynomial it needs has its coefficients
 stacked on the union of their nonzero patterns, so a polynomial's value
 at a stage is a single contraction of that stage's monomial values with
-its stack.  The stack is CSR, multiplied into a dense state, when the
-space has at least ``SPARSE_MIN_DIM`` states and the union pattern fills
-at most ``SPARSE_MAX_FILL`` of the matrix; otherwise it is dense.  The
-choice is made per polynomial, from the input alone, and scipy.sparse is
-imported only when a polynomial is CSR (scipy.integrate only by the
-analytic oracle), so a small run loads neither.  Sparsity stops at
-this boundary: operators, polynomials, the series reduction and every
-report stay dense.  :func:`lindblad_rhs` evaluates the polynomials
-directly and is kept as the reference the compiled master generator is
-tested against.  Each observable is compiled too, onto its nonzero
-pattern, so reading it at a grid point costs O(nnz).
+its stack.  Every stack of a run is CSR, multiplied into a dense state,
+or every one is dense, by the rule of :func:`_compile`; scipy.sparse is
+imported only by a CSR run (scipy.integrate only by the analytic
+oracle), so a small run loads neither.  Sparsity stops at this
+boundary: operators, polynomials, the series reduction and every report
+stay dense.  :func:`lindblad_rhs` evaluates the polynomials directly and
+is kept as the reference the compiled master generator is tested
+against.  Each observable is compiled too, onto its nonzero pattern, so
+reading it at a grid point costs O(nnz).
 
 The workspace belongs to the run.  Each compiled polynomial keeps one
 matrix whose entries each stage rewrites in place; the RK4 slopes, the
@@ -53,7 +51,7 @@ from .signals import SPARSE_MIN_DIM, Bindings, OpPolynomial
 DEFAULT_TRACE_TOL = 1e-6
 DEFAULT_LEAK_THRESHOLD = 1e-6
 
-# Backend of each compiled polynomial (see _pattern), read off the
+# Format of each compiled run (see _compile), read off the
 # per-stage crossover table in CHANGES.md.  On the two-cavity cascade,
 # CSR overtakes dense BLAS products at d ≈ 50 for the master equation and
 # between d = 64 and 100 for the Schrödinger equation, so both stay dense
@@ -345,22 +343,19 @@ def _diagnose(masks: Sequence[np.ndarray], y: np.ndarray) -> tuple[float, float,
     return drift, pur, _fock_leak(masks, np.real(np.diag(y)))
 
 
-def _pattern(coeffs: Sequence[np.ndarray], d: int):
-    """The coefficients stacked on their union nonzero pattern, and one
-    matrix on that pattern holding a copy of the first row of the stack.
+def _pattern(coeffs: Sequence[np.ndarray], mask: np.ndarray, csr: bool):
+    """The coefficients stacked on their union nonzero pattern ``mask``,
+    and one matrix on that pattern holding a copy of the first row of the
+    stack.
 
-    The pattern is CSR, with sorted column indices and shared by every row
-    of the stack, when d >= SPARSE_MIN_DIM and it holds at most
-    SPARSE_MAX_FILL·d² entries; otherwise each row is a dense d·d matrix.
-    A coefficient that misses part of the union holds explicit zeros
-    there.  The zero polynomial (no coefficients) stacks one zero row.
-    scipy.sparse is imported only when a polynomial takes the CSR branch.
+    When ``csr`` (the run's format, decided by :func:`_compile`), the
+    pattern is CSR, with sorted column indices and shared by every row of
+    the stack; otherwise each row is a dense d·d matrix.  A coefficient
+    that misses part of the union holds explicit zeros there.  The zero
+    polynomial (no coefficients) stacks one zero row.
     """
-    mask = np.zeros((d, d), dtype=bool)
-    for c in coeffs:
-        mask |= c != 0
-    nnz = int(np.count_nonzero(mask))
-    if d < SPARSE_MIN_DIM or nnz > SPARSE_MAX_FILL * d * d:
+    d = mask.shape[0]
+    if not csr:
         stack = (np.stack(coeffs).reshape(len(coeffs), d * d) if coeffs
                  else np.zeros((1, d * d), dtype=complex))
         return stack, stack[0].reshape(d, d).copy()
@@ -370,7 +365,7 @@ def _pattern(coeffs: Sequence[np.ndarray], d: int):
     cols = cols.astype(np.int32)
     indptr = np.searchsorted(rows, np.arange(d + 1)).astype(np.int32)
     stack = (np.stack([c[rows, cols] for c in coeffs]) if coeffs
-             else np.zeros((1, nnz), dtype=complex))
+             else np.zeros((1, rows.size), dtype=complex))
     return stack, sparse.csr_array((stack[0].copy(), cols, indptr), shape=(d, d))
 
 
@@ -403,9 +398,14 @@ class _Compiled:
 def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
              stages: np.ndarray) -> _Compiled:
     """``polys`` on the stage-time table ``stages``: a callable of a table
-    index (k, j) returning their values at ``stages[k, j]``, each a dense
-    (d, d) array or a ``scipy.sparse.csr_array`` as :func:`_pattern`
-    picks it per polynomial.
+    index (k, j) returning their values at ``stages[k, j]``.
+
+    The format is decided once per call, for all of ``polys``: every value
+    is a ``scipy.sparse.csr_array`` when d >= ``SPARSE_MIN_DIM`` and each
+    polynomial's union pattern holds at most ``SPARSE_MAX_FILL``·d²
+    entries, and every value is a dense (d, d) array otherwise.  So one
+    polynomial past the fill bound makes the whole run dense.  scipy.sparse
+    is imported only by a CSR run.
 
     Each polynomial's k coefficients are stacked into one (k, nnz) array
     on the union of their nonzero patterns (nnz = d·d when dense).  Each
@@ -436,9 +436,17 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
                 v *= samples[name].conj() ** q
         return v
 
-    values, updates = [], []
+    masks = []
     for poly in polys:
-        stack, value = _pattern(list(poly.terms.values()), d)
+        mask = np.zeros((d, d), dtype=bool)
+        for c in poly.terms.values():
+            mask |= c != 0
+        masks.append(mask)
+    csr = d >= SPARSE_MIN_DIM and all(np.count_nonzero(m) <= SPARSE_MAX_FILL * d * d
+                                      for m in masks)
+    values, updates = [], []
+    for poly, mask in zip(polys, masks):
+        stack, value = _pattern(list(poly.terms.values()), mask, csr)
         values.append(value)
         if not poly.is_constant():
             # the entries a stage rewrites: a dense matrix's flat view, or CSR data
@@ -625,16 +633,15 @@ def _compiled_lindblad(
     Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) with no Hermiticity shortcut, so the map is the
     reference's for any matrix ρ.
 
-    K and each L compile once, dense or CSR (:func:`_compile`).  All right
-    products ρM† (M = K, L₁…L_c) of a backend come from one stacked
-    product of ρ with their conjugates (:func:`_right_products`), so a
-    stage makes one such call when K and the couplings share a backend.
+    K and each L compile once, all dense or all CSR (:func:`_compile`).
+    All right products ρM† (M = K, L₁…L_c) of a stage come from one
+    stacked product of ρ with their conjugates (:func:`_right_products`).
     out is never zeroed: it starts as Kρ + ρK† (:func:`_product_plus`: a
     CSR K accumulates Kρ onto a copy of ρK†, and a dense K adds ρK† to Kρ,
     so a closed dense triple rounds only the two products and their sum),
     and each Lᵢ(ρLᵢ†) accumulates straight into it (:func:`_add_product`).
-    The workspace belongs to the run: the stacks, their products and one
-    scratch matrix are allocated once.
+    The workspace belongs to the run: the stack, its products and one
+    scratch matrix are allocated once, so a stage allocates nothing.
     """
 
     def rhs(stages):
@@ -643,21 +650,13 @@ def _compiled_lindblad(
         for Lp in live:
             K = K + (Lp.dagger() * Lp).scale(-0.5)
         at = _compile([K] + live, bindings, stages)
-        updates, right = [], [None] * len(at.values)
-        for dense in (True, False):
-            members = [i for i, m in enumerate(at.values) if isinstance(m, np.ndarray) == dense]
-            if members:
-                update, blocks = _right_products([at.values[i] for i in members])
-                updates.append(update)
-                for i, block in zip(members, blocks):
-                    right[i] = block
+        update, right = _right_products(at.values)
         (K_at, K_right), *couplings = zip(at.values, right)
         scratch = np.empty((g.space.total_dim,) * 2, dtype=complex)
 
         def f(rho, k, j, out):
             at(k, j)
-            for update in updates:
-                update(rho)
+            update(rho)
             _product_plus(K_at, rho, K_right, out)
             for L, L_right in couplings:
                 _add_product(L, L_right, out, scratch)
@@ -672,36 +671,35 @@ def _right_products(values: list):
     one stage: an update f(ρ) that recomputes them from the values'
     current entries, and the d×d views it writes them to, in order.
 
-    The conjugates M̄ are stacked as the row blocks of one (n·d, d)
-    operator S̄, which each update rewrites, so the products are the
-    blocks of one product with S̄ on M's own patterns.  A dense S̄ is
-    multiplied as ρS̄ᵀ, which BLAS reads without a copy, and the i-th
-    block of columns is ρMᵢ†.  A CSR S̄ is multiplied as S̄ρᵀ, as the CSR
+    The conjugates M̄ are stacked as the blocks of one operator S̄, which
+    each update rewrites, so the products are the blocks of one product
+    with S̄ on M's own patterns.  A dense S̄ is an (n, d, d) stack
+    multiplied as the batch ρM̄ᵢᵀ, which BLAS reads without a copy, into
+    C-ordered d×d products, so that adding one allocates no buffer; a
+    single value takes the plain 2-D product, which skips the batch loop.
+    A CSR S̄ is the (n·d, d) row stack, multiplied as S̄ρᵀ, as the CSR
     kernel only multiplies into the rows of a C-ordered operand: ρᵀ is
     copied once per update, and the transpose of the i-th block of rows
-    is ρMᵢ†.  The CSR stack keeps every value's pattern: its ``indptr``
-    chains theirs and its ``indices`` are theirs in order.
+    is ρMᵢ†.
     """
     n, d = len(values), values[0].shape[0]
     if isinstance(values[0], np.ndarray):
-        stack = np.empty((n * d, d), dtype=complex)
-        pairs = [(m, stack[i * d:(i + 1) * d]) for i, m in enumerate(values)]
-        products = np.empty((d, n * d), dtype=complex)
-        blocks = [products[:, i * d:(i + 1) * d] for i in range(n)]
+        stack = np.empty((n, d, d), dtype=complex)
+        pairs = list(zip(values, stack))
+        products = np.empty((n, d, d), dtype=complex)
+        blocks = list(products)
+        right, into = ((stack[0].T, products[0]) if n == 1
+                       else (stack.transpose(0, 2, 1), products))
 
         def update(rho):
             for entries, conjugate in pairs:
                 np.conjugate(entries, out=conjugate)
-            np.matmul(rho, stack.T, out=products)
+            np.matmul(rho, right, out=into)
     else:
         from scipy import sparse
 
+        stack = sparse.vstack(values, format="csr")  # keeps explicit zeros
         offsets = np.cumsum([0] + [m.nnz for m in values])
-        indptr = np.concatenate([values[0].indptr[:1]]
-                                + [m.indptr[1:] + o for m, o in zip(values, offsets)])
-        stack = sparse.csr_array((np.empty(offsets[-1], dtype=complex),
-                                  np.concatenate([m.indices for m in values]),
-                                  indptr.astype(np.int32)), shape=(n * d, d))
         pairs = [(m.data, stack.data[o:o + m.nnz]) for m, o in zip(values, offsets)]
         rho_t = np.empty((d, d), dtype=complex)
         products = np.empty((n * d, d), dtype=complex)
@@ -730,15 +728,14 @@ def integrate_master(
 
     The generator is compiled once per run (:func:`_compiled_lindblad`):
     K = -iH - ½ΣL†L and the couplings that are not identically zero are
-    stacked once, each on its union nonzero pattern, and each stage
-    computes Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†), the map of :func:`lindblad_rhs`, with
-    every right product ρM† of a backend taken from one stacked product.
-    A polynomial is stacked as CSR when d >= ``SPARSE_MIN_DIM`` and its
-    pattern fills at most ``SPARSE_MAX_FILL`` of the matrix, and dense
-    otherwise; ρ is always dense.  The run aborts (IntegrationError) when a
-    diagnostic is not finite, the trace drifts beyond ``trace_tol`` or
-    the truncation leak exceeds ``leak_threshold``; pass
-    ``leak_threshold=None`` to only record the leak.
+    stacked once, each on its union nonzero pattern, all CSR or all dense
+    by the rule of :func:`_compile`, and each stage computes
+    Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†), the map of :func:`lindblad_rhs`, with every
+    right product ρM† taken from one stacked product.  ρ is always dense.
+    The run aborts (IntegrationError) when a diagnostic is not finite, the
+    trace drifts beyond ``trace_tol`` or the truncation leak exceeds
+    ``leak_threshold``; pass ``leak_threshold=None`` to only record the
+    leak.
     """
     if isinstance(rho0, QuantumState):
         rho = rho0.density().copy()
@@ -762,8 +759,7 @@ def integrate_schrodinger(
     never corrected.
 
     -iH is compiled once per run on the stage grid, dense or CSR by the
-    rule of :func:`integrate_master`, so each stage is one matrix-vector
-    product.
+    rule of :func:`_compile`, so each stage is one matrix-vector product.
     """
     if not H.dagger().approx_equal(H, 1e-10):
         raise ValueError("H is not formally self-adjoint")

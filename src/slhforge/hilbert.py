@@ -212,6 +212,11 @@ def number_op(space: HilbertSpace, factor_label: str) -> Operator:
     return a.dagger() @ a
 
 
+#: The mode operators of a Fock factor by name, as netlists and the
+#: ``--observable`` flag write them.
+MODE_OPERATORS = {"a": annihilator, "adag": creator, "n": number_op}
+
+
 def embed(op: Operator, big_space: HilbertSpace) -> Operator:
     """Kronecker-extend ``op`` with identities on the factors of
     ``big_space`` that its own space lacks, respecting factor order.

@@ -22,15 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import (
-    HilbertSpace,
-    annihilator,
-    creator,
-    fock_factor,
-    generic_factor,
-    identity,
-    number_op,
-)
+from .hilbert import MODE_OPERATORS, HilbertSpace, fock_factor, generic_factor, identity
 from .network import (
     ChannelMismatchError,
     SLHTriple,
@@ -107,7 +99,7 @@ class IdentityLit:
 
 @dataclass
 class ModeOp:
-    kind: str  # "a" | "adag" | "n"
+    kind: str  # a key of hilbert.MODE_OPERATORS
     label: str
     pos: tuple = _pos_field()
 
@@ -496,7 +488,7 @@ class _Parser:
             return node
         if t.kind == "IDENT":
             name = t.text
-            if name in ("a", "adag", "n"):
+            if name in MODE_OPERATORS:
                 self.advance()
                 self.expect_sym("(")
                 label = self.expect_ident().text
@@ -603,6 +595,12 @@ def print_netlist(ast: NetlistAST) -> str:
 
 # -- semantic analysis ----------------------------------------------------
 
+#: Most states the composite space may have.  Operators are dense d×d
+#: complex matrices, one of which takes 256 MiB at this bound, so a larger
+#: space is refused at the `space` line that crosses the bound, before
+#: anything is allocated.
+MAX_DIM = 4096
+
 
 @dataclass
 class TraceStep:
@@ -662,7 +660,7 @@ class _Analyzer:
         ast = self.ast
         if not ast.spaces:
             self.fail("netlist declares no space", ast.network.pos)
-        factors = []
+        factors, dim = [], 1
         for s in ast.spaces:
             self.declare(s.label, s.pos)
             if s.kind == "fock":
@@ -673,6 +671,9 @@ class _Analyzer:
                 if s.size < 1:
                     self.fail(f"dim must be >= 1, got {s.size}", s.pos)
                 factors.append(generic_factor(s.label, s.size))
+            dim *= factors[-1].dim
+            if dim > MAX_DIM:
+                self.fail(f"space dimension {dim} exceeds the limit of {MAX_DIM}", s.pos)
         self.space = HilbertSpace(factors)
 
         for s in ast.signals:
@@ -755,12 +756,7 @@ class _Analyzer:
             if node.label not in self.space:
                 self.fail(f"unknown space factor {node.label!r}", node.pos)
             try:
-                if node.kind == "a":
-                    op = annihilator(self.space, node.label)
-                elif node.kind == "adag":
-                    op = creator(self.space, node.label)
-                else:
-                    op = number_op(self.space, node.label)
+                op = MODE_OPERATORS[node.kind](self.space, node.label)
             except ValueError as exc:
                 self.fail(str(exc), node.pos)
             return OpPolynomial.constant(op)

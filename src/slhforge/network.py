@@ -285,9 +285,7 @@ def splitter_conjugate(g: SLHTriple, T, tol: float = DEFAULT_TOL) -> SLHTriple:
     n = g.channels
     if T.shape != (n, n):
         raise ValueError(f"T must be {n}x{n}")
-    if not np.max(np.abs(T @ T.conj().T - np.eye(n))) <= tol:  # NaN fails
-        raise ValueError("T is not unitary")
-    pre = beam_splitter(T, g.space, tol)
+    pre = beam_splitter(T, g.space, tol)  # checks that T is unitary
     post = beam_splitter(T.conj().T, g.space, tol)
     return series(post, series(g, pre))
 

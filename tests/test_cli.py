@@ -316,8 +316,12 @@ def test_overflowing_component_exits_2_naming_it(netlist, capsys):
      "space fock(cutoff=2) as c\ncomponent H = HAM(1e200 * (a(c) + adag(c)))\n"
      "network main = H\n",
      4, "integration aborted: non-finite state at t=0.001 (value nan)"),
+    # d = 3001² would ask for dense d×d arrays of hundreds of TiB
+    (["reduce"], "space fock(cutoff=3000) as a\nspace fock(cutoff=3000) as b\n"
+     "component C = CAVITY(gamma=1, omega=1, mode=a)\nnetwork main = C\n",
+     2, "reduction error: line 2, col 1: space dimension 9006001 exceeds the limit of 4096"),
 ], ids=["cutoff_zero", "bs_not_square", "cavity_needs_mode", "pulse_width_zero",
-        "degree_cap", "verify_non_finite_state"])
+        "degree_cap", "verify_non_finite_state", "space_past_max_dim"])
 def test_error_paths_exit_with_their_one_line(argv, text, code, line, netlist, capsys):
     rc = main([argv[0], netlist(text), *argv[1:]])
     assert rc == code

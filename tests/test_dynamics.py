@@ -425,8 +425,18 @@ def test_compiled_integrators_match_the_reference(rng, case):
     assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
 
 
+def _stage_peak(f, X, out):
+    """Peak bytes allocated by one master stage."""
+    tracemalloc.start()
+    f(X, 0, 2, out)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
 def test_compiled_lindblad_matches_the_reference_on_any_matrix(rng):
-    # dense at d=3, CSR at d=121 (dense K beside CSR couplings in signals_3ch)
+    # dense at d=3; CSR at d=121, except signals_3ch, whose K fills past
+    # SPARSE_MAX_FILL, so that run is dense throughout
     for case in CASES:
         for two_mode in (False, True):
             g, binds = _reference_case(rng, case, two_mode)
@@ -437,11 +447,16 @@ def test_compiled_lindblad_matches_the_reference_on_any_matrix(rng):
             f(X, 0, 1, out)
             assert np.max(np.abs(out - lindblad_rhs(X, g, t, binds))) < 1e-12, (case, two_mode)
             if two_mode:  # a stage allocates no state-sized array
-                tracemalloc.start()
-                f(X, 0, 2, out)
-                peak = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
-                assert peak < X.nbytes // 4, (case, peak)
+                assert _stage_peak(f, X, out) < X.nbytes // 4, case
+    # nor does a dense stage with couplings: an open cavity at d=16 and d=64
+    for cutoff in (15, 63):
+        g = cavity(HilbertSpace.fock("c", cutoff), "c", 0.4, 1.0)
+        X = random_matrix(rng, g.space.total_dim)
+        f = _compiled_lindblad(g, {})(np.full((1, 3), 0.17))
+        out = np.empty_like(X)
+        f(X, 0, 1, out)
+        assert np.max(np.abs(out - lindblad_rhs(X, g, 0.17))) < 1e-12, cutoff
+        assert _stage_peak(f, X, out) < X.nbytes // 4, cutoff
 
 
 CASCADE = """\
@@ -477,9 +492,14 @@ def test_backend_follows_dimension_and_fill(rng):
         assert value.nnz == np.count_nonzero(sum(np.abs(c) for c in poly.terms.values()))
         assert np.max(np.abs(value.toarray() - poly.evaluate(0.3, net.signals).matrix)) < 1e-13
 
-    # a dense random coupling at the same d stays dense
+    # a dense random coupling at the same d stays dense, and so does every
+    # polynomial compiled beside it: the format belongs to the run
     dense = OpPolynomial.constant(Operator(g.space, random_matrix(rng, 196)))
     assert isinstance(compiled([dense])[0], np.ndarray)
+    values = compiled([g.H, *g.L, dense], net.signals)
+    assert all(isinstance(v, np.ndarray) for v in values)
+    for poly, value in zip([g.H, *g.L], values):
+        assert np.max(np.abs(value - poly.evaluate(0.3, net.signals).matrix)) < 1e-13
 
 
 @pytest.mark.parametrize("two_mode", [False, True], ids=["dense", "d121_csr"])
