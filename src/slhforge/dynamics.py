@@ -22,14 +22,18 @@ against.  Each observable is compiled too, onto its nonzero pattern, so
 reading it at a grid point costs O(nnz).
 
 The workspace belongs to the run.  Each compiled polynomial keeps one
-matrix whose entries each stage rewrites in place; the RK4 slopes, the
-stage input and the generator's scratch matrices are allocated once; the
-state is updated in place; and every product writes into one of these
-buffers (:func:`_product`).  Once the loop starts, no state-sized array
-is allocated, so its cost does not depend on whether the allocator has
-returned freed memory to the kernel.  The buffered RK4 update and each
-product keep the order of the expressions written out with temporaries,
-bit for bit.  The master-equation stage sums its terms in its own order
+matrix whose entries are rewritten in place once per stage time; the RK4
+slopes, the stage input, a ring of the last states (at most 256 KiB, and
+only the state itself for a density matrix past d = 90) and the
+generator's scratch matrices are allocated once; the state is updated in
+place; and every product writes into one of these buffers
+(:func:`_product`).  Once the loop starts, no state-sized array is
+allocated, so its cost does not depend on whether the allocator has
+returned freed memory to the kernel.  The diagnostics of a full ring are
+computed at once and checked in grid order, so an abort names the first
+failing grid point.  The buffered RK4 update, each product and each
+diagnostic keep the order of the expressions written out per state, bit
+for bit.  The master-equation stage sums its terms in its own order
 (:func:`_compiled_lindblad`): on CSR values the kernels accumulate Kρ
 and each Lᵢ(ρLᵢ†) onto ρK† entry by entry, which agrees with the
 reference to rounding, not bit for bit.
@@ -40,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -322,25 +327,30 @@ def _leak_masks(space: HilbertSpace) -> list[np.ndarray]:
             if f.kind == FOCK and f.dim >= 3]
 
 
-def _fock_leak(masks: Sequence[np.ndarray], probs: np.ndarray) -> float:
-    """Max over Fock factors of the top-two-level marginal population,
-    0 when no factor has a mask.  A NaN marginal is kept, not dropped."""
-    leak = 0.0
+def _diagnose(masks: Sequence[np.ndarray], block: np.ndarray):
+    """(drift, purity, leak) arrays of a block of state vectors or density
+    matrices, bit for bit the formulas on each state alone: drift |‖ψ‖ − 1|
+    (``np.linalg.norm``) or |Re tr ρ − 1|, purity 1 or Re tr(ρρ), and leak
+    the max over Fock factors of the top-two-level marginal population (0
+    without a mask), keeping a NaN marginal."""
+    if block.ndim == 2:
+        # np.linalg.norm's re·re + im·im: a batched matmul of the strided
+        # views adds in its order (einsum and .sum do not)
+        re, im = block.real, block.imag
+        norm = np.sqrt(np.matmul(re[:, None, :], re[:, :, None])
+                       + np.matmul(im[:, None, :], im[:, :, None])).reshape(-1)
+        drift, pur, probs = np.abs(norm - 1.0), np.ones(len(block)), np.abs(block) ** 2
+    else:
+        drift = np.abs(np.trace(block, axis1=1, axis2=2).real - 1.0)
+        # tr(ρρ) without the product; equal for any ρ, Hermitian or not
+        pur = np.einsum("kij,kji->k", block, block).real
+        probs = np.diagonal(block, axis1=1, axis2=2).real
+    leak = np.zeros(len(block))
     for mask in masks:
-        value = float(probs[mask].sum())
-        if math.isnan(value) or value > leak:
-            leak = value
-    return leak
-
-
-def _diagnose(masks: Sequence[np.ndarray], y: np.ndarray) -> tuple[float, float, float]:
-    """(drift, purity, leak) of a state vector or a density matrix."""
-    if y.ndim == 1:
-        return abs(float(np.linalg.norm(y)) - 1.0), 1.0, _fock_leak(masks, np.abs(y) ** 2)
-    drift = abs(float(np.real(np.trace(y))) - 1.0)
-    # trace(y @ y) without the product; equal for any y, Hermitian or not
-    pur = float(np.real(np.einsum("ij,ji->", y, y)))
-    return drift, pur, _fock_leak(masks, np.real(np.diag(y)))
+        # summed along C-ordered rows, as the 1-d sum adds (probs[:, mask] is not)
+        value = np.compress(mask, probs, axis=1).sum(axis=1)
+        leak = np.where(np.isnan(value) | (value > leak), value, leak)
+    return drift, pur, leak
 
 
 def _pattern(coeffs: Sequence[np.ndarray], mask: np.ndarray, csr: bool):
@@ -375,23 +385,37 @@ class _Compiled:
     ``values`` holds one matrix per polynomial for the whole run, and
     calling the object with a table index (k, j) rewrites the entries of
     every non-constant one with its value at ``stages[k, j]``, in place,
-    and returns ``values``.  The values are rewritten once per index: a
-    call at the index of the call before it (RK4's k₂ and k₃ share
-    (k, 1)) rewrites nothing.
+    and returns ``values``.  The memo is the stage time: a call at the time
+    of the call before it rewrites nothing.  RK4's k₂ and k₃ share (k, 1),
+    and (k, 2) and (k+1, 0) share t_{k+1} wherever t_k + (t_{k+1} − t_k)
+    rounds to it (always on a ``linspace`` from 0, by Sterbenz's lemma), so
+    a step rewrites twice, from equal samples at equal times, bit for bit.
     """
 
-    __slots__ = ("values", "_updates", "_index")
+    __slots__ = ("values", "_updates", "_stages", "_time")
 
-    def __init__(self, values: list, updates: list):
+    def __init__(self, values: list, updates: list, stages: np.ndarray):
         self.values = values
-        self._updates = updates
-        self._index = None
+        self._updates = updates  # (value index, monomial values, stack, entries, conjugate)
+        self._stages = stages
+        self._time = None
+
+    def conjugate_into(self, buffers: list) -> None:
+        """Write each value's conjugate entries into its buffer, now and at each rewrite."""
+        for value, buffer in zip(self.values, buffers):
+            np.conjugate(value.reshape(-1) if isinstance(value, np.ndarray) else value.data,
+                         out=buffer)
+        self._updates = [(i, vals, stack, entries, buffers[i])
+                         for i, vals, stack, entries, _ in self._updates]
 
     def __call__(self, k: int, j: int) -> list:
-        if (k, j) != self._index:
-            for vals, stack, entries in self._updates:
+        t = self._stages[k, j]
+        if t != self._time:
+            for _, vals, stack, entries, conjugate in self._updates:
                 np.matmul(vals[k, j], stack, out=entries)
-            self._index = (k, j)
+                if conjugate is not None:
+                    np.conjugate(entries, out=conjugate)
+            self._time = t
         return self.values
 
 
@@ -414,8 +438,8 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     contraction of its k monomial values with its stack, over a fixed
     pattern.  Every call returns the same matrices: each polynomial has
     one for the whole run, and a stage rewrites its entries (the CSR
-    ``data``) in place, so the caller reads a value before it asks for the
-    next stage.  A constant polynomial's matrix is never rewritten.
+    ``data``) in place once per stage time, so the caller reads a value
+    before it asks for the next stage.  A constant one is never rewritten.
     """
     d = polys[0].space.total_dim
     bindings = bindings or {}
@@ -445,31 +469,34 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     csr = d >= SPARSE_MIN_DIM and all(np.count_nonzero(m) <= SPARSE_MAX_FILL * d * d
                                       for m in masks)
     values, updates = [], []
-    for poly, mask in zip(polys, masks):
+    for i, (poly, mask) in enumerate(zip(polys, masks)):
         stack, value = _pattern(list(poly.terms.values()), mask, csr)
         values.append(value)
         if not poly.is_constant():
             # the entries a stage rewrites: a dense matrix's flat view, or CSR data
             entries = value.reshape(-1) if isinstance(value, np.ndarray) else value.data
-            updates.append((np.stack([monomial_values(m) for m in poly.terms], axis=-1),
-                            stack, entries))
-    return _Compiled(values, updates)
+            updates.append((i, np.stack([monomial_values(m) for m in poly.terms], axis=-1),
+                            stack, entries, None))
+    return _Compiled(values, updates, stages)
 
 
-def _product(m, x: np.ndarray, out: np.ndarray) -> None:
-    """out = m @ x, bitwise, for a dense or CSR matrix m (a value of
-    :func:`_compile`, or a stack of them) and a dense C-ordered vector or
-    matrix x, written into the C-ordered buffer out.
+def _product(m) -> Callable[[np.ndarray, np.ndarray], None]:
+    """The product with a dense or CSR matrix m (a value of
+    :func:`_compile`, or a stack of them), chosen once per matrix: a
+    callable ``(x, out)`` writing m @ x, bitwise, for a dense C-ordered
+    vector or matrix x into the C-ordered buffer out.
 
-    A dense m is one ``np.matmul``.  A CSR m calls the kernel that
+    A dense m is ``np.matmul`` with m bound.  A CSR m calls the kernel that
     ``csr_array.__matmul__`` itself calls (:func:`_csr_accumulate`), which
     accumulates into out, so out is zeroed first.
     """
     if isinstance(m, np.ndarray):
-        np.matmul(m, x, out=out)
-        return
-    out.fill(0)
-    _csr_accumulate(m, x, out)
+        return partial(np.matmul, m)
+
+    def product(x, out):
+        out.fill(0)
+        _csr_accumulate(m, x, out)
+    return product
 
 
 def _product_plus(m, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
@@ -551,27 +578,29 @@ def _rk4(
     stage times t, t + h/2 and t + h of every step, and returns f with
     ``f(y, k, j, out)`` writing dy/dt at stage time ``stages[k, j]`` into
     out, which is never y.  A step calls f at (k, 0), (k, 1) twice and
-    (k, 2), so compiled values are rewritten three times a step
-    (:class:`_Compiled`).  Each observable is compiled once onto its
-    nonzero pattern (:func:`_observable`), so a grid point reads Tr(ρA) or
-    ψ†Aψ as a gather and a dot over nnz(A) entries.
+    (k, 2); compiled values are rewritten once per stage time, twice a
+    step on a ``linspace`` grid (:class:`_Compiled`).  Each observable is
+    compiled onto its nonzero pattern (:func:`_observable`).
 
-    The workspace belongs to the run: the four slopes and the stage input
-    are allocated once, shaped like y, and y itself (owned by the caller,
-    which passes a copy) is updated in place, so no state-sized array is
-    allocated once the loop starts.  The update is evaluated as
-    y + (h/6)·(((k1 + 2·k2) + 2·k3) + k4), in that order, with k1 as the
-    accumulator.  Stored states are copies; the result's ``final`` is y.
+    The four slopes, the stage input and a ring of the last
+    B = min(32, max(1, 256 KiB // y.nbytes)) states are allocated once, and
+    y (the caller passes a copy) is updated in place as
+    y + (h/6)·(((k1 + 2·k2) + 2·k3) + k4), in that order.  Each full ring,
+    and the last part of one, is diagnosed and read as one block
+    (:func:`_diagnose`); at B = 1 the block is a view of y.  Stored states
+    are copies; the result's ``final`` is y.
 
-    Aborts with IntegrationError on a non-finite diagnostic, on drift
-    beyond ``drift_tol``, or on leak beyond ``leak_threshold`` (None
-    only records the leak).
+    The first grid point of a block with a non-finite diagnostic, drift
+    beyond ``drift_tol`` or leak beyond ``leak_threshold`` (None only
+    records the leak) aborts with IntegrationError, checked in that order,
+    with that point's time and value; the steps after it are discarded.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
     pure = y.ndim == 1
     drift_message = "norm drift exceeds tolerance" if pure else "trace drift exceeds tolerance"
+    leak_limit = math.inf if leak_threshold is None else leak_threshold
     readers = {name: _observable(op.matrix, pure) for name, op in (observables or {}).items()}
     masks = _leak_masks(space)
 
@@ -581,45 +610,55 @@ def _rk4(
     leak = np.empty(n_steps)
     expect = {name: np.empty(n_steps, dtype=complex) for name in readers}
     states = [] if store_states else None
+    # the last B states, diagnosed together; at B = 1 the ring is y itself,
+    # and writing y into it copies nothing
+    B = min(32, max(1, 262144 // y.nbytes))
+    ring = np.empty((B,) + y.shape, dtype=complex) if B > 1 else y[None]
 
-    def record(k, y):
-        d, p, lk = _diagnose(masks, y)
-        drift[k], pur[k], leak[k] = d, p, lk
+    def check(k, block):  # record grid points k, k + 1, …; raise at the first failure
+        end = k + len(block)
+        d, p, lk = _diagnose(masks, block)
+        drift[k:end], pur[k:end], leak[k:end] = d, p, lk
         for name, read in readers.items():
-            expect[name][k] = read(y)
+            expect[name][k:end] = [read(state) for state in block]
         if states is not None:
-            states.append(y.copy())
-        t = times[k]
-        for value in (d, p, lk):
-            if not math.isfinite(value):
-                raise IntegrationError("non-finite state", t, value)
-        # written so that NaN fails the comparison
-        if not d <= drift_tol:
-            raise IntegrationError(drift_message, t, d)
-        if leak_threshold is not None and not lk <= leak_threshold:
+            states.extend(block.copy())
+        # written so that NaN fails every comparison
+        bad = ~(np.isfinite(p) & np.isfinite(lk) & (d <= drift_tol) & (lk <= leak_limit))
+        if bad.any():
+            i = int(bad.argmax())
+            d, p, lk, t = float(d[i]), float(p[i]), float(lk[i]), times[k + i]
+            for value in (d, p, lk):
+                if not math.isfinite(value):
+                    raise IntegrationError("non-finite state", t, value)
+            if not d <= drift_tol:
+                raise IntegrationError(drift_message, t, d)
             raise IntegrationError("truncation leak exceeds threshold", t, lk)
 
     t0 = times[:-1]
     h = times[1:] - t0
-    # an overflow surfaces as a non-finite diagnostic, which record reports
+    # an overflow surfaces as a non-finite diagnostic, which check reports
     with np.errstate(over="ignore", invalid="ignore"):
         f = rhs(np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1))
-        record(0, y)
         k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
-        for k in range(n_steps - 1):
-            hk = h[k]
-            f(y, k, 0, k1)
-            np.add(y, np.multiply(0.5 * hk, k1, out=ys), out=ys)
-            f(ys, k, 1, k2)
-            np.add(y, np.multiply(0.5 * hk, k2, out=ys), out=ys)
-            f(ys, k, 1, k3)
-            np.add(y, np.multiply(hk, k3, out=ys), out=ys)
-            f(ys, k, 2, k4)
-            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-            np.add(k1, k4, out=k1)
-            np.add(y, np.multiply(hk / 6.0, k1, out=k1), out=y)
-            record(k + 1, y)
+        for k in range(-1, n_steps - 1):  # step k takes y to grid point k + 1
+            if k >= 0:
+                hk = h[k]
+                f(y, k, 0, k1)
+                np.add(y, np.multiply(0.5 * hk, k1, out=ys), out=ys)
+                f(ys, k, 1, k2)
+                np.add(y, np.multiply(0.5 * hk, k2, out=ys), out=ys)
+                f(ys, k, 1, k3)
+                np.add(y, np.multiply(hk, k3, out=ys), out=ys)
+                f(ys, k, 2, k4)
+                np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+                np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+                np.add(k1, k4, out=k1)
+                np.add(y, np.multiply(hk / 6.0, k1, out=k1), out=y)
+            slot = (k + 1) % B
+            ring[slot] = y
+            if slot == B - 1 or k == n_steps - 2:
+                check(k + 1 - slot, ring[:slot + 1])
 
     return SimulationResult(times, expect, drift, pur, leak, states, y)
 
@@ -650,7 +689,7 @@ def _compiled_lindblad(
         for Lp in live:
             K = K + (Lp.dagger() * Lp).scale(-0.5)
         at = _compile([K] + live, bindings, stages)
-        update, right = _right_products(at.values)
+        update, right = _right_products(at)
         (K_at, K_right), *couplings = zip(at.values, right)
         scratch = np.empty((g.space.total_dim,) * 2, dtype=complex)
 
@@ -666,50 +705,46 @@ def _compiled_lindblad(
     return rhs
 
 
-def _right_products(values: list):
-    """The products ρM† for the d×d ``values`` M (all dense or all CSR) of
-    one stage: an update f(ρ) that recomputes them from the values'
-    current entries, and the d×d views it writes them to, in order.
+def _right_products(at: _Compiled):
+    """The products ρM† for the d×d values M (all dense or all CSR) of
+    ``at``: an update f(ρ) that recomputes them from the values' current
+    entries, and the d×d views it writes them to, in order.
 
     The conjugates M̄ are stacked as the blocks of one operator S̄, which
-    each update rewrites, so the products are the blocks of one product
-    with S̄ on M's own patterns.  A dense S̄ is an (n, d, d) stack
-    multiplied as the batch ρM̄ᵢᵀ, which BLAS reads without a copy, into
-    C-ordered d×d products, so that adding one allocates no buffer; a
-    single value takes the plain 2-D product, which skips the batch loop.
-    A CSR S̄ is the (n·d, d) row stack, multiplied as S̄ρᵀ, as the CSR
-    kernel only multiplies into the rows of a C-ordered operand: ρᵀ is
-    copied once per update, and the transpose of the i-th block of rows
-    is ρMᵢ†.
+    ``at`` rewrites with each value (:meth:`_Compiled.conjugate_into`), so
+    the products are the blocks of one product with S̄ on M's own
+    patterns.  A dense S̄ is an (n, d, d) stack multiplied as the batch
+    ρM̄ᵢᵀ, which BLAS reads without a copy, into C-ordered d×d products,
+    so that adding one allocates no buffer; a single value takes the plain
+    2-D product, which skips the batch loop.  A CSR S̄ is the (n·d, d) row
+    stack, multiplied as S̄ρᵀ, as the CSR kernel only multiplies into the
+    rows of a C-ordered operand: ρᵀ is copied once per update, and the
+    transpose of the i-th block of rows is ρMᵢ†.
     """
+    values = at.values
     n, d = len(values), values[0].shape[0]
     if isinstance(values[0], np.ndarray):
         stack = np.empty((n, d, d), dtype=complex)
-        pairs = list(zip(values, stack))
+        at.conjugate_into(list(stack.reshape(n, d * d)))
         products = np.empty((n, d, d), dtype=complex)
         blocks = list(products)
         right, into = ((stack[0].T, products[0]) if n == 1
                        else (stack.transpose(0, 2, 1), products))
-
-        def update(rho):
-            for entries, conjugate in pairs:
-                np.conjugate(entries, out=conjugate)
-            np.matmul(rho, right, out=into)
+        update = lambda rho: np.matmul(rho, right, out=into)  # noqa: E731
     else:
         from scipy import sparse
 
         stack = sparse.vstack(values, format="csr")  # keeps explicit zeros
         offsets = np.cumsum([0] + [m.nnz for m in values])
-        pairs = [(m.data, stack.data[o:o + m.nnz]) for m, o in zip(values, offsets)]
+        at.conjugate_into([stack.data[o:o + m.nnz] for m, o in zip(values, offsets)])
+        product = _product(stack)
         rho_t = np.empty((d, d), dtype=complex)
         products = np.empty((n * d, d), dtype=complex)
         blocks = [products[i * d:(i + 1) * d].T for i in range(n)]
 
         def update(rho):
-            for entries, conjugate in pairs:
-                np.conjugate(entries, out=conjugate)
             np.copyto(rho_t, rho.T)
-            _product(stack, rho_t, products)
+            product(rho_t, products)
 
     return update, blocks
 
@@ -772,7 +807,12 @@ def integrate_schrodinger(
 
     def rhs(stages):
         at = _compile([H.scale(-1j)], bindings, stages)
-        return lambda psi, k, j, out: _product(at(k, j)[0], psi, out)
+        product = _product(at.values[0])
+
+        def f(psi, k, j, out):
+            at(k, j)
+            product(psi, out)
+        return f
 
     return _rk4(rhs, psi, times, H.space, observables, store_states,
                 norm_tol, leak_threshold)

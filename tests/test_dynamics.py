@@ -23,6 +23,7 @@ from slhforge import (
     SampledSignal,
     analytic_driven_cavity,
     annihilator,
+    build_cancellation_chain,
     cavity,
     coherent_fidelity,
     coherent_vector,
@@ -399,6 +400,161 @@ def _reference_case(rng, case, two_mode=False):
     return g, {"u": ComplexExponentialSignal("u", 0.8 - 0.3j, 2.1, 0.4)}
 
 
+# -- block diagnostics ---------------------------------------------------------
+
+
+def _scalar_diagnostics(masks, y):
+    """(drift, purity, leak) of one state by the per-state formulas the
+    block diagnostics must reproduce bit for bit."""
+    if y.ndim == 1:
+        drift, pur, probs = abs(float(np.linalg.norm(y)) - 1.0), 1.0, np.abs(y) ** 2
+    else:
+        drift = abs(float(np.real(np.trace(y))) - 1.0)
+        pur = float(np.real(np.einsum("ij,ji->", y, y)))
+        probs = np.real(np.diag(y))
+    leak = 0.0
+    for mask in masks:
+        value = float(probs[mask].sum())
+        if math.isnan(value) or value > leak:
+            leak = value
+    return drift, pur, leak
+
+
+def _fock_space(cutoffs):
+    return HilbertSpace([HilbertSpace.fock(f"m{i}", c).factors[0] for i, c in enumerate(cutoffs)])
+
+
+@pytest.mark.parametrize("space", [HilbertSpace.generic("q", 3), _fock_space([15]),
+                                   _fock_space([10, 10])], ids=["d3", "d16", "d121"])
+def test_block_diagnostics_match_the_per_state_formulas_bitwise(rng, space):
+    d = space.total_dim
+    masks = dynamics._leak_masks(space)
+    assert bool(masks) == (d > 3)  # a generic factor has no leak mask
+    specials = [np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(2.0, -np.inf)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for draw in range(60):
+            n = int(rng.integers(1, 33))
+            for shape in ((n, d), (n, d, d)):
+                block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                block *= 10.0 ** rng.uniform(-3.0, 1.0)
+                if len(shape) == 3 and draw % 2:
+                    block += np.conj(np.swapaxes(block, 1, 2))  # Hermitian
+                if len(shape) == 3 and draw % 3 == 0:  # negative populations
+                    block[:, range(d), range(d)] = -np.abs(block[:, range(d), range(d)].real)
+                if draw % 4 == 0:
+                    at = tuple(int(rng.integers(0, s)) for s in shape)
+                    block[at] = specials[draw // 4 % len(specials)]
+                got = dynamics._diagnose(masks, block)
+                want = np.array([_scalar_diagnostics(masks, y) for y in block]).T
+                assert np.array(got).tobytes() == want.tobytes(), (shape, draw)
+
+
+B16 = 32  # the ring of a d=16 state: min(32, 256 KiB // nbytes) for ψ and ρ alike
+N_GRID = 2 * B16 + 6  # two full blocks and a partial one
+EDGES = [0, 1, B16 - 1, B16, B16 + 1, 2 * B16 - 1, 2 * B16, N_GRID - 1]
+
+
+def _edge_run(pure, drift_tol, leak_threshold, nan_at=None, store_states=False):
+    """An RK4 run on one mode at d=16 whose norm or trace grows and whose
+    top level fills, both strictly, so each crosses any threshold set
+    between two grid points.  The step into grid point ``nan_at`` turns
+    the state into NaN (at 0 the initial state holds a NaN)."""
+    space = _fock_space([15])
+    d = space.total_dim
+    A = np.zeros((d, d), dtype=complex)
+    A[0, -1] = A[-1, 0] = 1.0  # rotates |0> into the top level
+    G = 2.0 * np.eye(d) - 1j * A
+
+    def rhs(stages):
+        def f(y, k, j, out):
+            if pure:
+                np.matmul(G, y, out=out)
+            else:
+                np.copyto(out, G @ y + y @ G.conj().T)
+            if nan_at is not None and k == nan_at - 1:
+                out.fill(np.nan)
+        return f
+
+    psi = np.zeros(d, dtype=complex)
+    psi[0], psi[-1] = 1.001 * math.cos(0.05), 1.001 * math.sin(0.05)  # drift from t=0
+    if nan_at == 0:
+        psi[3] = np.nan
+    y = psi if pure else np.outer(psi, psi.conj())
+    times = np.linspace(0.0, 0.01 * (N_GRID - 1), N_GRID)
+    return dynamics._rk4(rhs, y.copy(), times, space, None, store_states, drift_tol,
+                         leak_threshold)
+
+
+def _first_failure(states, times, masks, drift_message, drift_tol, leak_threshold):
+    """The IntegrationError the per-step check raises on these states."""
+    for t, y in zip(times, states):
+        d, p, lk = _scalar_diagnostics(masks, y)
+        for value in (d, p, lk):
+            if not math.isfinite(value):
+                return IntegrationError("non-finite state", t, value)
+        if not d <= drift_tol:
+            return IntegrationError(drift_message, t, d)
+        if leak_threshold is not None and not lk <= leak_threshold:
+            return IntegrationError("truncation leak exceeds threshold", t, lk)
+    return None
+
+
+def _between(values, cross):
+    return values[0] / 2 if cross == 0 else 0.5 * (values[cross - 1] + values[cross])
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["psi", "rho"])
+@pytest.mark.parametrize("kind", ["drift", "leak", "both", "nan"])
+@pytest.mark.parametrize("cross", EDGES)
+def test_block_abort_names_the_first_failing_grid_point(pure, kind, cross):
+    free = _edge_run(pure, math.inf, None, store_states=True)
+    assert len(free.states) == N_GRID and np.all(np.diff(free.drift) > 0)
+    assert np.all(np.diff(free.leak) > 0) and free.drift[0] > 0.0
+    drift_tol = _between(free.drift, cross) if kind in ("drift", "both") else math.inf
+    leak_threshold = _between(free.leak, cross) if kind in ("leak", "both") else None
+    states = free.states
+    if kind == "nan":  # every later state stays NaN
+        states = states[:cross] + [np.full_like(states[0], np.nan)] * (N_GRID - cross)
+    masks = dynamics._leak_masks(_fock_space([15]))
+    message = "norm drift exceeds tolerance" if pure else "trace drift exceeds tolerance"
+    want = _first_failure(states, free.times, masks, message, drift_tol, leak_threshold)
+    assert want is not None and want.t == free.times[cross]
+    with pytest.raises(IntegrationError) as exc:
+        _edge_run(pure, drift_tol, leak_threshold, nan_at=cross if kind == "nan" else None)
+    got = exc.value
+    assert str(got) == str(want)
+    assert got.t == want.t and type(got.t) is type(want.t)
+    assert np.array(got.value).tobytes() == np.array(want.value).tobytes()
+    if kind == "both":  # drift is checked before leak at one grid point
+        assert "drift" in str(got)
+
+
+def test_a_leak_before_a_drift_in_one_block_is_reported_first():
+    free = _edge_run(False, math.inf, None)
+    with pytest.raises(IntegrationError, match="leak") as exc:
+        _edge_run(False, _between(free.drift, 5), _between(free.leak, 3))
+    assert exc.value.t == free.times[3]
+
+
+def test_ring_memory_does_not_grow_with_the_run():
+    # per step, the run keeps its diagnostics and the stage tables of its
+    # signals (a few hundred bytes); a state kept per step would add 4 KiB
+    sp = HilbertSpace.fock("c", 15)
+    g = build_cancellation_chain([0.6 * annihilator(sp, "c")], number_op(sp, "c"), ["u"], sp)
+    binds = {"u": GaussianPulseSignal("u", amplitude=0.4, center=0.05, width=0.02)}
+    vacuum = QuantumState.vacuum(sp)
+    peaks = []
+    for n in (100, 1000):
+        times = np.linspace(0.0, 1e-4 * n, n + 1)
+        integrate_master(g, vacuum, times, binds)  # warm every cache first
+        tracemalloc.start()
+        integrate_master(g, vacuum, times, binds)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    state = sp.total_dim ** 2 * 16
+    assert peaks[1] - peaks[0] < 900 * state // 4, peaks
+
+
 CASES = ["signals_2ch", "signals_3ch", "constant", "zero_L", "sampled"]
 
 
@@ -530,6 +686,43 @@ def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
     for poly, value in zip(polys, third):
         assert np.isnan(entries(value)).all() == poly.is_constant()
 
+    # the memo is the stage time: (0, 2) and (1, 0) share t = 0.2, so the
+    # second call rewrites nothing, while a new time rewrites every
+    # non-constant value; conjugates follow their value's rewrites only
+    at = _compile(polys, binds, np.array([[0.1, 0.15, 0.2], [0.2, 0.25, 0.3]]))
+    conjugates = [np.full(entries(v).shape, np.nan, dtype=complex) for v in at.values]
+    at.conjugate_into(conjugates)  # written at once, constant values included
+    assert all(np.array_equal(c, entries(v).conj()) for v, c in zip(at.values, conjugates))
+    at(0, 2)
+    for value, conjugate in zip(at.values, conjugates):
+        assert np.array_equal(conjugate, entries(value).conj())
+        entries(value)[:] = np.nan
+        conjugate[:] = np.nan
+    at(1, 0)
+    assert all(np.isnan(entries(v)).all() and np.isnan(c).all()
+               for v, c in zip(at.values, conjugates))
+    at(1, 1)
+    for poly, value, conjugate in zip(polys, at.values, conjugates):
+        assert np.isnan(entries(value)).all() == poly.is_constant()
+        assert np.isnan(conjugate).all() == poly.is_constant()
+        if not poly.is_constant():
+            got = value if isinstance(value, np.ndarray) else value.toarray()
+            assert np.max(np.abs(got - poly.evaluate(0.25, binds).matrix)) < 1e-13
+            assert np.array_equal(conjugate, entries(value).conj())
+
+    # on the stage table of a linspace grid, t_k + h_k is t_{k+1} exactly,
+    # and the value kept from (k, 2) has the bits of a rewrite at (k+1, 0)
+    times = np.linspace(0.0, 0.3, 31)
+    t0, h = times[:-1], np.diff(times)
+    stages = np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1)
+    kept, fresh = _compile(polys, binds, stages), _compile(polys, binds, stages)
+    for k in range(len(t0) - 1):
+        assert stages[k, 2] == stages[k + 1, 0]
+        kept(k, 2)
+        fresh(k + 1, 1)
+        for a, b in zip(kept(k + 1, 0), fresh(k + 1, 0)):
+            assert _bits(entries(a)) == _bits(entries(b))
+
 
 def test_observable_read_matches_the_trace_and_the_quadratic_form(rng):
     sp = HilbertSpace([HilbertSpace.fock("a", 10).factors[0],
@@ -560,7 +753,7 @@ def test_product_matches_matmul_bitwise(rng):
     for m in [*values, random_matrix(rng, d)]:
         for x in (X, v):
             out = np.full_like(x, np.nan)  # the kernel must not read what out held
-            dynamics._product(m, x, out)
+            dynamics._product(m)(x, out)
             assert _bits(out) == _bits(m @ x)
 
 

@@ -1,6 +1,7 @@
 """Netlist parsing, pretty-printing, semantic analysis, and reduction."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +243,30 @@ def test_scalar_expressions_match_complex_arithmetic(tree):
     got = compiled.triple.L[0].evaluate(0.0, compiled.signals).matrix
     assert abs(got[0, 0] - want) <= 1e-12 * max(1.0, bound)
     assert np.array_equal(got, got[0, 0] * np.eye(2))
+
+
+NETLISTS = Path(__file__).parent / "netlists"
+CORPUS = {path.name: path.read_text() for path in sorted(NETLISTS.glob("*.slh"))}
+MUTANT_CHARS = "acnuxzAGHST0129 _()[]<|=,.*+-#\n\t'\"ei\\$?é"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(CORPUS)), st.sampled_from(["insert", "delete", "replace"]),
+       st.data())
+def test_mutated_corpus_netlists_compile_or_fail_with_a_position(name, edit, data):
+    text = CORPUS[name]
+    at = data.draw(st.integers(0, len(text) - (edit != "insert")))
+    char = "" if edit == "delete" else data.draw(st.sampled_from(MUTANT_CHARS))
+    mutant = text[:at] + char + text[at + (edit != "insert"):]
+    try:
+        compile_netlist(parse_netlist(mutant), base_dir=str(NETLISTS))
+    except (NetlistSyntaxError, NetlistSemanticError) as err:
+        lines = mutant.split("\n")
+        assert 1 <= err.line <= len(lines) and 1 <= err.col <= len(lines[err.line - 1]) + 1
+    except NetlistReductionError as err:
+        # the one netlist failure without a position: the chain's channel
+        # counts disagree (err_channel_mismatch.slh and its mutants)
+        assert "channel-count mismatch" in str(err)
 
 
 def _nested(kind, n):
