@@ -27,16 +27,17 @@ slopes, the stage input, a ring of the last states (at most 256 KiB, and
 only the state itself for a density matrix past d = 90) and the
 generator's scratch matrices are allocated once; the state is updated in
 place; and every product writes into one of these buffers
-(:func:`_product`).  Once the loop starts, no state-sized array is
-allocated, so its cost does not depend on whether the allocator has
-returned freed memory to the kernel.  The diagnostics of a full ring are
-computed at once and checked in grid order, so an abort names the first
-failing grid point.  The buffered RK4 update, each product and each
-diagnostic keep the order of the expressions written out per state, bit
-for bit.  The master-equation stage sums its terms in its own order
-(:func:`_compiled_lindblad`): on CSR values the kernels accumulate Kρ
-and each Lᵢ(ρLᵢ†) onto ρK† entry by entry, which agrees with the
-reference to rounding, not bit for bit.
+(:func:`_product` in the Schrödinger stage, and one stage closure per
+matrix format in the master equation's, :func:`_compiled_lindblad`).
+Once the loop starts, no state-sized array is allocated, so its cost
+does not depend on whether the allocator has returned freed memory to
+the kernel.  The diagnostics of a full ring are computed at once and
+checked in grid order, so an abort names the first failing grid point.
+The buffered RK4 update, each product and each diagnostic keep the order
+of the expressions written out per state, bit for bit, and so does the
+dense master stage, Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) on the compiled values.  The
+CSR master stage accumulates Kρ and each Lᵢ(ρLᵢ†) onto ρK† entry by
+entry, which agrees with the reference to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class QuantumState:
         d = space.total_dim
         if vector is not None:
             vector = np.asarray(vector, dtype=complex).reshape(d)
+            if not np.isfinite(vector).all():
+                raise ValueError("pure state has a non-finite entry")
             norm = np.linalg.norm(vector)
             if abs(norm - 1.0) > 1e-10:
                 raise ValueError(f"pure state norm {norm} is not 1 within 1e-10")
@@ -99,6 +102,8 @@ class QuantumState:
             rho = np.asarray(rho, dtype=complex)
             if rho.shape != (d, d):
                 raise ValueError("density matrix shape mismatch")
+            if not np.isfinite(rho).all():
+                raise ValueError("density matrix has a non-finite entry")
             if abs(np.trace(rho) - 1.0) > 1e-10:
                 raise ValueError("density matrix trace is not 1 within 1e-10")
             if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
@@ -353,32 +358,6 @@ def _diagnose(masks: Sequence[np.ndarray], block: np.ndarray):
     return drift, pur, leak
 
 
-def _pattern(coeffs: Sequence[np.ndarray], mask: np.ndarray, csr: bool):
-    """The coefficients stacked on their union nonzero pattern ``mask``,
-    and one matrix on that pattern holding a copy of the first row of the
-    stack.
-
-    When ``csr`` (the run's format, decided by :func:`_compile`), the
-    pattern is CSR, with sorted column indices and shared by every row of
-    the stack; otherwise each row is a dense d·d matrix.  A coefficient
-    that misses part of the union holds explicit zeros there.  The zero
-    polynomial (no coefficients) stacks one zero row.
-    """
-    d = mask.shape[0]
-    if not csr:
-        stack = (np.stack(coeffs).reshape(len(coeffs), d * d) if coeffs
-                 else np.zeros((1, d * d), dtype=complex))
-        return stack, stack[0].reshape(d, d).copy()
-    from scipy import sparse
-
-    rows, cols = np.nonzero(mask)  # row-major: the CSR order
-    cols = cols.astype(np.int32)
-    indptr = np.searchsorted(rows, np.arange(d + 1)).astype(np.int32)
-    stack = (np.stack([c[rows, cols] for c in coeffs]) if coeffs
-             else np.zeros((1, rows.size), dtype=complex))
-    return stack, sparse.csr_array((stack[0].copy(), cols, indptr), shape=(d, d))
-
-
 class _Compiled:
     """Polynomials compiled on a stage-time table (see :func:`_compile`).
 
@@ -432,14 +411,18 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     is imported only by a CSR run.
 
     Each polynomial's k coefficients are stacked into one (k, nnz) array
-    on the union of their nonzero patterns (nnz = d·d when dense).  Each
-    signal is sampled once per stage time and each monomial becomes a
-    table of scalar values, so a polynomial's value at a stage is one
-    contraction of its k monomial values with its stack, over a fixed
-    pattern.  Every call returns the same matrices: each polynomial has
-    one for the whole run, and a stage rewrites its entries (the CSR
-    ``data``) in place once per stage time, so the caller reads a value
-    before it asks for the next stage.  A constant one is never rewritten.
+    on the union of their nonzero patterns: the row-major CSR pattern with
+    sorted column indices, shared by every row, or nnz = d·d when dense.
+    A coefficient that misses part of the union holds explicit zeros
+    there, and the zero polynomial stacks one zero row.  Each signal is
+    sampled once per stage time and each monomial's scalar values are
+    written straight into the polynomial's ``stages.shape + (k,)`` table,
+    so a polynomial's value at a stage is one contraction of its k
+    monomial values with its stack, over a fixed pattern.  Every call
+    returns the same matrices: each polynomial has one for the whole run,
+    and a stage rewrites its entries (the CSR ``data``) in place once per
+    stage time, so the caller reads a value before it asks for the next
+    stage.  A constant one is never rewritten.
     """
     d = polys[0].space.total_dim
     bindings = bindings or {}
@@ -447,44 +430,49 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     for name in sorted(set().union(*(p.signals() for p in polys))):
         if name not in bindings:
             raise KeyError(f"unbound signal {name!r}")
-        signal = bindings[name]
-        samples[name] = np.array([complex(signal(t)) for t in stages.ravel()],
-                                 dtype=complex).reshape(stages.shape)
+        samples[name] = np.fromiter(map(bindings[name], stages.ravel()), dtype=complex,
+                                    count=stages.size).reshape(stages.shape)
 
-    def monomial_values(mono):
-        v = np.ones(stages.shape, dtype=complex)
-        for name, p, q in mono.entries:
-            if p:
-                v *= samples[name] ** p
-            if q:
-                v *= samples[name].conj() ** q
-        return v
-
-    masks = []
-    for poly in polys:
-        mask = np.zeros((d, d), dtype=bool)
-        for c in poly.terms.values():
-            mask |= c != 0
-        masks.append(mask)
+    masks = [sum((c != 0 for c in p.terms.values()), np.zeros((d, d), dtype=bool))
+             for p in polys]  # each polynomial's union pattern
     csr = d >= SPARSE_MIN_DIM and all(np.count_nonzero(m) <= SPARSE_MAX_FILL * d * d
                                       for m in masks)
+    if csr:
+        from scipy import sparse
     values, updates = [], []
     for i, (poly, mask) in enumerate(zip(polys, masks)):
-        stack, value = _pattern(list(poly.terms.values()), mask, csr)
+        coeffs = list(poly.terms.values()) or [np.zeros((d, d), dtype=complex)]
+        # the entries a stage rewrites: the CSR data, or a dense matrix's flat view
+        if csr:
+            rows, cols = np.nonzero(mask)  # row-major: the CSR order
+            indptr = np.searchsorted(rows, np.arange(d + 1)).astype(np.int32)
+            stack = np.stack([c[rows, cols] for c in coeffs])
+            value = sparse.csr_array((stack[0].copy(), cols.astype(np.int32), indptr),
+                                     shape=(d, d))
+            entries = value.data
+        else:
+            stack = np.stack(coeffs).reshape(len(coeffs), d * d)
+            value = stack[0].reshape(d, d).copy()
+            entries = value.reshape(-1)
         values.append(value)
         if not poly.is_constant():
-            # the entries a stage rewrites: a dense matrix's flat view, or CSR data
-            entries = value.reshape(-1) if isinstance(value, np.ndarray) else value.data
-            updates.append((i, np.stack([monomial_values(m) for m in poly.terms], axis=-1),
-                            stack, entries, None))
+            table = np.ones(stages.shape + (len(coeffs),), dtype=complex)
+            for m, mono in enumerate(poly.terms):
+                v = table[..., m]
+                for name, p, q in mono.entries:
+                    if p:
+                        v *= samples[name] ** p
+                    if q:
+                        v *= samples[name].conj() ** q
+            updates.append((i, table, stack, entries, None))
     return _Compiled(values, updates, stages)
 
 
 def _product(m) -> Callable[[np.ndarray, np.ndarray], None]:
     """The product with a dense or CSR matrix m (a value of
-    :func:`_compile`, or a stack of them), chosen once per matrix: a
-    callable ``(x, out)`` writing m @ x, bitwise, for a dense C-ordered
-    vector or matrix x into the C-ordered buffer out.
+    :func:`_compile`), chosen once per matrix: a callable ``(x, out)``
+    writing m @ x, bitwise, for a dense C-ordered vector or matrix x into
+    the C-ordered buffer out.
 
     A dense m is ``np.matmul`` with m bound.  A CSR m calls the kernel that
     ``csr_array.__matmul__`` itself calls (:func:`_csr_accumulate`), which
@@ -497,31 +485,6 @@ def _product(m) -> Callable[[np.ndarray, np.ndarray], None]:
         out.fill(0)
         _csr_accumulate(m, x, out)
     return product
-
-
-def _product_plus(m, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """out = m @ x + y for m and x as in :func:`_product` and a dense
-    (d, d) matrix y, without zeroing out: a dense m writes m @ x there and
-    adds y, and a CSR m copies y there and its kernel accumulates m @ x."""
-    if isinstance(m, np.ndarray):
-        np.matmul(m, x, out=out)
-        out += y
-    else:
-        np.copyto(out, y)
-        _csr_accumulate(m, x, out)
-
-
-def _add_product(m, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out += m @ x for m as in :func:`_product` and any dense (d, d)
-    matrix x, such as a transposed view, through the C-ordered (d, d)
-    buffer scratch: a dense m writes its product there, and a CSR m, whose
-    kernel accumulates into out itself, reads x from a copy there."""
-    if isinstance(m, np.ndarray):
-        np.matmul(m, x, out=scratch)
-        out += scratch
-    else:
-        np.copyto(scratch, x)
-        _csr_accumulate(m, scratch, out)
 
 
 def _csr_accumulate(m, x: np.ndarray, out: np.ndarray) -> None:
@@ -672,15 +635,27 @@ def _compiled_lindblad(
     Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) with no Hermiticity shortcut, so the map is the
     reference's for any matrix ρ.
 
-    K and each L compile once, all dense or all CSR (:func:`_compile`).
-    All right products ρM† (M = K, L₁…L_c) of a stage come from one
-    stacked product of ρ with their conjugates (:func:`_right_products`).
-    out is never zeroed: it starts as Kρ + ρK† (:func:`_product_plus`: a
-    CSR K accumulates Kρ onto a copy of ρK†, and a dense K adds ρK† to Kρ,
-    so a closed dense triple rounds only the two products and their sum),
-    and each Lᵢ(ρLᵢ†) accumulates straight into it (:func:`_add_product`).
-    The workspace belongs to the run: the stack, its products and one
-    scratch matrix are allocated once, so a stage allocates nothing.
+    K and each L compile once, all dense or all CSR (:func:`_compile`),
+    and the format picks one of two stages, which never check it again.
+    The conjugates M̄ (M = K, L₁…L_c) are stacked as the blocks of one
+    operator S̄ that the values rewrite with themselves
+    (:meth:`_Compiled.conjugate_into`), so every right product ρM† of a
+    stage is a block of one product with S̄.  out is never zeroed.
+
+    - Dense: S̄ is an (n, d, d) stack multiplied as the batch ρM̄ᵢᵀ, which
+      BLAS reads without a copy, into C-ordered products (one value takes
+      the plain 2-D product, which skips the batch loop).  out ← Kρ, then
+      out += ρK†, so a closed triple rounds only the two products and
+      their sum; each Lᵢ(ρLᵢ†) goes through the scratch matrix.
+    - CSR: S̄ is the (n·d, d) row stack, multiplied as S̄ρᵀ, since the
+      kernel (:func:`_csr_accumulate`) multiplies only into the rows of a
+      C-ordered operand: ρᵀ is copied to the scratch matrix, and the
+      transpose of the i-th block of rows is ρMᵢ†.  out ← ρK†, and the
+      kernel accumulates Kρ and each Lᵢ(ρLᵢ†), read from a scratch copy,
+      onto it entry by entry.
+
+    The stack, its products and the scratch matrix are allocated once per
+    run, so a stage allocates nothing.
     """
 
     def rhs(stages):
@@ -689,64 +664,48 @@ def _compiled_lindblad(
         for Lp in live:
             K = K + (Lp.dagger() * Lp).scale(-0.5)
         at = _compile([K] + live, bindings, stages)
-        update, right = _right_products(at)
-        (K_at, K_right), *couplings = zip(at.values, right)
-        scratch = np.empty((g.space.total_dim,) * 2, dtype=complex)
+        (Km, *Ls), n, d = at.values, len(at.values), g.space.total_dim
+        scratch = np.empty((d, d), dtype=complex)
+        if isinstance(Km, np.ndarray):
+            stack = np.empty((n, d, d), dtype=complex)
+            at.conjugate_into(list(stack.reshape(n, d * d)))
+            products = np.empty((n, d, d), dtype=complex)
+            right, into = ((stack[0].T, products[0]) if n == 1
+                           else (stack.transpose(0, 2, 1), products))
+            K_right, couplings = products[0], list(zip(Ls, products[1:]))
 
-        def f(rho, k, j, out):
-            at(k, j)
-            update(rho)
-            _product_plus(K_at, rho, K_right, out)
-            for L, L_right in couplings:
-                _add_product(L, L_right, out, scratch)
+            def dense(rho, k, j, out):
+                at(k, j)
+                np.matmul(rho, right, out=into)
+                np.matmul(Km, rho, out=out)
+                out += K_right
+                for L, L_right in couplings:
+                    np.matmul(L, L_right, out=scratch)
+                    out += scratch
+            return dense
 
-        return f
-
-    return rhs
-
-
-def _right_products(at: _Compiled):
-    """The products ρM† for the d×d values M (all dense or all CSR) of
-    ``at``: an update f(ρ) that recomputes them from the values' current
-    entries, and the d×d views it writes them to, in order.
-
-    The conjugates M̄ are stacked as the blocks of one operator S̄, which
-    ``at`` rewrites with each value (:meth:`_Compiled.conjugate_into`), so
-    the products are the blocks of one product with S̄ on M's own
-    patterns.  A dense S̄ is an (n, d, d) stack multiplied as the batch
-    ρM̄ᵢᵀ, which BLAS reads without a copy, into C-ordered d×d products,
-    so that adding one allocates no buffer; a single value takes the plain
-    2-D product, which skips the batch loop.  A CSR S̄ is the (n·d, d) row
-    stack, multiplied as S̄ρᵀ, as the CSR kernel only multiplies into the
-    rows of a C-ordered operand: ρᵀ is copied once per update, and the
-    transpose of the i-th block of rows is ρMᵢ†.
-    """
-    values = at.values
-    n, d = len(values), values[0].shape[0]
-    if isinstance(values[0], np.ndarray):
-        stack = np.empty((n, d, d), dtype=complex)
-        at.conjugate_into(list(stack.reshape(n, d * d)))
-        products = np.empty((n, d, d), dtype=complex)
-        blocks = list(products)
-        right, into = ((stack[0].T, products[0]) if n == 1
-                       else (stack.transpose(0, 2, 1), products))
-        update = lambda rho: np.matmul(rho, right, out=into)  # noqa: E731
-    else:
         from scipy import sparse
 
-        stack = sparse.vstack(values, format="csr")  # keeps explicit zeros
-        offsets = np.cumsum([0] + [m.nnz for m in values])
-        at.conjugate_into([stack.data[o:o + m.nnz] for m, o in zip(values, offsets)])
-        product = _product(stack)
-        rho_t = np.empty((d, d), dtype=complex)
+        stack = sparse.vstack(at.values, format="csr")  # keeps explicit zeros
+        offsets = np.cumsum([0] + [m.nnz for m in at.values])
+        at.conjugate_into([stack.data[o:o + m.nnz] for m, o in zip(at.values, offsets)])
         products = np.empty((n * d, d), dtype=complex)
-        blocks = [products[i * d:(i + 1) * d].T for i in range(n)]
+        K_right, *rights = (products[i * d:(i + 1) * d].T for i in range(n))
+        couplings = list(zip(Ls, rights))
 
-        def update(rho):
-            np.copyto(rho_t, rho.T)
-            product(rho_t, products)
+        def csr(rho, k, j, out):
+            at(k, j)
+            np.copyto(scratch, rho.T)
+            products.fill(0)
+            _csr_accumulate(stack, scratch, products)
+            np.copyto(out, K_right)
+            _csr_accumulate(Km, rho, out)
+            for L, L_right in couplings:
+                np.copyto(scratch, L_right)
+                _csr_accumulate(L, scratch, out)
+        return csr
 
-    return update, blocks
+    return rhs
 
 
 def integrate_master(
@@ -764,7 +723,7 @@ def integrate_master(
     The generator is compiled once per run (:func:`_compiled_lindblad`):
     K = -iH - ½ΣL†L and the couplings that are not identically zero are
     stacked once, each on its union nonzero pattern, all CSR or all dense
-    by the rule of :func:`_compile`, and each stage computes
+    by the rule of :func:`_compile`, and the stage of that format computes
     Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†), the map of :func:`lindblad_rhs`, with every
     right product ρM† taken from one stacked product.  ρ is always dense.
     The run aborts (IntegrationError) when a diagnostic is not finite, the

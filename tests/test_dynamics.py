@@ -70,6 +70,30 @@ def test_state_validation():
         QuantumState(sp, rho=np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+def _nan_diagonal():
+    rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    rho[2, 2] = np.nan
+    return {"rho": rho}
+
+
+def _inf_pair():
+    rho = np.diag([0.5, 0.25, 0.25]).astype(complex)
+    rho[0, 1] = rho[1, 0] = np.inf
+    return {"rho": rho}
+
+
+@pytest.mark.parametrize("state", [
+    {"vector": [1.0, np.nan, 0.0]},
+    {"vector": [1.0, 0.0, np.inf]},
+    _nan_diagonal(),
+    _inf_pair(),
+    {"rho": np.full((3, 3), np.nan)},
+], ids=["nan_vector", "inf_vector", "nan_diagonal", "inf_off_diagonal_pair", "all_nan_rho"])
+def test_state_rejects_a_non_finite_entry(state):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        QuantumState(HilbertSpace.generic("q", 3), **state)
+
+
 def test_vacuum_and_fock_states():
     sp = HilbertSpace([HilbertSpace.fock("a", 2).factors[0], HilbertSpace.fock("b", 1).factors[0]])
     vac = QuantumState.vacuum(sp)
@@ -555,6 +579,27 @@ def test_ring_memory_does_not_grow_with_the_run():
     assert peaks[1] - peaks[0] < 900 * state // 4, peaks
 
 
+def test_stage_tables_grow_by_their_rows_only():
+    # per step: the grid, its stage row, the diagnostics, the signal's
+    # samples and K's 3×3 monomial values (≈ 340 B); a Python complex per
+    # sample or a second copy of a table would add ≥ 48 B
+    sp = HilbertSpace.fock("c", 15)
+    g = build_cancellation_chain([0.6 * annihilator(sp, "c")], number_op(sp, "c"), ["u"], sp)
+    binds = {"u": GaussianPulseSignal("u", amplitude=0.4, center=0.05, width=0.02)}
+    vacuum = QuantumState.vacuum(sp)
+    for run in (lambda times: integrate_master(g, vacuum, times, binds),
+                lambda times: integrate_schrodinger(g.H, vacuum, times, binds)):
+        peaks = []
+        for n in (200, 2000):
+            times = np.linspace(0.0, 1e-5 * n, n + 1)
+            run(times)  # warm every cache first
+            tracemalloc.start()
+            run(times)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 1800 < 360, peaks
+
+
 CASES = ["signals_2ch", "signals_3ch", "constant", "zero_L", "sampled"]
 
 
@@ -613,6 +658,29 @@ def test_compiled_lindblad_matches_the_reference_on_any_matrix(rng):
         f(X, 0, 1, out)
         assert np.max(np.abs(out - lindblad_rhs(X, g, 0.17))) < 1e-12, cutoff
         assert _stage_peak(f, X, out) < X.nbytes // 4, cutoff
+
+
+@pytest.mark.parametrize("live", [0, 1, 2])
+@pytest.mark.parametrize("d", [3, 16, 49, 64, 99])
+def test_dense_master_stage_is_the_written_out_sum_bitwise(rng, d, live):
+    # below SPARSE_MIN_DIM every run is dense, and its stage is
+    # Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) on the compiled values, rounded in that order
+    g = random_triple(rng, d, 2, signals=["u"])
+    g = SLHTriple(g.S, g.L[:live] + (OpPolynomial.zero(g.space),) * (2 - live), g.H)
+    binds = random_bindings(rng, ["u"])
+    stages = np.full((1, 3), 0.2)
+    K = g.H.scale(-1j)
+    for Lp in g.L[:live]:
+        K = K + (Lp.dagger() * Lp).scale(-0.5)
+    Km, *Ls = _compile([K, *g.L[:live]], binds, stages)(0, 1)
+    assert isinstance(Km, np.ndarray) and len(Ls) == live
+    X = random_matrix(rng, d)
+    want = Km @ X + X @ Km.conj().T
+    for Lm in Ls:
+        want = want + Lm @ (X @ Lm.conj().T)
+    out = np.full_like(X, np.nan)
+    _compiled_lindblad(g, binds)(stages)(X, 0, 1, out)
+    assert _bits(out) == _bits(want)
 
 
 CASCADE = """\
