@@ -7,10 +7,11 @@ code path.  Integration is fixed-step classical RK4 and neither trace
 nor norm is renormalized: drift is reported as a diagnostic so that
 integrator bugs cannot hide.
 
-Each run compiles its generator once: every signal is sampled once per
-RK4 stage time, and each polynomial it needs has its coefficients
-stacked on the union of their nonzero patterns, so a polynomial's value
-at a stage is a single contraction of that stage's monomial values with
+Each run compiles its generator once on its distinct RK4 stage times,
+the grid points and step midpoints: every signal is sampled once per
+stage time, and each polynomial it needs has its coefficients stacked
+on the union of their nonzero patterns, so a polynomial's value at a
+stage time is a single contraction of that time's monomial values with
 its stack.  Every stack of a run is CSR, multiplied into a dense state,
 or every one is dense, by the rule of :func:`_compile`; scipy.sparse is
 imported only by a CSR run (scipy.integrate only by the analytic
@@ -22,22 +23,23 @@ against.  Each observable is compiled too, onto its nonzero pattern, so
 reading it at a grid point costs O(nnz).
 
 The workspace belongs to the run.  Each compiled polynomial keeps one
-matrix whose entries are rewritten in place once per stage time; the RK4
-slopes, the stage input, a ring of the last states (at most 256 KiB, and
-only the state itself for a density matrix past d = 90) and the
-generator's scratch matrices are allocated once; the state is updated in
-place; and every product writes into one of these buffers
-(:func:`_product` in the Schrödinger stage, and one stage closure per
-matrix format in the master equation's, :func:`_compiled_lindblad`).
-Once the loop starts, no state-sized array is allocated, so its cost
-does not depend on whether the allocator has returned freed memory to
-the kernel.  The diagnostics of a full ring are computed at once and
-checked in grid order, so an abort names the first failing grid point.
-The buffered RK4 update, each product and each diagnostic keep the order
-of the expressions written out per state, bit for bit, and so does the
-dense master stage, Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) on the compiled values.  The
-CSR master stage accumulates Kρ and each Lᵢ(ρLᵢ†) onto ρK† entry by
-entry, which agrees with the reference to rounding, not bit for bit.
+matrix whose entries the RK4 driver rewrites in place once per stage
+time, in order; the RK4 slopes, the stage input, a ring of the last
+states (at most 256 KiB, and only the state itself for a density matrix
+past d = 90) and the generator's scratch matrices are allocated once;
+the state is updated in place; and every product writes into one of
+these buffers (:func:`_product` in the Schrödinger stage, and one stage
+closure per matrix format in the master equation's,
+:func:`_compiled_lindblad`).  Once the loop starts, no state-sized array
+is allocated, so its cost does not depend on whether the allocator has
+returned freed memory to the kernel.  The diagnostics of a full ring
+are computed at once and checked in grid order, so an abort names the
+first failing grid point.  The buffered RK4 update, each product and
+each diagnostic keep the order of the expressions written out per
+state, bit for bit, and so does the dense master stage,
+Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) on the compiled values.  The CSR master stage
+accumulates Kρ and each Lᵢ(ρLᵢ†) onto ρK† entry by entry, which agrees
+with the reference to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ class QuantumState:
         self.space = space
         d = space.total_dim
         if vector is not None:
-            vector = np.asarray(vector, dtype=complex).reshape(d)
+            vector = np.asarray(vector, dtype=complex)
+            if vector.shape != (d,):
+                raise ValueError("pure state shape mismatch")
             if not np.isfinite(vector).all():
                 raise ValueError("pure state has a non-finite entry")
             norm = np.linalg.norm(vector)
@@ -135,6 +139,9 @@ class QuantumState:
             if len(space.factors) != 1:
                 raise ValueError("bare occupation number needs a single-factor space")
             occupations = {space.factors[0].label: occupations}
+        for label in occupations:
+            if label not in space:
+                raise ValueError(f"no factor labeled {label!r} in {space}")
         index = 0
         for f in space.factors:
             n = occupations.get(f.label, 0)
@@ -359,25 +366,19 @@ def _diagnose(masks: Sequence[np.ndarray], block: np.ndarray):
 
 
 class _Compiled:
-    """Polynomials compiled on a stage-time table (see :func:`_compile`).
+    """Polynomials compiled on a time array (see :func:`_compile`).
 
     ``values`` holds one matrix per polynomial for the whole run, and
-    calling the object with a table index (k, j) rewrites the entries of
-    every non-constant one with its value at ``stages[k, j]``, in place,
-    and returns ``values``.  The memo is the stage time: a call at the time
-    of the call before it rewrites nothing.  RK4's k₂ and k₃ share (k, 1),
-    and (k, 2) and (k+1, 0) share t_{k+1} wherever t_k + (t_{k+1} − t_k)
-    rounds to it (always on a ``linspace`` from 0, by Sterbenz's lemma), so
-    a step rewrites twice, from equal samples at equal times, bit for bit.
+    ``rewrite(i)`` rewrites the entries of every non-constant one, in
+    place, with its value at the i-th time.  The caller decides when: it
+    rewrites before it reads values at a new time, and never twice at one.
     """
 
-    __slots__ = ("values", "_updates", "_stages", "_time")
+    __slots__ = ("values", "_updates")
 
-    def __init__(self, values: list, updates: list, stages: np.ndarray):
+    def __init__(self, values: list, updates: list):
         self.values = values
         self._updates = updates  # (value index, monomial values, stack, entries, conjugate)
-        self._stages = stages
-        self._time = None
 
     def conjugate_into(self, buffers: list) -> None:
         """Write each value's conjugate entries into its buffer, now and at each rewrite."""
@@ -387,21 +388,17 @@ class _Compiled:
         self._updates = [(i, vals, stack, entries, buffers[i])
                          for i, vals, stack, entries, _ in self._updates]
 
-    def __call__(self, k: int, j: int) -> list:
-        t = self._stages[k, j]
-        if t != self._time:
-            for _, vals, stack, entries, conjugate in self._updates:
-                np.matmul(vals[k, j], stack, out=entries)
-                if conjugate is not None:
-                    np.conjugate(entries, out=conjugate)
-            self._time = t
-        return self.values
+    def rewrite(self, i: int) -> None:
+        for _, vals, stack, entries, conjugate in self._updates:
+            np.matmul(vals[i], stack, out=entries)
+            if conjugate is not None:
+                np.conjugate(entries, out=conjugate)
 
 
 def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
-             stages: np.ndarray) -> _Compiled:
-    """``polys`` on the stage-time table ``stages``: a callable of a table
-    index (k, j) returning their values at ``stages[k, j]``.
+             times: np.ndarray) -> _Compiled:
+    """``polys`` on the 1-d array ``times``: their values, rewritten at the
+    i-th time by ``rewrite(i)``.
 
     The format is decided once per call, for all of ``polys``: every value
     is a ``scipy.sparse.csr_array`` when d >= ``SPARSE_MIN_DIM`` and each
@@ -415,14 +412,13 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     sorted column indices, shared by every row, or nnz = d·d when dense.
     A coefficient that misses part of the union holds explicit zeros
     there, and the zero polynomial stacks one zero row.  Each signal is
-    sampled once per stage time and each monomial's scalar values are
-    written straight into the polynomial's ``stages.shape + (k,)`` table,
-    so a polynomial's value at a stage is one contraction of its k
-    monomial values with its stack, over a fixed pattern.  Every call
-    returns the same matrices: each polynomial has one for the whole run,
-    and a stage rewrites its entries (the CSR ``data``) in place once per
-    stage time, so the caller reads a value before it asks for the next
-    stage.  A constant one is never rewritten.
+    sampled once per time and each monomial's scalar values are written
+    straight into the polynomial's (m, k) table for the m times, so a
+    polynomial's value at a time is one contraction of its k monomial
+    values with its stack, over a fixed pattern.  Each polynomial has one
+    matrix for the whole run, and a rewrite writes its entries (the CSR
+    ``data``) in place, so the caller reads a value before it rewrites the
+    next.  A constant one is never rewritten.
     """
     d = polys[0].space.total_dim
     bindings = bindings or {}
@@ -430,8 +426,7 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     for name in sorted(set().union(*(p.signals() for p in polys))):
         if name not in bindings:
             raise KeyError(f"unbound signal {name!r}")
-        samples[name] = np.fromiter(map(bindings[name], stages.ravel()), dtype=complex,
-                                    count=stages.size).reshape(stages.shape)
+        samples[name] = np.fromiter(map(bindings[name], times), dtype=complex, count=times.size)
 
     masks = [sum((c != 0 for c in p.terms.values()), np.zeros((d, d), dtype=bool))
              for p in polys]  # each polynomial's union pattern
@@ -442,7 +437,7 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     values, updates = [], []
     for i, (poly, mask) in enumerate(zip(polys, masks)):
         coeffs = list(poly.terms.values()) or [np.zeros((d, d), dtype=complex)]
-        # the entries a stage rewrites: the CSR data, or a dense matrix's flat view
+        # the entries a rewrite writes: the CSR data, or a dense matrix's flat view
         if csr:
             rows, cols = np.nonzero(mask)  # row-major: the CSR order
             indptr = np.searchsorted(rows, np.arange(d + 1)).astype(np.int32)
@@ -456,16 +451,16 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
             entries = value.reshape(-1)
         values.append(value)
         if not poly.is_constant():
-            table = np.ones(stages.shape + (len(coeffs),), dtype=complex)
+            table = np.ones((times.size, len(coeffs)), dtype=complex)
             for m, mono in enumerate(poly.terms):
-                v = table[..., m]
+                v = table[:, m]
                 for name, p, q in mono.entries:
                     if p:
                         v *= samples[name] ** p
                     if q:
                         v *= samples[name].conj() ** q
             updates.append((i, table, stack, entries, None))
-    return _Compiled(values, updates, stages)
+    return _Compiled(values, updates)
 
 
 def _product(m) -> Callable[[np.ndarray, np.ndarray], None]:
@@ -524,7 +519,7 @@ def _observable(matrix: np.ndarray, pure: bool) -> Callable[[np.ndarray], comple
 
 
 def _rk4(
-    rhs: Callable[[np.ndarray], Callable[[np.ndarray, int, int, np.ndarray], None]],
+    rhs: Callable[[np.ndarray], tuple[Callable, Callable]],
     y: np.ndarray,
     times: Sequence[float],
     space: HilbertSpace,
@@ -537,12 +532,12 @@ def _rk4(
     density matrix (trace drift), recording the diagnostics and
     observables at every grid point.
 
-    ``rhs(stages)`` compiles the generator for the (n-1, 3) table of the
-    stage times t, t + h/2 and t + h of every step, and returns f with
-    ``f(y, k, j, out)`` writing dy/dt at stage time ``stages[k, j]`` into
-    out, which is never y.  A step calls f at (k, 0), (k, 1) twice and
-    (k, 2); compiled values are rewritten once per stage time, twice a
-    step on a ``linspace`` grid (:class:`_Compiled`).  Each observable is
+    ``rhs(half)`` compiles the generator on the 2n − 1 stage times
+    ``half`` = [t₀, t₀ + 0.5·h₀, t₁, …, tₙ₋₁] and returns ``(rewrite, f)``:
+    ``rewrite(i)`` moves it to ``half[i]``, and ``f(y, out)`` writes dy/dt
+    there into out, which is never y.  Step k computes k1 at 2k, rewrites
+    at 2k + 1 for k2 and k3 and at 2k + 2 for k4 and the next k1, so each
+    stage time is sampled and rewritten once.  Each observable is
     compiled onto its nonzero pattern (:func:`_observable`).
 
     The four slopes, the stage input and a ring of the last
@@ -598,22 +593,26 @@ def _rk4(
                 raise IntegrationError(drift_message, t, d)
             raise IntegrationError("truncation leak exceeds threshold", t, lk)
 
-    t0 = times[:-1]
-    h = times[1:] - t0
+    h = np.diff(times)
+    half = np.empty(2 * n_steps - 1)
+    half[0::2], half[1::2] = times, times[:-1] + 0.5 * h
     # an overflow surfaces as a non-finite diagnostic, which check reports
     with np.errstate(over="ignore", invalid="ignore"):
-        f = rhs(np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1))
+        rewrite, f = rhs(half)
+        rewrite(0)
         k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
         for k in range(-1, n_steps - 1):  # step k takes y to grid point k + 1
             if k >= 0:
                 hk = h[k]
-                f(y, k, 0, k1)
+                f(y, k1)
                 np.add(y, np.multiply(0.5 * hk, k1, out=ys), out=ys)
-                f(ys, k, 1, k2)
+                rewrite(2 * k + 1)
+                f(ys, k2)
                 np.add(y, np.multiply(0.5 * hk, k2, out=ys), out=ys)
-                f(ys, k, 1, k3)
+                f(ys, k3)
                 np.add(y, np.multiply(hk, k3, out=ys), out=ys)
-                f(ys, k, 2, k4)
+                rewrite(2 * k + 2)
+                f(ys, k4)
                 np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
                 np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
                 np.add(k1, k4, out=k1)
@@ -628,17 +627,18 @@ def _rk4(
 
 def _compiled_lindblad(
     g: SLHTriple, bindings: Bindings | None,
-) -> Callable[[np.ndarray], Callable[[np.ndarray, int, int, np.ndarray], None]]:
+) -> Callable[[np.ndarray], tuple[Callable, Callable]]:
     """The generator of :func:`lindblad_rhs` in the compiled form that
     :func:`_rk4` takes: K = -iH - ½ΣL†L is folded once, exactly, over the
     couplings that are not identically zero, and each stage computes
     Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) with no Hermiticity shortcut, so the map is the
     reference's for any matrix ρ.
 
-    K and each L compile once, all dense or all CSR (:func:`_compile`),
-    and the format picks one of two stages, which never check it again.
-    The conjugates M̄ (M = K, L₁…L_c) are stacked as the blocks of one
-    operator S̄ that the values rewrite with themselves
+    ``rhs(half)`` compiles K and each L once on the stage times ``half``,
+    all dense or all CSR (:func:`_compile`), and returns the values'
+    ``rewrite`` beside the stage ``(ρ, out)`` of that format, which never
+    checks it again.  The conjugates M̄ (M = K, L₁…L_c) are stacked as the
+    blocks of one operator S̄ that the values rewrite with themselves
     (:meth:`_Compiled.conjugate_into`), so every right product ρM† of a
     stage is a block of one product with S̄.  out is never zeroed.
 
@@ -658,43 +658,42 @@ def _compiled_lindblad(
     run, so a stage allocates nothing.
     """
 
-    def rhs(stages):
+    def rhs(half):
         live = [Lp for Lp in g.L if not Lp.is_zero()]
         K = g.H.scale(-1j)
         for Lp in live:
             K = K + (Lp.dagger() * Lp).scale(-0.5)
-        at = _compile([K] + live, bindings, stages)
-        (Km, *Ls), n, d = at.values, len(at.values), g.space.total_dim
+        compiled = _compile([K] + live, bindings, half)
+        (Km, *Ls), n, d = compiled.values, len(compiled.values), g.space.total_dim
         scratch = np.empty((d, d), dtype=complex)
         if isinstance(Km, np.ndarray):
             stack = np.empty((n, d, d), dtype=complex)
-            at.conjugate_into(list(stack.reshape(n, d * d)))
+            compiled.conjugate_into(list(stack.reshape(n, d * d)))
             products = np.empty((n, d, d), dtype=complex)
             right, into = ((stack[0].T, products[0]) if n == 1
                            else (stack.transpose(0, 2, 1), products))
             K_right, couplings = products[0], list(zip(Ls, products[1:]))
 
-            def dense(rho, k, j, out):
-                at(k, j)
+            def dense(rho, out):
                 np.matmul(rho, right, out=into)
                 np.matmul(Km, rho, out=out)
                 out += K_right
                 for L, L_right in couplings:
                     np.matmul(L, L_right, out=scratch)
                     out += scratch
-            return dense
+            return compiled.rewrite, dense
 
         from scipy import sparse
 
-        stack = sparse.vstack(at.values, format="csr")  # keeps explicit zeros
-        offsets = np.cumsum([0] + [m.nnz for m in at.values])
-        at.conjugate_into([stack.data[o:o + m.nnz] for m, o in zip(at.values, offsets)])
+        stack = sparse.vstack(compiled.values, format="csr")  # keeps explicit zeros
+        offsets = np.cumsum([0] + [m.nnz for m in compiled.values])
+        compiled.conjugate_into([stack.data[o:o + m.nnz]
+                                 for m, o in zip(compiled.values, offsets)])
         products = np.empty((n * d, d), dtype=complex)
         K_right, *rights = (products[i * d:(i + 1) * d].T for i in range(n))
         couplings = list(zip(Ls, rights))
 
-        def csr(rho, k, j, out):
-            at(k, j)
+        def csr(rho, out):
             np.copyto(scratch, rho.T)
             products.fill(0)
             _csr_accumulate(stack, scratch, products)
@@ -703,7 +702,7 @@ def _compiled_lindblad(
             for L, L_right in couplings:
                 np.copyto(scratch, L_right)
                 _csr_accumulate(L, scratch, out)
-        return csr
+        return compiled.rewrite, csr
 
     return rhs
 
@@ -752,8 +751,9 @@ def integrate_schrodinger(
     """Fixed-step RK4 on dpsi/dt = -i H(t) psi; norm drift is reported,
     never corrected.
 
-    -iH is compiled once per run on the stage grid, dense or CSR by the
-    rule of :func:`_compile`, so each stage is one matrix-vector product.
+    -iH is compiled once per run on the stage times, dense or CSR by the
+    rule of :func:`_compile`, and the stage is its :func:`_product`, one
+    matrix-vector product.
     """
     if not H.dagger().approx_equal(H, 1e-10):
         raise ValueError("H is not formally self-adjoint")
@@ -764,14 +764,9 @@ def integrate_schrodinger(
     else:
         psi = np.asarray(psi0, dtype=complex).copy()
 
-    def rhs(stages):
-        at = _compile([H.scale(-1j)], bindings, stages)
-        product = _product(at.values[0])
-
-        def f(psi, k, j, out):
-            at(k, j)
-            product(psi, out)
-        return f
+    def rhs(half):
+        compiled = _compile([H.scale(-1j)], bindings, half)
+        return compiled.rewrite, _product(compiled.values[0])
 
     return _rk4(rhs, psi, times, H.space, observables, store_states,
                 norm_tol, leak_threshold)

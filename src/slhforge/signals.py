@@ -94,6 +94,8 @@ class SampledSignal(Signal):
             raise ValueError("need at least two samples")
         if values.shape != times.shape:
             raise ValueError("times and values differ in length")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ValueError("sample times and values must be finite")
         if not np.all(np.diff(times) > 0):
             raise ValueError("sample times must be strictly increasing")
         self.times = times

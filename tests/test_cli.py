@@ -330,6 +330,21 @@ def test_error_paths_exit_with_their_one_line(argv, text, code, line, netlist, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("rows", ["0.5,nan,0.5\n1.0,0.0,0.0", "0.5,1.0,0.5\n1.0,0.0,-inf",
+                                  "inf,1.0,0.5"], ids=["nan_value", "inf_value", "inf_time"])
+@pytest.mark.parametrize("argv", [["reduce"], ["simulate", "--horizon", "1", "--step", "0.01"]],
+                         ids=["reduce", "simulate"])
+def test_non_finite_sampled_drive_exits_2_at_its_declaration(rows, argv, netlist, capsys):
+    path = netlist((NETLISTS / "sampled_drive.slh").read_text())
+    Path(path).with_name("drive.csv").write_text(f"t,re,im\n0.0,0.0,0.0\n{rows}\n")
+    rc = main([argv[0], path, *argv[1:]])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("reduction error: line 3, col 1: cannot load sampled signal: "
+                            "sample times and values must be finite\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, prefix", [
     # the Schrodinger path: closed chain from vacuum, drift ~1e-16
     (["simulate", str(NETLISTS / "cancel_chain.slh"), "--horizon", "0.5", "--step", "0.01"],

@@ -94,6 +94,14 @@ def test_state_rejects_a_non_finite_entry(state):
         QuantumState(HilbertSpace.generic("q", 3), **state)
 
 
+@pytest.mark.parametrize("vector", [[[1.0, 0.0, 0.0]], [1.0, 0.0], [[1.0], [0.0], [0.0]],
+                                    1.0, [1.0, 0.0, 0.0, 0.0]],
+                         ids=["row", "short", "column", "scalar", "long"])
+def test_pure_state_of_the_wrong_shape_is_rejected_not_reshaped(vector):
+    with pytest.raises(ValueError, match="^pure state shape mismatch$"):
+        QuantumState(HilbertSpace.fock("c", 2), vector=vector)
+
+
 def test_vacuum_and_fock_states():
     sp = HilbertSpace([HilbertSpace.fock("a", 2).factors[0], HilbertSpace.fock("b", 1).factors[0]])
     vac = QuantumState.vacuum(sp)
@@ -107,6 +115,11 @@ def test_vacuum_and_fock_states():
         QuantumState.fock(sp, {"a": 5})
     with pytest.raises(ValueError):
         QuantumState.fock(sp, 1)  # bare int needs a single factor
+    with pytest.raises(ValueError, match="no factor labeled 'typo' in"):
+        QuantumState.fock(sp, {"typo": 1})
+    with pytest.raises(ValueError, match="no factor labeled 'typo' in"):
+        QuantumState.fock(sp, {"a": 1, "typo": 0})  # even at occupation 0
+    assert QuantumState.fock(sp, {"b": 1}).vector[1] == 1.0  # a factor left out is at 0
 
 
 def test_coherent_amplitudes_match_the_poisson_form():
@@ -481,23 +494,31 @@ EDGES = [0, 1, B16 - 1, B16, B16 + 1, 2 * B16 - 1, 2 * B16, N_GRID - 1]
 def _edge_run(pure, drift_tol, leak_threshold, nan_at=None, store_states=False):
     """An RK4 run on one mode at d=16 whose norm or trace grows and whose
     top level fills, both strictly, so each crosses any threshold set
-    between two grid points.  The step into grid point ``nan_at`` turns
-    the state into NaN (at 0 the initial state holds a NaN)."""
+    between two grid points.  The generator is NaN at stage times
+    2·``nan_at`` and the midpoint after it (``i // 2`` of the last
+    rewrite i is ``nan_at``); the first is the last stage of the step into
+    grid point ``nan_at``, so that step turns the state into NaN (at 0 the
+    initial state holds a NaN)."""
     space = _fock_space([15])
     d = space.total_dim
     A = np.zeros((d, d), dtype=complex)
     A[0, -1] = A[-1, 0] = 1.0  # rotates |0> into the top level
     G = 2.0 * np.eye(d) - 1j * A
 
-    def rhs(stages):
-        def f(y, k, j, out):
+    def rhs(half):
+        at = [None]  # the stage-time index of the last rewrite
+
+        def rewrite(i):
+            at[0] = i
+
+        def f(y, out):
             if pure:
                 np.matmul(G, y, out=out)
             else:
                 np.copyto(out, G @ y + y @ G.conj().T)
-            if nan_at is not None and k == nan_at - 1:
+            if nan_at is not None and at[0] // 2 == nan_at:
                 out.fill(np.nan)
-        return f
+        return rewrite, f
 
     psi = np.zeros(d, dtype=complex)
     psi[0], psi[-1] = 1.001 * math.cos(0.05), 1.001 * math.sin(0.05)  # drift from t=0
@@ -580,9 +601,10 @@ def test_ring_memory_does_not_grow_with_the_run():
 
 
 def test_stage_tables_grow_by_their_rows_only():
-    # per step: the grid, its stage row, the diagnostics, the signal's
-    # samples and K's 3×3 monomial values (≈ 340 B); a Python complex per
-    # sample or a second copy of a table would add ≥ 48 B
+    # per step: the grid and its step, two stage times, the diagnostics, the
+    # signal's two samples and K's 2×3 monomial values (240 B measured); a
+    # Python complex per sample, a second copy of a table or a third stage
+    # time per step would add ≥ 48 B
     sp = HilbertSpace.fock("c", 15)
     g = build_cancellation_chain([0.6 * annihilator(sp, "c")], number_op(sp, "c"), ["u"], sp)
     binds = {"u": GaussianPulseSignal("u", amplitude=0.4, center=0.05, width=0.02)}
@@ -597,7 +619,7 @@ def test_stage_tables_grow_by_their_rows_only():
             run(times)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 1800 < 360, peaks
+        assert (peaks[1] - peaks[0]) / 1800 < 250, peaks
 
 
 CASES = ["signals_2ch", "signals_3ch", "constant", "zero_L", "sampled"]
@@ -610,7 +632,7 @@ def test_compiled_integrators_match_the_reference(rng, case):
     g, binds = _reference_case(rng, case.removeprefix("d121_"), two_mode)
     d = g.space.total_dim
     times = np.linspace(0.0, 0.05, 11) if two_mode else np.linspace(0.0, 0.2, 21)
-    assert sparse.issparse(_compile([g.H], binds, times[None, :3])(0, 0)[0]) == two_mode
+    assert sparse.issparse(_values_at([g.H], binds, times[0])[0]) == two_mode
     rho0 = random_density(rng, d)
     # drift is checked elsewhere; here only agreement with the reference counts
     res = integrate_master(g, rho0, times, binds, store_states=True, trace_tol=1.0,
@@ -626,10 +648,24 @@ def test_compiled_integrators_match_the_reference(rng, case):
     assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
 
 
+def _values_at(polys, binds, t):
+    """The compiled values of ``polys`` at the one time t."""
+    compiled = _compile(polys, binds, np.array([t]))
+    compiled.rewrite(0)
+    return compiled.values
+
+
+def _master_stage_at(g, binds, t):
+    """The compiled master stage of g, rewritten at the one time t."""
+    rewrite, f = _compiled_lindblad(g, binds)(np.array([t]))
+    rewrite(0)
+    return f
+
+
 def _stage_peak(f, X, out):
     """Peak bytes allocated by one master stage."""
     tracemalloc.start()
-    f(X, 0, 2, out)
+    f(X, out)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return peak
@@ -643,9 +679,9 @@ def test_compiled_lindblad_matches_the_reference_on_any_matrix(rng):
             g, binds = _reference_case(rng, case, two_mode)
             X = random_matrix(rng, g.space.total_dim)  # neither Hermitian nor of unit trace
             t = 0.17  # inside the sampled table's horizon
-            f = _compiled_lindblad(g, binds)(np.full((1, 3), t))
+            f = _master_stage_at(g, binds, t)
             out = np.full_like(X, np.nan)  # the stage must not read what out held
-            f(X, 0, 1, out)
+            f(X, out)
             assert np.max(np.abs(out - lindblad_rhs(X, g, t, binds))) < 1e-12, (case, two_mode)
             if two_mode:  # a stage allocates no state-sized array
                 assert _stage_peak(f, X, out) < X.nbytes // 4, case
@@ -653,9 +689,9 @@ def test_compiled_lindblad_matches_the_reference_on_any_matrix(rng):
     for cutoff in (15, 63):
         g = cavity(HilbertSpace.fock("c", cutoff), "c", 0.4, 1.0)
         X = random_matrix(rng, g.space.total_dim)
-        f = _compiled_lindblad(g, {})(np.full((1, 3), 0.17))
+        f = _master_stage_at(g, {}, 0.17)
         out = np.empty_like(X)
-        f(X, 0, 1, out)
+        f(X, out)
         assert np.max(np.abs(out - lindblad_rhs(X, g, 0.17))) < 1e-12, cutoff
         assert _stage_peak(f, X, out) < X.nbytes // 4, cutoff
 
@@ -668,18 +704,17 @@ def test_dense_master_stage_is_the_written_out_sum_bitwise(rng, d, live):
     g = random_triple(rng, d, 2, signals=["u"])
     g = SLHTriple(g.S, g.L[:live] + (OpPolynomial.zero(g.space),) * (2 - live), g.H)
     binds = random_bindings(rng, ["u"])
-    stages = np.full((1, 3), 0.2)
     K = g.H.scale(-1j)
     for Lp in g.L[:live]:
         K = K + (Lp.dagger() * Lp).scale(-0.5)
-    Km, *Ls = _compile([K, *g.L[:live]], binds, stages)(0, 1)
+    Km, *Ls = _values_at([K, *g.L[:live]], binds, 0.2)
     assert isinstance(Km, np.ndarray) and len(Ls) == live
     X = random_matrix(rng, d)
     want = Km @ X + X @ Km.conj().T
     for Lm in Ls:
         want = want + Lm @ (X @ Lm.conj().T)
     out = np.full_like(X, np.nan)
-    _compiled_lindblad(g, binds)(stages)(X, 0, 1, out)
+    _master_stage_at(g, binds, 0.2)(X, out)
     assert _bits(out) == _bits(want)
 
 
@@ -695,10 +730,8 @@ network cascade = B <| A <| D
 
 
 def test_backend_follows_dimension_and_fill(rng):
-    stages = np.full((1, 3), 0.3)
-
     def compiled(polys, binds=None):
-        return _compile(polys, binds, stages)(0, 1)
+        return _values_at(polys, binds, 0.3)
 
     # one mode at d=16, the size of the chain_pulse workload, stays dense
     sp = HilbertSpace.fock("c", 15)
@@ -730,11 +763,12 @@ def test_backend_follows_dimension_and_fill(rng):
 def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
     g, binds = _reference_case(rng, "signals_2ch", two_mode)
     polys = [g.H, *g.L, OpPolynomial.constant(identity(g.space))]
-    stages = np.array([[0.1, 0.15, 0.2]])
-    at = _compile(polys, binds, stages)
-    first = at(0, 0)
+    compiled = _compile(polys, binds, np.array([0.1, 0.15, 0.2]))
+    first = compiled.values
+    compiled.rewrite(0)
     before = [v.copy() for v in first]
-    second = at(0, 1)
+    compiled.rewrite(1)
+    second = compiled.values
     assert second is first
     for poly, value, old in zip(polys, second, before):
         want = poly.evaluate(0.15, binds).matrix
@@ -743,34 +777,31 @@ def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
         old = old if isinstance(old, np.ndarray) else old.toarray()
         assert np.array_equal(got, old) == poly.is_constant()
 
-    # a second call at the same index rewrites nothing; another index does
+    # only a rewrite writes the values, and it writes every non-constant one
     def entries(value):
         return value.reshape(-1) if isinstance(value, np.ndarray) else value.data
 
     for value in second:
         entries(value)[:] = np.nan
-    assert all(np.isnan(entries(v)).all() for v in at(0, 1))
-    third = at(0, 0)
-    for poly, value in zip(polys, third):
+    assert all(np.isnan(entries(v)).all() for v in compiled.values)
+    compiled.rewrite(0)
+    for poly, value in zip(polys, compiled.values):
         assert np.isnan(entries(value)).all() == poly.is_constant()
 
-    # the memo is the stage time: (0, 2) and (1, 0) share t = 0.2, so the
-    # second call rewrites nothing, while a new time rewrites every
-    # non-constant value; conjugates follow their value's rewrites only
-    at = _compile(polys, binds, np.array([[0.1, 0.15, 0.2], [0.2, 0.25, 0.3]]))
-    conjugates = [np.full(entries(v).shape, np.nan, dtype=complex) for v in at.values]
-    at.conjugate_into(conjugates)  # written at once, constant values included
-    assert all(np.array_equal(c, entries(v).conj()) for v, c in zip(at.values, conjugates))
-    at(0, 2)
-    for value, conjugate in zip(at.values, conjugates):
+    # conjugates follow their value's rewrites only: a constant value's
+    # conjugate is written once, by conjugate_into
+    compiled = _compile(polys, binds, np.array([0.1, 0.15, 0.2, 0.25, 0.3]))
+    conjugates = [np.full(entries(v).shape, np.nan, dtype=complex) for v in compiled.values]
+    compiled.conjugate_into(conjugates)  # written at once, constant values included
+    assert all(np.array_equal(c, entries(v).conj())
+               for v, c in zip(compiled.values, conjugates))
+    compiled.rewrite(2)
+    for value, conjugate in zip(compiled.values, conjugates):
         assert np.array_equal(conjugate, entries(value).conj())
         entries(value)[:] = np.nan
         conjugate[:] = np.nan
-    at(1, 0)
-    assert all(np.isnan(entries(v)).all() and np.isnan(c).all()
-               for v, c in zip(at.values, conjugates))
-    at(1, 1)
-    for poly, value, conjugate in zip(polys, at.values, conjugates):
+    compiled.rewrite(3)
+    for poly, value, conjugate in zip(polys, compiled.values, conjugates):
         assert np.isnan(entries(value)).all() == poly.is_constant()
         assert np.isnan(conjugate).all() == poly.is_constant()
         if not poly.is_constant():
@@ -778,18 +809,50 @@ def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
             assert np.max(np.abs(got - poly.evaluate(0.25, binds).matrix)) < 1e-13
             assert np.array_equal(conjugate, entries(value).conj())
 
-    # on the stage table of a linspace grid, t_k + h_k is t_{k+1} exactly,
-    # and the value kept from (k, 2) has the bits of a rewrite at (k+1, 0)
+    # the driver owns the schedule: a run of n grid points compiles once on
+    # the 2n − 1 stage times [t₀, t₀ + h₀/2, t₁, …], rewrites at each once,
+    # in order, and step k reads its four slopes at 2k, 2k+1, 2k+1 and 2k+2
     times = np.linspace(0.0, 0.3, 31)
+    n = times.size
+    half = np.empty(2 * n - 1)
+    half[0::2], half[1::2] = times, times[:-1] + 0.5 * np.diff(times)
+    rewrites, reads = [], []
+
+    def rhs(stages):
+        assert _bits(stages) == _bits(half)
+        rewrite, f = _compiled_lindblad(g, binds)(stages)
+
+        def logged_rewrite(i):
+            rewrites.append(i)
+            rewrite(i)
+
+        def logged_f(y, out):
+            reads.append(rewrites[-1])
+            f(y, out)
+        return logged_rewrite, logged_f
+
+    rho0 = random_density(rng, g.space.total_dim)
+    res = dynamics._rk4(rhs, rho0.copy(), times, g.space, None, False, 1.0, None)
+    assert rewrites == list(range(2 * (n - 1) + 1))
+    assert reads == [i for k in range(n - 1) for i in (2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2)]
+    plain = integrate_master(g, rho0, times, binds, trace_tol=1.0, leak_threshold=None)
+    assert _bits(res.final) == _bits(plain.final)
+
+    # on a linspace grid t_k + h_k is t_{k+1} exactly, and the value that
+    # step k rewrites at 2k+2 for k4, and step k+1 reads for k1, has the
+    # bits of a fresh rewrite there and of one at t_k + h_k on the table of
+    # every step's three stage times
     t0, h = times[:-1], np.diff(times)
-    stages = np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1)
-    kept, fresh = _compile(polys, binds, stages), _compile(polys, binds, stages)
-    for k in range(len(t0) - 1):
-        assert stages[k, 2] == stages[k + 1, 0]
-        kept(k, 2)
-        fresh(k + 1, 1)
-        for a, b in zip(kept(k + 1, 0), fresh(k + 1, 0)):
-            assert _bits(entries(a)) == _bits(entries(b))
+    assert _bits(t0 + h) == _bits(times[1:])
+    kept, fresh = _compile(polys, binds, half), _compile(polys, binds, half)
+    steps = _compile(polys, binds, np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1).ravel())
+    for k in range(n - 1):
+        kept.rewrite(2 * k + 1)
+        kept.rewrite(2 * k + 2)
+        fresh.rewrite(2 * k + 2)
+        steps.rewrite(3 * k + 2)
+        for a, b, c in zip(kept.values, fresh.values, steps.values):
+            assert _bits(entries(a)) == _bits(entries(b)) == _bits(entries(c))
 
 
 def test_observable_read_matches_the_trace_and_the_quadratic_form(rng):
@@ -814,7 +877,7 @@ def _bits(x):
 def test_product_matches_matmul_bitwise(rng):
     g, binds = _reference_case(rng, "signals_2ch", two_mode=True)
     d = g.space.total_dim
-    values = _compile([g.H, *g.L], binds, np.full((1, 3), 0.2))(0, 1)
+    values = _values_at([g.H, *g.L], binds, 0.2)
     assert all(sparse.issparse(m) for m in values)
     X = random_matrix(rng, d)
     v = X[:, 0].copy()
@@ -862,7 +925,7 @@ def test_simulate_matches_the_cascade_ode(cutoff, tmp_path):
     text = CASCADE.format(cutoff=cutoff)
     net = compile_netlist(parse_netlist(text))
     d = net.triple.space.total_dim
-    assert sparse.issparse(_compile([net.triple.H], net.signals, np.zeros((1, 3)))(0, 0)[0]) \
+    assert sparse.issparse(_values_at([net.triple.H], net.signals, 0.0)[0]) \
         == (d >= dynamics.SPARSE_MIN_DIM)
     path = tmp_path / "cascade.slh"
     path.write_text(text)

@@ -73,6 +73,11 @@ def test_sampled_signal_input_validation():
         SampledSignal("u", [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         SampledSignal("u", [0.0, 1.0], [1.0])
+    for times, values in [([0.0, np.nan], [1.0, 1.0]), ([0.0, np.inf], [1.0, 1.0]),
+                          ([-np.inf, 0.0], [1.0, 1.0]), ([0.0, 1.0], [1.0, np.nan]),
+                          ([0.0, 1.0], [complex(1.0, -np.inf), 1.0])]:
+        with pytest.raises(ValueError, match="^sample times and values must be finite$"):
+            SampledSignal("u", times, values)
 
 
 def test_sampled_signal_round_trips_through_csv(tmp_path):
