@@ -8,44 +8,48 @@ nor norm is renormalized: drift is reported as a diagnostic so that
 integrator bugs cannot hide.
 
 Each run compiles its generator once on its distinct RK4 stage times,
-the grid points and step midpoints: every signal is sampled once per
-stage time, and each polynomial it needs has its coefficients stacked
-on the union of their nonzero patterns, so a polynomial's value at a
-stage time is a single contraction of that time's monomial values with
-its stack.  Every stack of a run is CSR, multiplied into a dense state,
-or every one is dense, by the rule of :func:`_compile`; scipy.sparse is
-imported only by a CSR run (scipy.integrate only by the analytic
-oracle), so a small run loads neither.  Sparsity stops at this
-boundary: operators, polynomials, the series reduction and every report
-stay dense.  :func:`lindblad_rhs` evaluates the polynomials directly and
+the grid points and step midpoints: every signal is sampled on all of
+them in one call (``Signal.sample``), and each polynomial it needs has
+its coefficients stacked on the union of their nonzero patterns, so a
+polynomial's value at a stage time is a single contraction of that
+time's monomial values with its stack.  Every stack of a run is CSR,
+multiplied into a dense state, or every one is dense, by the rule of
+:func:`_compile`; scipy.sparse is imported only by a CSR run
+(scipy.integrate only by the analytic oracle), so a small run loads
+neither.  Sparsity stops at this boundary: operators, polynomials, the
+series reduction and every report stay dense.  :func:`lindblad_rhs` evaluates the polynomials directly and
 is kept as the reference the compiled master generator is tested
 against.  Each observable is compiled too, onto its nonzero pattern, so
 reading it at a grid point costs O(nnz).
 
 The workspace belongs to the run.  Each compiled polynomial keeps one
 matrix whose entries the RK4 driver rewrites in place once per stage
-time, in order; the RK4 slopes, the stage input, a ring of the last
-states (at most 256 KiB, and only the state itself for a density matrix
-past d = 90) and the generator's scratch matrices are allocated once;
-the state is updated in place; and every product writes into one of
-these buffers (:func:`_product` in the Schrödinger stage, and one stage
-closure per matrix format in the master equation's,
-:func:`_compiled_lindblad`).  Once the loop starts, no state-sized array
-is allocated, so its cost does not depend on whether the allocator has
-returned freed memory to the kernel.  The diagnostics of a full ring
-are computed at once and checked in grid order, so an abort names the
-first failing grid point.  The buffered RK4 update, each product and
-each diagnostic keep the order of the expressions written out per
-state, bit for bit, and so does the dense master stage,
-Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) on the compiled values.  The CSR master stage
-accumulates Kρ and each Lᵢ(ρLᵢ†) onto ρK† entry by entry, which agrees
-with the reference to rounding, not bit for bit.
+time, in order; the state and the RK4 slopes (the rows of one buffer),
+the stage input, a ring of the last states (at most 256 KiB, and only
+the state itself for a density matrix past d = 90) and the generator's
+scratch matrices are allocated once; the state is updated in place;
+and every product writes into one of these buffers (:func:`_product` in
+the Schrödinger stage, and one stage closure per matrix format in the
+master equation's, :func:`_compiled_lindblad`).  Once the loop starts,
+no state-sized array is allocated, so its cost does not depend on
+whether the allocator has returned freed memory to the kernel.  The
+diagnostics of a full ring are computed at once and checked in grid
+order, so an abort names the first failing grid point.  Each RK4 linear
+combination is one real contraction over the stacked state and slopes
+(:func:`_rk4`), which BLAS sums in its own order, so a step agrees with
+the written-out combination to rounding.  Each product and each
+diagnostic keep the order of the expressions written out per state,
+bit for bit, and so does the dense master stage, Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†)
+on the compiled values.  The CSR master stage accumulates Kρ and each
+Lᵢ(ρLᵢ†) onto ρK† entry by entry, which agrees with the reference to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Sequence
@@ -134,8 +138,10 @@ class QuantumState:
 
     @classmethod
     def fock(cls, space: HilbertSpace, occupations: Mapping[str, int] | int) -> "QuantumState":
-        """Product Fock state; a bare int addresses a single-factor space."""
-        if isinstance(occupations, int):
+        """Product Fock state; a bare occupation addresses a single-factor
+        space.  Occupations are Python or numpy integers (``operator.index``);
+        anything else is a ValueError naming its factor."""
+        if not isinstance(occupations, Mapping):
             if len(space.factors) != 1:
                 raise ValueError("bare occupation number needs a single-factor space")
             occupations = {space.factors[0].label: occupations}
@@ -145,6 +151,11 @@ class QuantumState:
         index = 0
         for f in space.factors:
             n = occupations.get(f.label, 0)
+            try:
+                n = operator.index(n)
+            except TypeError:
+                raise ValueError(f"occupation {n!r} for factor {f.label!r} "
+                                 "is not an integer") from None
             if not 0 <= n < f.dim:
                 raise ValueError(f"occupation {n} out of range for factor {f.label!r}")
             index = index * f.dim + n
@@ -412,10 +423,11 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     sorted column indices, shared by every row, or nnz = d·d when dense.
     A coefficient that misses part of the union holds explicit zeros
     there, and the zero polynomial stacks one zero row.  Each signal is
-    sampled once per time and each monomial's scalar values are written
-    straight into the polynomial's (m, k) table for the m times, so a
-    polynomial's value at a time is one contraction of its k monomial
-    values with its stack, over a fixed pattern.  Each polynomial has one
+    sampled once, on all of ``times`` (``Signal.sample``), and each
+    monomial's scalar values are written straight into the polynomial's
+    (m, k) table for the m times, so a polynomial's value at a time is
+    one contraction of its k monomial values with its stack, over a
+    fixed pattern.  Each polynomial has one
     matrix for the whole run, and a rewrite writes its entries (the CSR
     ``data``) in place, so the caller reads a value before it rewrites the
     next.  A constant one is never rewritten.
@@ -426,7 +438,7 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     for name in sorted(set().union(*(p.signals() for p in polys))):
         if name not in bindings:
             raise KeyError(f"unbound signal {name!r}")
-        samples[name] = np.fromiter(map(bindings[name], times), dtype=complex, count=times.size)
+        samples[name] = bindings[name].sample(times)
 
     masks = [sum((c != 0 for c in p.terms.values()), np.zeros((d, d), dtype=bool))
              for p in polys]  # each polynomial's union pattern
@@ -540,13 +552,20 @@ def _rk4(
     stage time is sampled and rewritten once.  Each observable is
     compiled onto its nonzero pattern (:func:`_observable`).
 
-    The four slopes, the stage input and a ring of the last
-    B = min(32, max(1, 256 KiB // y.nbytes)) states are allocated once, and
-    y (the caller passes a copy) is updated in place as
-    y + (h/6)·(((k1 + 2·k2) + 2·k3) + k4), in that order.  Each full ring,
-    and the last part of one, is diagnosed and read as one block
-    (:func:`_diagnose`); at B = 1 the block is a view of y.  Stored states
-    are copies; the result's ``final`` is y.
+    The run's state and its four slopes are the rows (y, k1, k2, k3, k4)
+    of one (5, …) buffer, allocated once with the stage input and a ring
+    of the last B = min(32, max(1, 256 KiB // y.nbytes)) states; the
+    caller's y is copied into row 0 and never written.  Every RK4 linear
+    combination is one real contraction (``np.matmul``) over the float
+    view of some of those rows: (1, c) over rows (0, j) for the stage
+    inputs y + (h/2)·k1, y + (h/2)·k2 and y + h·k3, and
+    (1, h/6, h/3, h/3, h/6) over all five for the update, which is
+    written into the stage input and then copied into row 0.  BLAS sums
+    each contraction in its own order, so a state agrees with the
+    written-out combination to rounding, not bit for bit.  Each full
+    ring, and the last part of one, is diagnosed and read as one block
+    (:func:`_diagnose`); at B = 1 the ring is a view of row 0.  Stored
+    states are copies; the result's ``final`` is row 0.
 
     The first grid point of a block with a non-finite diagnostic, drift
     beyond ``drift_tol`` or leak beyond ``leak_threshold`` (None only
@@ -568,10 +587,6 @@ def _rk4(
     leak = np.empty(n_steps)
     expect = {name: np.empty(n_steps, dtype=complex) for name in readers}
     states = [] if store_states else None
-    # the last B states, diagnosed together; at B = 1 the ring is y itself,
-    # and writing y into it copies nothing
-    B = min(32, max(1, 262144 // y.nbytes))
-    ring = np.empty((B,) + y.shape, dtype=complex) if B > 1 else y[None]
 
     def check(k, block):  # record grid points k, k + 1, …; raise at the first failure
         end = k + len(block)
@@ -600,23 +615,39 @@ def _rk4(
     with np.errstate(over="ignore", invalid="ignore"):
         rewrite, f = rhs(half)
         rewrite(0)
-        k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
+        # y and k1…k4 are the rows of one buffer, allocated once the
+        # compile's temporaries are freed; each RK4 combination is a real
+        # contraction of some of its rows, viewed as floats, into the stage
+        # input ys
+        stacked = np.empty((5,) + y.shape, dtype=complex)
+        stacked[0] = y
+        y, (k1, k2, k3, k4) = stacked[0], stacked[1:]
+        rows = stacked.reshape(5, -1).view(float)
+        y_k1, y_k2, y_k3 = rows[0:2], rows[0:3:2], rows[0:4:3]
+        ys = np.empty_like(y)
+        ys_flat = ys.reshape(-1).view(float)
+        c_half, c_full, c_step = np.ones(2), np.ones(2), np.ones(5)
+        # the last B states, diagnosed together; at B = 1 the ring is a view
+        # of row 0, and writing y into it copies nothing
+        B = min(32, max(1, 262144 // y.nbytes))
+        ring = np.empty((B,) + y.shape, dtype=complex) if B > 1 else stacked[:1]
         for k in range(-1, n_steps - 1):  # step k takes y to grid point k + 1
             if k >= 0:
                 hk = h[k]
+                c_half[1], c_full[1] = 0.5 * hk, hk
+                c_step[1] = c_step[4] = hk / 6.0
+                c_step[2] = c_step[3] = hk / 3.0
                 f(y, k1)
-                np.add(y, np.multiply(0.5 * hk, k1, out=ys), out=ys)
+                np.matmul(c_half, y_k1, out=ys_flat)
                 rewrite(2 * k + 1)
                 f(ys, k2)
-                np.add(y, np.multiply(0.5 * hk, k2, out=ys), out=ys)
+                np.matmul(c_half, y_k2, out=ys_flat)
                 f(ys, k3)
-                np.add(y, np.multiply(hk, k3, out=ys), out=ys)
+                np.matmul(c_full, y_k3, out=ys_flat)
                 rewrite(2 * k + 2)
                 f(ys, k4)
-                np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-                np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-                np.add(k1, k4, out=k1)
-                np.add(y, np.multiply(hk / 6.0, k1, out=k1), out=y)
+                np.matmul(c_step, rows, out=ys_flat)
+                np.copyto(y, ys)
             slot = (k + 1) % B
             ring[slot] = y
             if slot == B - 1 or k == n_steps - 2:
@@ -730,10 +761,7 @@ def integrate_master(
     ``leak_threshold``; pass ``leak_threshold=None`` to only record the
     leak.
     """
-    if isinstance(rho0, QuantumState):
-        rho = rho0.density().copy()
-    else:
-        rho = np.asarray(rho0, dtype=complex).copy()
+    rho = rho0.density() if isinstance(rho0, QuantumState) else np.asarray(rho0, dtype=complex)
     return _rk4(_compiled_lindblad(g, bindings), rho, times, g.space, observables,
                 store_states, trace_tol, leak_threshold)
 
@@ -760,9 +788,9 @@ def integrate_schrodinger(
     if isinstance(psi0, QuantumState):
         if not psi0.is_pure:
             raise ValueError("Schrodinger integration needs a pure state")
-        psi = psi0.vector.copy()
+        psi = psi0.vector
     else:
-        psi = np.asarray(psi0, dtype=complex).copy()
+        psi = np.asarray(psi0, dtype=complex)
 
     def rhs(half):
         compiled = _compile([H.scale(-1j)], bindings, half)

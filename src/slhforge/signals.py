@@ -31,13 +31,23 @@ SPARSE_MIN_DIM = 100
 
 
 class Signal:
-    """A named scalar function of time.  Subclasses implement __call__."""
+    """A named scalar function of time.
+
+    Subclasses implement ``__call__(t)``.  A compiled run reads a signal
+    through :meth:`sample`, once per run on the array of its stage times;
+    the built-in kinds sample in one vectorized pass, and a subclass that
+    defines only ``__call__`` is sampled by calling it once per time.
+    """
 
     def __init__(self, name: str):
         self.name = name
 
     def __call__(self, t: float) -> complex:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """The values at the 1-d float array ``times``, as a complex array."""
+        return np.fromiter(map(self, times), dtype=complex, count=times.size)
 
     @property
     def horizon(self) -> tuple[float, float] | None:
@@ -53,6 +63,9 @@ class ConstantSignal(Signal):
     def __call__(self, t: float) -> complex:
         return self.value
 
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        return np.full(times.size, self.value)
+
 
 class ComplexExponentialSignal(Signal):
     """amplitude * exp(i * (frequency * t + phase))"""
@@ -65,6 +78,9 @@ class ComplexExponentialSignal(Signal):
 
     def __call__(self, t: float) -> complex:
         return self.amplitude * np.exp(1j * (self.frequency * t + self.phase))
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        return self.amplitude * np.exp(1j * (self.frequency * times + self.phase))
 
 
 class GaussianPulseSignal(Signal):
@@ -81,6 +97,11 @@ class GaussianPulseSignal(Signal):
     def __call__(self, t: float) -> complex:
         x = (t - self.center) / self.width
         return self.amplitude * math.exp(-0.5 * x * x)
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        x = (times - self.center) / self.width
+        with np.errstate(over="ignore"):  # a far wing is 0, as math.exp makes it
+            return self.amplitude * np.exp(-0.5 * x * x)
 
 
 class SampledSignal(Signal):
@@ -113,9 +134,22 @@ class SampledSignal(Signal):
         im = np.interp(t, self.times, self.values.imag)
         return complex(re, im)
 
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """The values at ``times``; the first time outside the horizon
+        raises ``__call__``'s error before anything is interpolated."""
+        lo, hi = self.horizon
+        outside = (times < lo) | (times > hi)
+        if outside.any():
+            self(times[outside.argmax()])
+        out = np.empty(times.size, dtype=complex)
+        out.real = np.interp(times, self.times, self.values.real)
+        out.imag = np.interp(times, self.times, self.values.imag)
+        return out
+
     @classmethod
     def from_csv(cls, name: str, path) -> "SampledSignal":
-        """Read a `t,re,im` CSV table (header row required)."""
+        """Read a `t,re,im` CSV table (header row required); a row without
+        three numeric fields is an error that names its line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -125,7 +159,13 @@ class SampledSignal(Signal):
             for row in reader:
                 if not row:
                     continue
-                t, re, im = (float(x) for x in row)
+                where = f"{path}: line {reader.line_num}"
+                if len(row) != 3:
+                    raise ValueError(f"{where}: expected 3 fields t,re,im, got {len(row)}")
+                try:
+                    t, re, im = (float(x) for x in row)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
                 times.append(t)
                 values.append(complex(re, im))
         return cls(name, times, values)
@@ -247,7 +287,7 @@ class OpPolynomial:
         for mono, coeff in terms.items():
             if mono.degree > DEGREE_CAP:
                 raise ValueError(f"monomial {mono} exceeds degree cap {DEGREE_CAP}")
-            if np.any(coeff):
+            if coeff.any():
                 coeff.setflags(write=False)
                 clean[mono] = coeff
         self.space = space

@@ -345,6 +345,23 @@ def test_non_finite_sampled_drive_exits_2_at_its_declaration(rows, argv, netlist
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("rows, line, message", [
+    ("0.5,1.0\n1.0,0.0,0.0", 3, "expected 3 fields t,re,im, got 2"),
+    ("0.5,1.0,0.5\n1.0,x,0.0", 4, "could not convert string to float: 'x'"),
+], ids=["two_fields", "non_numeric"])
+def test_malformed_sampled_drive_row_exits_2_naming_its_csv_line(rows, line, message, netlist,
+                                                                  capsys):
+    path = netlist((NETLISTS / "sampled_drive.slh").read_text())
+    csv = Path(path).with_name("drive.csv")
+    csv.write_text(f"t,re,im\n0.0,0.0,0.0\n{rows}\n")
+    rc = main(["reduce", path])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("reduction error: line 3, col 1: cannot load sampled signal: "
+                            f"{csv}: line {line}: {message}\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, prefix", [
     # the Schrodinger path: closed chain from vacuum, drift ~1e-16
     (["simulate", str(NETLISTS / "cancel_chain.slh"), "--horizon", "0.5", "--step", "0.01"],

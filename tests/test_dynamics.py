@@ -21,6 +21,7 @@ from slhforge import (
     QuantumState,
     SLHTriple,
     SampledSignal,
+    Signal,
     analytic_driven_cavity,
     annihilator,
     build_cancellation_chain,
@@ -120,6 +121,23 @@ def test_vacuum_and_fock_states():
     with pytest.raises(ValueError, match="no factor labeled 'typo' in"):
         QuantumState.fock(sp, {"a": 1, "typo": 0})  # even at occupation 0
     assert QuantumState.fock(sp, {"b": 1}).vector[1] == 1.0  # a factor left out is at 0
+
+
+def test_fock_takes_python_and_numpy_integers():
+    sp = HilbertSpace.fock("c", 2)
+    want = QuantumState.fock(sp, 1).vector
+    for n in (np.int64(1), np.int32(1), np.uint8(1)):
+        assert np.array_equal(QuantumState.fock(sp, n).vector, want)
+        assert np.array_equal(QuantumState.fock(sp, {"c": n}).vector, want)
+
+
+@pytest.mark.parametrize("occupations", [{"c": 1.5}, {"c": 1.0}, 1.0, np.float64(1.0), "1"],
+                         ids=["float_in_map", "integral_float_in_map", "bare_float",
+                              "bare_numpy_float", "bare_string"])
+def test_fock_rejects_a_non_integer_occupation_naming_its_factor(occupations):
+    sp = HilbertSpace.fock("c", 2)
+    with pytest.raises(ValueError, match=r"^occupation .* for factor 'c' is not an integer$"):
+        QuantumState.fock(sp, occupations)
 
 
 def test_coherent_amplitudes_match_the_poisson_form():
@@ -895,6 +913,24 @@ def test_compiled_generators_need_every_signal_bound(rng):
         integrate_master(g, random_density(rng, 3), times)
     with pytest.raises(KeyError, match="unbound signal 'u'"):
         integrate_schrodinger(g.H, QuantumState.vacuum(g.space), times)
+
+
+def test_a_signal_defining_only_call_compiles_and_integrates():
+    pulse = GaussianPulseSignal("u", amplitude=0.4, center=0.05, width=0.02)
+
+    class Pulse(Signal):  # the same pulse, sampled one call per time
+        def __call__(self, t):
+            return pulse(t)
+
+    sp = HilbertSpace.fock("c", 5)
+    g = build_cancellation_chain([0.6 * annihilator(sp, "c")], number_op(sp, "c"), ["u"], sp)
+    times = np.linspace(0.0, 0.1, 51)
+    vacuum = QuantumState.vacuum(sp)
+    for run in (lambda binds: integrate_master(g, vacuum, times, binds),
+                lambda binds: integrate_schrodinger(g.H, vacuum, times, binds)):
+        got, want = run({"u": Pulse("u")}).final, run({"u": pulse}).final
+        assert np.max(np.abs(got - want)) < 1e-14
+        assert not np.array_equal(got, run({"u": ConstantSignal("u", 0)}).final)
 
 
 def test_grid_past_a_sampled_table_fails_before_the_first_step(rng):

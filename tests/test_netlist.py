@@ -269,6 +269,60 @@ def test_mutated_corpus_netlists_compile_or_fail_with_a_position(name, edit, dat
         assert "channel-count mismatch" in str(err)
 
 
+def _with_chain(ast, chain):
+    """The netlist ``ast`` with its network replaced by ``chain``, as text."""
+    ast.network.chain = list(chain)
+    return print_netlist(ast)
+
+
+def _assert_print_fixpoint(text):
+    ast = parse_netlist(text)
+    printed = print_netlist(ast)
+    again = parse_netlist(printed)
+    assert again == ast
+    assert print_netlist(again) == printed
+    return again
+
+
+COMPOSABLE = sorted(name for name in CORPUS if not name.startswith("err_"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(COMPOSABLE), st.data())
+def test_random_series_compositions_print_to_a_fixpoint(name, data):
+    ast = parse_netlist(CORPUS[name])
+    names = [c.name for c in ast.components]
+    chain = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=8))
+    again = _assert_print_fixpoint(_with_chain(ast, chain))
+    assert again.network.chain == chain
+    try:
+        compiled = compile_netlist(again, base_dir=str(NETLISTS))
+    except NetlistReductionError as err:
+        assert "channel-count mismatch" in str(err)
+    else:
+        assert [step.component for step in compiled.trace] == chain[::-1]
+
+
+# compositions that leave a series chain's coupling unchanged: a bare
+# Hamiltonian, and adjacent adders or sign flips that undo each other
+NEUTRAL = [("H0",), ("P", "M"), ("M", "P"), ("R", "R")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 64), st.sampled_from(NEUTRAL)), max_size=6))
+def test_neutral_insertions_keep_the_cancelled_coupling_exactly_zero(insertions):
+    # the paper's chain cancels L exactly; coefficients stay ±√0.4·a and
+    # integer multiples of I along any such chain, so every sum is exact
+    ast = parse_netlist(CORPUS["cancel_chain.slh"])
+    chain = list(ast.network.chain)
+    for at, piece in insertions:
+        at %= len(chain) + 1
+        chain[at:at] = piece
+    compiled = compile_netlist(_assert_print_fixpoint(_with_chain(ast, chain)))
+    assert compiled.triple.channels == 1
+    assert compiled.triple.L[0] == OpPolynomial.zero(compiled.space)
+
+
 def _nested(kind, n):
     if kind == "parens":
         return "(" * n + "n(c)" + ")" * n

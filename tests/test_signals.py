@@ -13,6 +13,7 @@ from slhforge import (
     Operator,
     OpPolynomial,
     SampledSignal,
+    Signal,
     SignalMonomial,
     identity,
 )
@@ -93,6 +94,76 @@ def test_sampled_signal_csv_header_is_checked(tmp_path):
     path.write_text("time,real,imag\n0.0,1.0,0.0\n")
     with pytest.raises(ValueError, match="t,re,im"):
         SampledSignal.from_csv("u", path)
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ("0.0,1.0,0.5\n0.5,1.0\n", 3, "expected 3 fields t,re,im, got 2"),
+    ("0.0,1.0,0.5\n\n0.5,1.0,0.5,0.0\n", 4, "expected 3 fields t,re,im, got 4"),
+    ("0.0,1.0,0.5\n0.5,x,0.5\n", 3, "could not convert string to float: 'x'"),
+], ids=["two_fields", "four_fields_after_a_blank_line", "non_numeric"])
+def test_malformed_csv_row_names_its_line(tmp_path, rows, line, message):
+    path = tmp_path / "drive.csv"
+    path.write_text("t,re,im\n" + rows)
+    with pytest.raises(ValueError) as exc:
+        SampledSignal.from_csv("u", path)
+    assert str(exc.value) == f"{path}: line {line}: {message}"
+
+
+def test_non_finite_csv_row_keeps_the_constructor_message(tmp_path):
+    path = tmp_path / "drive.csv"
+    path.write_text("t,re,im\n0.0,1.0,0.5\n0.5,nan,0.5\n")
+    with pytest.raises(ValueError, match="^sample times and values must be finite$"):
+        SampledSignal.from_csv("u", path)
+
+
+# every built-in kind, on a grid that crosses zero and the pulse's wings
+GRID = np.linspace(-0.3, 1.7, 401)
+KINDS = {
+    "constant": ConstantSignal("u", 2.0 - 1.0j),
+    "exponential": ComplexExponentialSignal("u", 0.8 - 0.3j, 2.1, 0.4),
+    "gaussian": GaussianPulseSignal("u", 0.35 - 0.2j, 0.4, 0.25),
+    "sampled": SampledSignal("u", np.linspace(-0.3, 1.7, 9),
+                             np.cos(np.arange(9)) - 1j * np.sin(2.0 * np.arange(9))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_sample_matches_call_on_a_grid(kind):
+    u = KINDS[kind]
+    got = u.sample(GRID)
+    want = np.array([u(t) for t in GRID], dtype=complex)
+    assert got.dtype == complex and got.shape == GRID.shape
+    if kind in ("constant", "sampled"):
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 2.5, -1.0], [-1.0, 0.5, 3.0]],
+                         ids=["late_first", "early_first"])
+def test_sampled_signal_sample_outside_horizon_raises_the_call_message(times):
+    u = SampledSignal("u", [0.0, 1.0, 2.0], [0.0, 2.0 + 2.0j, 0.0])
+    times = np.array(times)
+    first = times[(times < 0.0) | (times > 2.0)][0]
+    with pytest.raises(ValueError) as want:
+        u(first)
+    with pytest.raises(ValueError) as got:
+        u.sample(times)
+    assert str(got.value) == str(want.value)
+    assert f"t={first}" in str(got.value)
+
+
+def test_base_sample_calls_the_signal_once_per_time():
+    calls = []
+
+    class Ramp(Signal):  # defines only __call__
+        def __call__(self, t):
+            calls.append(t)
+            return complex(t, -2.0 * t)
+
+    got = Ramp("u").sample(GRID)
+    assert calls == list(GRID)
+    assert got.tobytes() == np.array([complex(t, -2.0 * t) for t in GRID]).tobytes()
 
 
 # -- monomials -------------------------------------------------------------
