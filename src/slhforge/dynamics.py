@@ -565,7 +565,8 @@ def _rk4(
     written-out combination to rounding, not bit for bit.  Each full
     ring, and the last part of one, is diagnosed and read as one block
     (:func:`_diagnose`); at B = 1 the ring is a view of row 0.  Stored
-    states are copies; the result's ``final`` is row 0.
+    states are copies, and so is the result's ``final``, so a kept result
+    holds one state, not the slopes.
 
     The first grid point of a block with a non-finite diagnostic, drift
     beyond ``drift_tol`` or leak beyond ``leak_threshold`` (None only
@@ -653,7 +654,7 @@ def _rk4(
             if slot == B - 1 or k == n_steps - 2:
                 check(k + 1 - slot, ring[:slot + 1])
 
-    return SimulationResult(times, expect, drift, pur, leak, states, y)
+    return SimulationResult(times, expect, drift, pur, leak, states, y.copy())
 
 
 def _compiled_lindblad(

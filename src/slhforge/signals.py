@@ -34,9 +34,10 @@ class Signal:
     """A named scalar function of time.
 
     Subclasses implement ``__call__(t)``.  A compiled run reads a signal
-    through :meth:`sample`, once per run on the array of its stage times;
-    the built-in kinds sample in one vectorized pass, and a subclass that
-    defines only ``__call__`` is sampled by calling it once per time.
+    through :meth:`sample`, once per run on the array of its stage times.
+    The Gaussian pulse samples in one vectorized pass; every other kind,
+    and a subclass that defines only ``__call__``, is sampled by calling
+    it once per time.
     """
 
     def __init__(self, name: str):
@@ -63,9 +64,6 @@ class ConstantSignal(Signal):
     def __call__(self, t: float) -> complex:
         return self.value
 
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        return np.full(times.size, self.value)
-
 
 class ComplexExponentialSignal(Signal):
     """amplitude * exp(i * (frequency * t + phase))"""
@@ -78,9 +76,6 @@ class ComplexExponentialSignal(Signal):
 
     def __call__(self, t: float) -> complex:
         return self.amplitude * np.exp(1j * (self.frequency * t + self.phase))
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(1j * (self.frequency * times + self.phase))
 
 
 class GaussianPulseSignal(Signal):
@@ -133,18 +128,6 @@ class SampledSignal(Signal):
         re = np.interp(t, self.times, self.values.real)
         im = np.interp(t, self.times, self.values.imag)
         return complex(re, im)
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """The values at ``times``; the first time outside the horizon
-        raises ``__call__``'s error before anything is interpolated."""
-        lo, hi = self.horizon
-        outside = (times < lo) | (times > hi)
-        if outside.any():
-            self(times[outside.argmax()])
-        out = np.empty(times.size, dtype=complex)
-        out.real = np.interp(times, self.times, self.values.real)
-        out.imag = np.interp(times, self.times, self.values.imag)
-        return out
 
     @classmethod
     def from_csv(cls, name: str, path) -> "SampledSignal":

@@ -618,6 +618,24 @@ def test_ring_memory_does_not_grow_with_the_run():
     assert peaks[1] - peaks[0] < 900 * state // 4, peaks
 
 
+def test_a_kept_result_holds_one_state_not_the_slopes():
+    # the run's state and slopes are the rows of one buffer; the result's
+    # final state is copied out of it, so the buffer is freed with the run
+    sp = HilbertSpace.fock("c", 15)
+    g = build_cancellation_chain([0.6 * annihilator(sp, "c")], number_op(sp, "c"), ["u"], sp)
+    binds = {"u": GaussianPulseSignal("u", amplitude=0.4, center=0.05, width=0.02)}
+    vacuum = QuantumState.vacuum(sp)
+    times = np.linspace(0.0, 1e-3, 11)
+    assert integrate_schrodinger(g.H, vacuum, times, binds).final.base is None
+    integrate_master(g, vacuum, times, binds)  # warm every cache first
+    tracemalloc.start()
+    result = integrate_master(g, vacuum, times, binds)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert result.final.base is None
+    assert held < 2 * result.final.nbytes, held  # the five rows would be 5 states
+
+
 def test_stage_tables_grow_by_their_rows_only():
     # per step: the grid and its step, two stage times, the diagnostics, the
     # signal's two samples and K's 2×3 monomial values (240 B measured); a
