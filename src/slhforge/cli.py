@@ -204,18 +204,33 @@ def _grid(horizon: float, step: float, bindings) -> np.ndarray:
 
 
 def _initial_state(spec: str, space) -> QuantumState:
-    if spec == "vacuum":
-        return QuantumState.vacuum(space)
-    if spec.startswith("fock:"):
-        return QuantumState.fock(space, int(spec.split(":", 1)[1]))
-    if spec.startswith("coherent:"):
-        re, im = (float(x) for x in spec.split(":", 1)[1].split(","))
+    """``vacuum``, ``fock:n`` or ``coherent:re,im``.  Any other spec, a
+    number that does not parse or a wrong count of numbers included, is
+    one "bad initial state spec" error; a Fock level out of range and an
+    amplitude that is not finite or overflows keep the state's message."""
+    kind, colon, value = spec.partition(":")
+    try:
+        if kind == "fock" and colon:
+            level = int(value)
+        elif kind == "coherent" and colon:
+            re, im = (float(x) for x in value.split(","))
+        elif spec != "vacuum":
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"bad initial state spec {spec!r} "
+                         "(vacuum | fock:n | coherent:re,im)") from None
+    if kind == "fock":
+        return QuantumState.fock(space, level)
+    if kind == "coherent":
         return QuantumState.coherent(space, complex(re, im))
-    raise ValueError(f"bad initial state spec {spec!r} (vacuum | fock:n | coherent:re,im)")
+    return QuantumState.vacuum(space)
 
 
 def _observable(name: str, space):
-    kind, _, label = name.partition(":")
+    kind, colon, label = name.partition(":")
+    unknown = f"unknown observable {name!r} (a | adag | n, optionally :label)"
+    if colon and not label:
+        raise ValueError(unknown)
     if not label:
         fock_labels = [f.label for f in space.factors if f.kind == "fock"]
         if len(fock_labels) != 1:
@@ -225,7 +240,7 @@ def _observable(name: str, space):
         raise ValueError(f"observable {name!r}: no factor labeled {label!r} in {space}")
     if kind in MODE_OPERATORS:
         return MODE_OPERATORS[kind](space, label)
-    raise ValueError(f"unknown observable {name!r} (a | adag | n, optionally :label)")
+    raise ValueError(unknown)
 
 
 def cmd_simulate(args) -> int:

@@ -140,6 +140,38 @@ def test_simulate_bad_initial_spec(netlist, capsys):
     assert "initial state" in capsys.readouterr().err
 
 
+BAD_SPEC = "error: bad initial state spec {!r} (vacuum | fock:n | coherent:re,im)\n"
+
+
+# a spec that does not parse gets the one spec line; a state that cannot be
+# built keeps its own message
+@pytest.mark.parametrize("spec, err", [
+    (spec, BAD_SPEC.format(spec))
+    for spec in ["foo", "fock", "fock:", "fock:1.5", "coherent:1", "coherent:1,2,3",
+                 "coherent:a,b", "vacuum:"]
+] + [
+    ("fock:9", "error: occupation 9 out of range for factor 'c'\n"),
+    ("fock:-1", "error: occupation -1 out of range for factor 'c'\n"),
+    ("coherent:nan,0", "error: coherent amplitude (nan+0j) is not finite\n"),
+    ("coherent:1e200,0", "error: coherent amplitude (1e+200+0j) overflows: the truncated "
+                         "state's norm is not finite\n"),
+])
+def test_simulate_initial_spec_errors_exit_2_with_one_line(spec, err, netlist, capsys):
+    rc = main(["simulate", netlist(CLOSED), "--horizon", "0.1", "--initial", spec])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["n:", ":c"])
+def test_simulate_observable_with_an_empty_kind_or_label_exits_2(name, netlist, capsys):
+    rc = main(["simulate", netlist(CLOSED), "--horizon", "0.1", "--observable", name])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: unknown observable {name!r} "
+                                       "(a | adag | n, optionally :label)\n")
+
+
 def test_simulate_bad_observable(netlist, capsys):
     rc = main(["simulate", netlist(CLOSED), "--horizon", "0.1",
                "--observable", "x"])

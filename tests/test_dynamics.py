@@ -891,6 +891,37 @@ def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
             assert _bits(entries(a)) == _bits(entries(b)) == _bits(entries(c))
 
 
+@pytest.mark.parametrize("two_mode", [False, True], ids=["d16_dense", "d121_csr"])
+def test_rewrite_writes_the_bits_of_matmul(rng, two_mode):
+    # a small rewrite may go through np.dot, which makes matmul's BLAS call
+    # on two or more monomials but rounds a (1,)·(1, nnz) product differently
+    if two_mode:
+        sp = HilbertSpace([HilbertSpace.fock("a", 10).factors[0],
+                           HilbertSpace.fock("b", 10).factors[0]])
+        a, b = annihilator(sp, "a"), annihilator(sp, "b")
+        ops = [a, number_op(sp, "b"), a.dagger() @ b]
+    else:
+        sp = HilbertSpace.fock("c", 15)
+        ops = [Operator(sp, random_matrix(rng, 16)) for _ in range(3)]
+    u = OpPolynomial.of_signal(sp, "u")
+    monomials = [u, u.dagger(), u * u.dagger()]
+    polys = []
+    for k in (1, 2, 3):
+        p = OpPolynomial.zero(sp)
+        for mono, op in zip(monomials[:k], ops):
+            p = p + mono * OpPolynomial.constant(complex(*rng.standard_normal(2)) * op)
+        polys.append(p)
+    assert [len(p.terms) for p in polys] == [1, 2, 3]
+    binds = {"u": ComplexExponentialSignal("u", 0.8 - 0.3j, 2.1, 0.4)}
+    compiled = _compile(polys, binds, np.linspace(0.0, 0.2, 9))
+    assert all(sparse.issparse(v) == two_mode for v in compiled.values)
+    assert len(compiled._updates) == 3
+    for i in range(9):
+        compiled.rewrite(i)
+        for _, _, table, stack, entries, _ in compiled._updates:
+            assert _bits(entries) == _bits(np.matmul(table[i], stack)), i
+
+
 def test_observable_read_matches_the_trace_and_the_quadratic_form(rng):
     sp = HilbertSpace([HilbertSpace.fock("a", 10).factors[0],
                        HilbertSpace.fock("b", 10).factors[0]])
@@ -917,11 +948,14 @@ def test_product_matches_matmul_bitwise(rng):
     assert all(sparse.issparse(m) for m in values)
     X = random_matrix(rng, d)
     v = X[:, 0].copy()
-    for m in [*values, random_matrix(rng, d)]:
-        for x in (X, v):
-            out = np.full_like(x, np.nan)  # the kernel must not read what out held
-            dynamics._product(m)(x, out)
-            assert _bits(out) == _bits(m @ x)
+    cases = [(m, x) for m in [*values, random_matrix(rng, d)] for x in (X, v)]
+    # and a dense matrix at d=16, the chain's size
+    m, X = random_matrix(rng, 16), random_matrix(rng, 16)
+    cases += [(m, X), (m, X[:, 0].copy())]
+    for m, x in cases:
+        out = np.full_like(x, np.nan)  # the kernel must not read what out held
+        dynamics._product(m)(x, out)
+        assert _bits(out) == _bits(m @ x)
 
 
 def test_compiled_generators_need_every_signal_bound(rng):

@@ -1,0 +1,91 @@
+"""Compare what the command line prints under this tree's package and another's.
+
+    python3 tools/compare_cli.py OTHER_TREE
+
+Every corpus netlist (``tests/netlists/*.slh``) goes through ``reduce``,
+``simulate --horizon 0.5 --step 0.01`` (and once more with
+``--observable a`` when the file declares a single Fock space) and
+``verify --horizon 0.3 --step 0.01``; then ``verify --demo --step
+0.002`` and each script under ``demos/`` run.  Every run happens twice,
+once with this tree's ``src/`` on PYTHONPATH and once with OTHER_TREE's,
+on this tree's netlists and demo scripts, from this tree's root, so only
+the package differs.
+
+Each run whose stdout, stderr or exit code differs is printed with the
+start of a unified diff.  The exit status is 0 when nothing differs and
+1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DIFF_LINES = 12  # diff lines shown per differing stream
+
+
+def runs() -> list[list[str]]:
+    """Each run's argv, relative to the tree's root."""
+    cli = [sys.executable, "-m", "slhforge.cli"]
+    out = []
+    for path in sorted((ROOT / "tests" / "netlists").glob("*.slh")):
+        name = str(path.relative_to(ROOT))
+        spaces = re.findall(r"^space\s+(\w+)", path.read_text(), flags=re.M)
+        simulate = cli + ["simulate", name, "--horizon", "0.5", "--step", "0.01"]
+        out += [cli + ["reduce", name], simulate]
+        if spaces == ["fock"]:
+            out.append(simulate + ["--observable", "a"])
+        out.append(cli + ["verify", name, "--horizon", "0.3", "--step", "0.01"])
+    out.append(cli + ["verify", "--demo", "--step", "0.002"])
+    out += [[sys.executable, str(p.relative_to(ROOT))]
+            for p in sorted((ROOT / "demos").glob("*.py"))]
+    return out
+
+
+def run(argv: list[str], tree: Path) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("SLHFORGE_LOG", None)
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("other", type=Path, help="root of the tree to compare against")
+    other = parser.parse_args(argv).other.resolve()
+    if not (other / "src" / "slhforge").is_dir():
+        parser.error(f"{other} has no src/slhforge")
+
+    all_runs = runs()
+    differing = 0
+    for argv_ in all_runs:
+        label = " ".join(argv_[3:] if argv_[1:3] == ["-m", "slhforge.cli"] else argv_[1:])
+        here, there = run(argv_, ROOT), run(argv_, other)
+        if here == there:
+            continue
+        differing += 1
+        print(f"DIFF {label}")
+        if here[0] != there[0]:
+            print(f"  exit code: {there[0]} (other) vs {here[0]} (this)")
+        for stream, a, b in (("stdout", there[1], here[1]), ("stderr", there[2], here[2])):
+            if a == b:
+                continue
+            diff = list(difflib.unified_diff(a.splitlines(), b.splitlines(), "other", "this",
+                                             lineterm="", n=0))
+            print(f"  {stream}:")
+            print("\n".join("    " + line for line in diff[:DIFF_LINES]))
+            if len(diff) > DIFF_LINES:
+                print(f"    … {len(diff) - DIFF_LINES} more diff lines")
+    print(f"{differing} of {len(all_runs)} runs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
