@@ -13,17 +13,12 @@ from .hilbert import (
     HilbertSpace,
     Operator,
     annihilator,
-    commutator,
     creator,
     embed,
     fock_factor,
     generic_factor,
     identity,
-    is_unitary_channel_matrix,
     number_op,
-    op_imag,
-    op_real,
-    zero,
 )
 from .signals import (
     Bindings,
@@ -71,13 +66,11 @@ from .dynamics import (
     analytic_driven_cavity,
     coherent_fidelity,
     coherent_vector,
-    expectation,
     heisenberg_generator,
     integrate_master,
     integrate_schrodinger,
     lindblad_rhs,
     output_expectation,
-    purity,
     trace_distance,
 )
 

@@ -218,37 +218,12 @@ def coherent_vector(space: HilbertSpace, alpha: complex, mode: str | None = None
 # -- observables ----------------------------------------------------------
 
 
-def expectation(op: Operator, state: QuantumState | np.ndarray) -> complex:
-    if isinstance(state, QuantumState):
-        if state.is_pure:
-            return complex(state.vector.conj() @ op.matrix @ state.vector)
-        state = state.rho
-    return complex(np.trace(state @ op.matrix))
-
-
-def purity(state: QuantumState | np.ndarray) -> float:
-    if isinstance(state, QuantumState):
-        if state.is_pure:
-            return 1.0
-        state = state.rho
-    return float(np.real(np.trace(state @ state)))
-
-
-def coherent_fidelity(state: QuantumState | np.ndarray, alpha: complex,
-                      space: HilbertSpace | None = None, mode: str | None = None) -> float:
+def coherent_fidelity(state: QuantumState, alpha: complex, mode: str | None = None) -> float:
     """<alpha| rho |alpha> with the truncated, renormalized coherent state."""
-    if isinstance(state, QuantumState):
-        space = state.space
-        if state.is_pure:
-            v = coherent_vector(space, alpha, mode)
-            return float(abs(v.conj() @ state.vector) ** 2)
-        rho = state.rho
-    else:
-        if space is None:
-            raise ValueError("space required for a bare density matrix")
-        rho = state
-    v = coherent_vector(space, alpha, mode)
-    return float(np.real(v.conj() @ rho @ v))
+    v = coherent_vector(state.space, alpha, mode)
+    if state.is_pure:
+        return float(abs(v.conj() @ state.vector) ** 2)
+    return float(np.real(v.conj() @ state.rho @ v))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -158,18 +158,9 @@ class Operator:
 
     # -- predicates -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not np.any(self.matrix)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
-
     def approx_equal(self, other: "Operator", tol: float = DEFAULT_TOL) -> bool:
         self._check_space(other)
         return float(np.max(np.abs(self.matrix - other.matrix))) <= tol
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) <= tol
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.space.total_dim})"
@@ -180,10 +171,6 @@ class Operator:
 
 def identity(space: HilbertSpace) -> Operator:
     return Operator(space, np.eye(space.total_dim))
-
-
-def zero(space: HilbertSpace) -> Operator:
-    return Operator(space, np.zeros((space.total_dim, space.total_dim)))
 
 
 def annihilator(space: HilbertSpace, factor_label: str) -> Operator:
@@ -256,46 +243,3 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
     big = np.einsum(",".join(terms) + "->" + out, *operands)
     return Operator(big_space, big.reshape(big_space.total_dim, big_space.total_dim))
 
-
-# -- operator calculus ----------------------------------------------------
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    return a @ b - b @ a
-
-
-def op_imag(x: Operator) -> Operator:
-    """Operator imaginary part (x - x†)/(2i); always self-adjoint."""
-    return Operator(x.space, (x.matrix - x.matrix.conj().T) * (-0.5j))
-
-
-def op_real(x: Operator) -> Operator:
-    """Operator real part (x + x†)/2."""
-    return Operator(x.space, (x.matrix + x.matrix.conj().T) * 0.5)
-
-
-def is_unitary_channel_matrix(
-    S: Sequence[Sequence[Operator]], tol: float = DEFAULT_TOL
-) -> bool:
-    """Check the two-sided unitarity conditions for a channel matrix with
-    operator entries: sum_k S_ik S_jk† = delta_ij = sum_k S_ki† S_kj.
-    """
-    n = len(S)
-    if any(len(row) != n for row in S):
-        raise ValueError("channel matrix is ragged")
-    space = S[0][0].space
-    for row in S:
-        for entry in row:
-            if entry.space != space:
-                raise ValueError("channel matrix entries live on different spaces")
-    eye = np.eye(space.total_dim)
-    for i in range(n):
-        for j in range(n):
-            target = eye if i == j else 0.0
-            left = sum(S[i][k].matrix @ S[j][k].matrix.conj().T for k in range(n))
-            right = sum(S[k][i].matrix.conj().T @ S[k][j].matrix for k in range(n))
-            # written so that a NaN entry fails
-            if not (np.max(np.abs(left - target)) <= tol
-                    and np.max(np.abs(right - target)) <= tol):
-                return False
-    return True

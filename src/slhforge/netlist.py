@@ -159,6 +159,7 @@ class NetworkDecl:
     name: str
     chain: list
     pos: tuple = _pos_field()
+    chain_pos: list = field(default_factory=list, compare=False, repr=False)  # (line, col) per name
 
 
 @dataclass
@@ -176,11 +177,11 @@ _TOKEN_RE = re.compile(
     (?P<ws>[ \t\r]+)
   | (?P<comment>\#[^\n]*)
   | (?P<nl>\n)
-  | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?i?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<series><\|)
-  | (?P<sym>[()\[\],=+\-*])
+  | (?P<NUMBER>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?i?)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<STRING>"[^"\n]*")
+  | (?P<SERIES><\|)
+  | (?P<SYM>[()\[\],=+\-*])
     """,
     re.VERBOSE,
 )
@@ -210,14 +211,7 @@ def tokenize(text: str) -> list[Token]:
         elif kind in ("ws", "comment"):
             col += len(value)
         else:
-            name = {
-                "number": "NUMBER",
-                "ident": "IDENT",
-                "string": "STRING",
-                "series": "SERIES",
-                "sym": "SYM",
-            }[kind]
-            tokens.append(Token(name, value, line, col))
+            tokens.append(Token(kind, value, line, col))
             col += len(value)
         i = m.end()
     tokens.append(Token("EOF", "", line, col))
@@ -404,11 +398,12 @@ class _Parser:
         start = self.advance()  # "network"
         name = self.expect_ident().text
         self.expect_sym("=")
-        chain = [self.expect_ident().text]
+        names = [self.expect_ident()]
         while self.tok.kind == "SERIES":
             self.advance()
-            chain.append(self.expect_ident().text)
-        return NetworkDecl(name, chain, (start.line, start.col))
+            names.append(self.expect_ident())
+        return NetworkDecl(name, [t.text for t in names], (start.line, start.col),
+                           [(t.line, t.col) for t in names])
 
     # -- expressions ------------------------------------------------------
 
@@ -857,7 +852,10 @@ class _Analyzer:
                             f"composing {name!r} overflows: its value is not finite")
                     trace.append(TraceStep(name, triple_summary(acc)))
         except ChannelMismatchError as exc:
-            raise NetlistReductionError(str(exc)) from exc
+            at = -1 - len(trace)
+            line, col = network.chain_pos[at]
+            raise NetlistReductionError(
+                f"{exc}, composing {chain[at]!r} at line {line}, col {col}") from exc
         except ValueError as exc:
             name = chain[-1 - len(trace)]
             raise NetlistReductionError(f"composing {name!r}: {exc}") from exc

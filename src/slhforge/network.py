@@ -26,7 +26,6 @@ from .hilbert import (
     Operator,
     annihilator,
     identity,
-    is_unitary_channel_matrix,
     number_op,
 )
 from .signals import Bindings, OpPolynomial
@@ -87,9 +86,10 @@ def validate_triple(
 
 def validate_scattering(g: SLHTriple, probe_times: Sequence[float] = (0.0,),
                         bindings: Bindings | None = None, tol: float = DEFAULT_TOL) -> None:
-    """Check that S is unitary at the probe times, whatever H is.  Warns
-    if S has acquired signal dependence (no construction in scope
-    produces one).
+    """Check that S is unitary at the probe times, whatever H is: S is
+    evaluated as one (n·d)×(n·d) block operator, and both SS† and S†S
+    must be within tol of the identity.  Warns if S has acquired signal
+    dependence (no construction in scope produces one).
     """
     s_signals = set()
     for row in g.S:
@@ -97,9 +97,12 @@ def validate_scattering(g: SLHTriple, probe_times: Sequence[float] = (0.0,),
             s_signals |= entry.signals()
     if s_signals:
         warnings.warn(f"S depends on signals {sorted(s_signals)}; this is unusual")
+    eye = np.eye(g.channels * g.space.total_dim)
     for t in probe_times:
-        S_num = [[entry.evaluate(t, bindings) for entry in row] for row in g.S]
-        if not is_unitary_channel_matrix(S_num, tol):
+        S = np.block([[entry.evaluate(t, bindings).matrix for entry in row] for row in g.S])
+        Sd = S.conj().T
+        # written so that a NaN entry fails
+        if not (np.max(np.abs(S @ Sd - eye)) <= tol and np.max(np.abs(Sd @ S - eye)) <= tol):
             raise ValueError(f"S fails the unitarity conditions at t={t}")
 
 
@@ -126,6 +129,8 @@ def _identity_S(space: HilbertSpace, n: int) -> tuple[tuple[OpPolynomial, ...], 
 
 def pure_hamiltonian(H, space: HilbertSpace | None = None, channels: int = 1) -> SLHTriple:
     """HAM(H): the closed system (I, 0, H); no field interaction."""
+    if channels < 1:
+        raise ValueError("HAM needs at least one channel")
     if space is None:
         space = H.space
     h = _as_poly(H, space)

@@ -362,6 +362,19 @@ def test_error_paths_exit_with_their_one_line(argv, text, code, line, netlist, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["reduce"], ["simulate", "--horizon", "0.1"], ["verify"]],
+                         ids=["reduce", "simulate", "verify"])
+def test_ham_without_channels_exits_2_at_its_component(argv, netlist, capsys):
+    text = ("space fock(cutoff=2) as c\n"
+            "component H = HAM(a(c) + adag(c), channels=0)\n"
+            "network main = H\n")
+    rc = main([argv[0], netlist(text), *argv[1:]])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "reduction error: line 2, col 1: HAM needs at least one channel\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("rows", ["0.5,nan,0.5\n1.0,0.0,0.0", "0.5,1.0,0.5\n1.0,0.0,-inf",
                                   "inf,1.0,0.5"], ids=["nan_value", "inf_value", "inf_time"])
 @pytest.mark.parametrize("argv", [["reduce"], ["simulate", "--horizon", "1", "--step", "0.01"]],

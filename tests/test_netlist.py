@@ -1,6 +1,7 @@
 """Netlist parsing, pretty-printing, semantic analysis, and reduction."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -264,9 +265,21 @@ def test_mutated_corpus_netlists_compile_or_fail_with_a_position(name, edit, dat
         lines = mutant.split("\n")
         assert 1 <= err.line <= len(lines) and 1 <= err.col <= len(lines[err.line - 1]) + 1
     except NetlistReductionError as err:
-        # the one netlist failure without a position: the chain's channel
-        # counts disagree (err_channel_mismatch.slh and its mutants)
-        assert "channel-count mismatch" in str(err)
+        # the chain's channel counts disagree (err_channel_mismatch.slh and
+        # its mutants): the message names the component and where it stands
+        _assert_mismatch_names_its_component(err, mutant)
+
+
+def _assert_mismatch_names_its_component(err, text):
+    """``err`` is a channel-count mismatch whose position, inside ``text``,
+    is where the component it names is written in the network chain."""
+    m = re.fullmatch(r"channel-count mismatch: \d+ vs \d+, "
+                     r"composing '(\w+)' at line (\d+), col (\d+)", str(err))
+    assert m, str(err)
+    name, line, col = m.group(1), int(m.group(2)), int(m.group(3))
+    lines = text.split("\n")
+    assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1
+    assert re.match(rf"{name}\b", lines[line - 1][col - 1:])
 
 
 def _with_chain(ast, chain):
@@ -298,7 +311,7 @@ def test_random_series_compositions_print_to_a_fixpoint(name, data):
     try:
         compiled = compile_netlist(again, base_dir=str(NETLISTS))
     except NetlistReductionError as err:
-        assert "channel-count mismatch" in str(err)
+        _assert_mismatch_names_its_component(err, print_netlist(again))
     else:
         assert [step.component for step in compiled.trace] == chain[::-1]
 
@@ -480,9 +493,12 @@ def test_channel_mismatch_is_a_reduction_error():
             "signal u = constant(1)\n"
             "component G = SYS(L=[a(c)])\n"
             "component A = ADD(u=[u, u])\n"
-            "network main = G <| A\n")
-    with pytest.raises(NetlistReductionError, match="channel-count mismatch"):
+            "network main = G <| G <| A\n")
+    # the G next to A is composed first: the message points at that one
+    with pytest.raises(NetlistReductionError) as err:
         compile_netlist(parse_netlist(text))
+    assert str(err.value) == ("channel-count mismatch: 1 vs 2, "
+                              "composing 'G' at line 5, col 21")
 
 
 def test_sqrt_of_negative_is_rejected():

@@ -29,6 +29,7 @@ from slhforge import (
     triples_approx_equal,
     validate_triple,
 )
+from slhforge.network import validate_scattering
 from conftest import (
     random_bindings,
     random_hermitian,
@@ -50,6 +51,11 @@ def test_pure_hamiltonian_shape(rng):
     assert g.channels == 2
     assert all(entry.is_zero() for entry in g.L)
     assert g.H.constant_part().approx_equal(h)
+
+
+def test_pure_hamiltonian_needs_a_channel():
+    with pytest.raises(ValueError, match="^HAM needs at least one channel$"):
+        pure_hamiltonian(number_op(HilbertSpace.fock("c", 2), "c"), channels=0)
 
 
 def test_pure_hamiltonian_rejects_non_self_adjoint(rng):
@@ -347,6 +353,33 @@ def test_validate_triple_rejects_bad_hamiltonian(rng):
     bad = SLHTriple(g.S, g.L, OpPolynomial.constant(random_operator(rng, SP)))
     with pytest.raises(ValueError, match="self-adjoint"):
         validate_triple(bad)
+
+
+def test_validate_scattering_checks_S_as_one_block_operator(rng):
+    sp = HilbertSpace.generic("q", 2)
+    zero = OpPolynomial.zero(sp)
+
+    def closed(rows):
+        """(S, 0, 0) with the given matrices as the entries of S."""
+        S = tuple(tuple(OpPolynomial.constant(Operator(sp, m)) for m in row) for row in rows)
+        return SLHTriple(S, (zero,) * len(S), zero)
+
+    T = random_unitary(rng, 2)
+    rows = [[T[i, j] * np.eye(2) for j in range(2)] for i in range(2)]
+    validate_scattering(closed(rows), tol=1e-10)
+    rows[0][0] = 2.0 * np.eye(2)
+    with pytest.raises(ValueError, match="unitarity"):
+        validate_scattering(closed(rows), tol=1e-10)
+    # NaN fails at any tolerance
+    rows[0][0] = np.full((2, 2), np.nan)
+    with pytest.raises(ValueError, match="unitarity"):
+        validate_scattering(closed(rows), tol=1e300)
+    with pytest.raises(ValueError, match="unitarity"):
+        validate_scattering(closed([[np.diag([1.0, np.nan])]]), tol=1e300)
+    # each diagonal block is unitary; the whole of S is not
+    eye, off = np.eye(2), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="unitarity"):
+        validate_scattering(closed([[eye, eye], [off, eye]]), tol=1e-10)
 
 
 def test_validate_triple_warns_on_signal_dependent_S(rng):
