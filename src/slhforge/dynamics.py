@@ -205,14 +205,11 @@ def coherent_vector(space: HilbertSpace, alpha: complex, mode: str | None = None
         raise ValueError(f"coherent amplitude {alpha} overflows: the truncated state's "
                          "norm is not finite")
     amps /= norm
-    if len(space.factors) == 1:
-        return amps
-    v = np.zeros(space.total_dim, dtype=complex)
-    pos = space.factor_position(mode)
-    stride = math.prod(fd.dim for fd in space.factors[pos + 1 :])
-    for n in range(f.dim):
-        v[n * stride] = amps[n]
-    return v
+    v = np.zeros(space.dims, dtype=complex)
+    at = [0] * len(space.factors)
+    at[space.factor_position(mode)] = slice(None)
+    v[tuple(at)] = amps
+    return v.reshape(-1)
 
 
 # -- observables ----------------------------------------------------------

@@ -183,11 +183,8 @@ def annihilator(space: HilbertSpace, factor_label: str) -> Operator:
     f = space.factor(factor_label)
     if f.kind != FOCK:
         raise ValueError(f"factor {factor_label!r} is not a Fock factor")
-    a = np.zeros((f.dim, f.dim), dtype=complex)
-    for m in range(f.dim - 1):
-        a[m, m + 1] = math.sqrt(m + 1)
-    small = HilbertSpace([f])
-    return embed(Operator(small, a), space)
+    a = np.diag(np.sqrt(np.arange(1, f.dim)), 1)
+    return embed(Operator(HilbertSpace([f]), a), space)
 
 
 def creator(space: HilbertSpace, factor_label: str) -> Operator:
@@ -195,8 +192,9 @@ def creator(space: HilbertSpace, factor_label: str) -> Operator:
 
 
 def number_op(space: HilbertSpace, factor_label: str) -> Operator:
-    a = annihilator(space, factor_label)
-    return a.dagger() @ a
+    """a†a, built on its factor and then embedded."""
+    a = annihilator(HilbertSpace([space.factor(factor_label)]), factor_label)
+    return embed(a.dagger() @ a, space)
 
 
 #: The mode operators of a Fock factor by name, as netlists and the
@@ -205,17 +203,13 @@ MODE_OPERATORS = {"a": annihilator, "adag": creator, "n": number_op}
 
 
 def embed(op: Operator, big_space: HilbertSpace) -> Operator:
-    """Kronecker-extend ``op`` with identities on the factors of
-    ``big_space`` that its own space lacks, respecting factor order.
+    """Kronecker-extend ``op`` to ``big_space`` as ``I_before ⊗ op ⊗ I_after``.
 
-    The factors of ``op.space`` must appear in ``big_space`` in the same
-    relative order (no permutation is performed).
+    The factors of ``op.space`` must be a contiguous run of the factors of
+    ``big_space``, in the same order (no permutation is performed).
     """
-    small = op.space
-    if small == big_space:
-        return Operator(big_space, op.matrix)
     positions = []
-    for f in small.factors:
+    for f in op.space.factors:
         if f.label not in big_space:
             raise ValueError(f"factor {f.label!r} missing from target space")
         if big_space.factor(f.label) != f:
@@ -223,23 +217,14 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
         positions.append(big_space.factor_position(f.label))
     if positions != sorted(positions):
         raise ValueError("factor order differs between spaces; embedding permutes nothing")
-
-    n_big = len(big_space.factors)
-    dims = big_space.dims
-    small_dims = small.dims
-    # einsum: operand tensor carries row/col axes for the small factors,
-    # identity deltas supply the remaining axes.
-    t = op.matrix.reshape(small_dims + small_dims)
-    row = [chr(ord("a") + i) for i in range(n_big)]
-    col = [chr(ord("A") + i) for i in range(n_big)]
-    op_idx = "".join(row[p] for p in positions) + "".join(col[p] for p in positions)
-    operands = [t]
-    terms = [op_idx]
-    for i in range(n_big):
-        if i not in positions:
-            operands.append(np.eye(dims[i], dtype=complex))
-            terms.append(row[i] + col[i])
-    out = "".join(row) + "".join(col)
-    big = np.einsum(",".join(terms) + "->" + out, *operands)
-    return Operator(big_space, big.reshape(big_space.total_dim, big_space.total_dim))
-
+    first, last = positions[0], positions[-1]
+    if last - first + 1 != len(positions):
+        raise ValueError("factors are not adjacent in the target space; "
+                         "embedding is a Kronecker product over a contiguous run")
+    matrix = op.matrix
+    before, after = math.prod(big_space.dims[:first]), math.prod(big_space.dims[last + 1:])
+    if before > 1:
+        matrix = np.kron(np.eye(before), matrix)
+    if after > 1:
+        matrix = np.kron(matrix, np.eye(after))
+    return Operator(big_space, matrix)

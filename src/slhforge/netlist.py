@@ -24,7 +24,6 @@ import numpy as np
 
 from .hilbert import MODE_OPERATORS, HilbertSpace, fock_factor, generic_factor, identity
 from .network import (
-    ChannelMismatchError,
     SLHTriple,
     beam_splitter,
     cavity,
@@ -848,17 +847,15 @@ class _Analyzer:
             with np.errstate(over="ignore", invalid="ignore"):
                 for name, acc in zip(reversed(chain), steps):
                     if not _is_finite(_entries(acc)):
-                        raise NetlistReductionError(
-                            f"composing {name!r} overflows: its value is not finite")
+                        raise ValueError("overflow: the running product is not finite")
                     trace.append(TraceStep(name, triple_summary(acc)))
-        except ChannelMismatchError as exc:
+        except ValueError as exc:  # a channel mismatch, a degree cap or an overflow
             at = -1 - len(trace)
-            line, col = network.chain_pos[at]
-            raise NetlistReductionError(
-                f"{exc}, composing {chain[at]!r} at line {line}, col {col}") from exc
-        except ValueError as exc:
-            name = chain[-1 - len(trace)]
-            raise NetlistReductionError(f"composing {name!r}: {exc}") from exc
+            where = f"composing {chain[at]!r}"
+            if network.chain_pos:  # a parsed chain; a hand-built one has no positions
+                line, col = network.chain_pos[at]
+                where += f" at line {line}, col {col}"
+            raise NetlistReductionError(f"{exc}, {where}") from exc
         return acc, trace
 
 

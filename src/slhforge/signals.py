@@ -35,9 +35,9 @@ class Signal:
 
     Subclasses implement ``__call__(t)``.  A compiled run reads a signal
     through :meth:`sample`, once per run on the array of its stage times.
-    The Gaussian pulse samples in one vectorized pass; every other kind,
-    and a subclass that defines only ``__call__``, is sampled by calling
-    it once per time.
+    The Gaussian pulse and the sampled table sample in one vectorized
+    pass; every other kind, and a subclass that defines only ``__call__``,
+    is sampled by calling it once per time.
     """
 
     def __init__(self, name: str):
@@ -128,6 +128,16 @@ class SampledSignal(Signal):
         re = np.interp(t, self.times, self.values.real)
         im = np.interp(t, self.times, self.values.imag)
         return complex(re, im)
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        lo, hi = self.horizon
+        outside = (times < lo) | (times > hi)
+        if outside.any():
+            self(times[outside.argmax()])  # raises the call's message for the first one
+        out = np.empty(times.shape, dtype=complex)
+        out.real = np.interp(times, self.times, self.values.real)
+        out.imag = np.interp(times, self.times, self.values.imag)
+        return out
 
     @classmethod
     def from_csv(cls, name: str, path) -> "SampledSignal":
@@ -326,7 +336,14 @@ class OpPolynomial:
     def __mul__(self, other) -> "OpPolynomial":
         """The product; on a space of at least ``SPARSE_MIN_DIM`` states, a
         coefficient that is exactly c·I multiplies the other one as the
-        scalar c."""
+        scalar c.
+
+        On a self-conjugate signal monomial such as u·conj(u), the
+        imaginary part of a coefficient product is formed from separate
+        real products, so that conj(z)·z rounds to a real number: the
+        series product's Im(L†SL) then vanishes exactly where the algebra
+        says it does, as for a pair of adders that cancel.
+        """
         if isinstance(other, OpPolynomial):
             self._check_space(other)
             large = self.space.total_dim >= SPARSE_MIN_DIM
@@ -339,11 +356,14 @@ class OpPolynomial:
                     mono = m1 * m2
                     s2 = scalars[m2]
                     if s1 is not None:
-                        prod = s1 * c2
+                        a, b, times = s1, c2, np.multiply
                     elif s2 is not None:
-                        prod = c1 * s2
+                        a, b, times = c1, s2, np.multiply
                     else:
-                        prod = c1 @ c2
+                        a, b, times = c1, c2, np.matmul
+                    prod = times(a, b)
+                    if mono.entries and all(p == q for _, p, q in mono.entries):
+                        prod.imag = times(a.real, b.imag) + times(a.imag, b.real)
                     terms[mono] = terms[mono] + prod if mono in terms else prod
             return OpPolynomial._shared(self.space, terms)
         return self.scale(other)

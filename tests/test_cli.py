@@ -16,6 +16,7 @@ from slhforge.network import SLHTriple
 from slhforge.signals import OpPolynomial
 
 NETLISTS = Path(__file__).parent / "netlists"
+CORPUS_TWO_MODE = (NETLISTS / "two_mode.slh").read_text()
 
 
 MINIMAL = """\
@@ -308,7 +309,8 @@ def test_overflowing_series_product_exits_2_naming_the_component(netlist, capsys
     assert rc == 2
     captured = capsys.readouterr()
     # G <| G is the first product, and its Im(L†L) term overflows
-    assert captured.err == "reduction error: composing 'G' overflows: its value is not finite\n"
+    assert captured.err == ("reduction error: overflow: the running product is not finite, "
+                            "composing 'G' at line 4, col 21\n")
     assert captured.out == ""
 
 
@@ -343,7 +345,8 @@ def test_overflowing_component_exits_2_naming_it(netlist, capsys):
      2, "reduction error: line 2, col 1: pulse width must be positive"),
     (["reduce"], "space fock(cutoff=2) as c\nsignal u = constant(1)\n"
      "component G = SYS(L=[u * u * u * u * u * a(c)])\nnetwork main = G <| G\n",
-     2, "reduction error: composing 'G': monomial u^5*conj(u)^5 exceeds degree cap 8"),
+     2, "reduction error: monomial u^5*conj(u)^5 exceeds degree cap 8, "
+        "composing 'G' at line 4, col 16"),
     (["verify", "--horizon", "0.01", "--step", "0.001"],
      "space fock(cutoff=2) as c\ncomponent H = HAM(1e200 * (a(c) + adag(c)))\n"
      "network main = H\n",
@@ -352,8 +355,11 @@ def test_overflowing_component_exits_2_naming_it(netlist, capsys):
     (["reduce"], "space fock(cutoff=3000) as a\nspace fock(cutoff=3000) as b\n"
      "component C = CAVITY(gamma=1, omega=1, mode=a)\nnetwork main = C\n",
      2, "reduction error: line 2, col 1: space dimension 9006001 exceeds the limit of 4096"),
+    (["simulate", "--horizon", "0.1", "--observable", "a"], CORPUS_TWO_MODE,
+     2, "error: observable 'a' needs a :label on this space"),
 ], ids=["cutoff_zero", "bs_not_square", "cavity_needs_mode", "pulse_width_zero",
-        "degree_cap", "verify_non_finite_state", "space_past_max_dim"])
+        "degree_cap", "verify_non_finite_state", "space_past_max_dim",
+        "observable_needs_label"])
 def test_error_paths_exit_with_their_one_line(argv, text, code, line, netlist, capsys):
     rc = main([argv[0], netlist(text), *argv[1:]])
     assert rc == code

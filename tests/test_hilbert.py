@@ -211,6 +211,15 @@ def test_embed_refuses_to_permute():
         embed(identity(flipped), big)
 
 
+def test_embed_refuses_factors_that_are_not_adjacent():
+    # a Kronecker product over a contiguous run cannot put an identity
+    # between the operand's own factors
+    big = HilbertSpace([fock_factor("a", 1), generic_factor("q", 2), fock_factor("b", 1)])
+    apart = HilbertSpace([big.factors[0], big.factors[2]])
+    with pytest.raises(ValueError, match="factors are not adjacent in the target space"):
+        embed(identity(apart), big)
+
+
 
 # -- calculus --------------------------------------------------------------
 

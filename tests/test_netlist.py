@@ -25,7 +25,8 @@ from slhforge import (
     print_netlist,
     triples_approx_equal,
 )
-from slhforge.netlist import MAX_EXPR_DEPTH, BinOp, Dagger, Neg, Num, Ref, Sqrt
+from slhforge.netlist import (MAX_EXPR_DEPTH, BinOp, Dagger, Neg, NetworkDecl, Num, Ref,
+                              Sqrt)
 
 
 MINIMAL = """\
@@ -336,6 +337,42 @@ def test_neutral_insertions_keep_the_cancelled_coupling_exactly_zero(insertions)
     assert compiled.triple.L[0] == OpPolynomial.zero(compiled.space)
 
 
+def _bits(poly):
+    return {mono: coeff.tobytes() for mono, coeff in poly.terms.items()}
+
+
+# a complex scale with both parts nonzero, as netlist text
+COMPLEX_SCALE = st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 2.0),
+                          st.sampled_from("+-"), st.sampled_from(["", "-"])).map(
+    lambda x: f"({x[3]}{x[0]!r} {x[2]} {x[1]!r}i)")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(COMPOSABLE), st.data())
+def test_complex_adder_pairs_leave_the_reduced_triple_unchanged_bit_for_bit(name, data):
+    # ADD(s·v) <| ADD(−s·v) is the identity: inserted anywhere in a chain,
+    # each pair on a signal of its own, it must leave L and H as they were
+    # (conj(s)·s rounding to a complex number left Im(L†SL) ≈ 1e-18 in H)
+    text = CORPUS[name]
+    base = compile_netlist(parse_netlist(text), base_dir=str(NETLISTS)).triple
+    decls = []
+    chain = list(parse_netlist(text).network.chain)
+    for k in range(data.draw(st.integers(1, 3))):
+        scales = [data.draw(COMPLEX_SCALE) for _ in range(base.channels)]
+        plus = ", ".join(f"{s} * v{k}" for s in scales)
+        minus = ", ".join(f"-{s} * v{k}" for s in scales)
+        decls += [f"signal v{k} = constant(1)", f"component PZ{k} = ADD(u=[{plus}])",
+                  f"component MZ{k} = ADD(u=[{minus}])"]
+        at = data.draw(st.integers(0, len(chain)))
+        chain[at:at] = data.draw(st.sampled_from([[f"PZ{k}", f"MZ{k}"], [f"MZ{k}", f"PZ{k}"]]))
+    at = text.index("\nnetwork ") + 1
+    ast = parse_netlist(text[:at] + "\n".join(decls) + "\n" + text[at:])
+    g = compile_netlist(_assert_print_fixpoint(_with_chain(ast, chain)),
+                        base_dir=str(NETLISTS)).triple
+    assert [_bits(entry) for entry in g.L] == [_bits(entry) for entry in base.L]
+    assert _bits(g.H) == _bits(base.H)
+
+
 def _nested(kind, n):
     if kind == "parens":
         return "(" * n + "n(c)" + ")" * n
@@ -499,6 +536,15 @@ def test_channel_mismatch_is_a_reduction_error():
         compile_netlist(parse_netlist(text))
     assert str(err.value) == ("channel-count mismatch: 1 vs 2, "
                               "composing 'G' at line 5, col 21")
+
+
+def test_hand_built_chain_reports_a_mismatch_without_a_position():
+    # only the parser records where each chain name stands
+    ast = parse_netlist(CORPUS["err_channel_mismatch.slh"])
+    ast.network = NetworkDecl("main", ["G", "A"])
+    with pytest.raises(NetlistReductionError) as err:
+        compile_netlist(ast)
+    assert str(err.value) == "channel-count mismatch: 1 vs 2, composing 'G'"
 
 
 def test_sqrt_of_negative_is_rejected():

@@ -18,6 +18,7 @@ from slhforge import (
     cancellation_chain_components,
     cavity,
     creator,
+    fock_factor,
     identity,
     number_op,
     pure_hamiltonian,
@@ -91,6 +92,16 @@ def test_signal_adder_entry_forms():
     assert g.L[2] == OpPolynomial.of_signal(SP, "w", 3.0)
     with pytest.raises(ValueError):
         signal_adder([], SP)
+
+
+@pytest.mark.parametrize("s", [0.3 + 0.4j, 0.1 + 0.7j, 1 / 3 + 1j / 7])
+@pytest.mark.parametrize("cutoffs", [(1,), (10, 10)], ids=["d2", "d121"])
+def test_adders_of_opposite_complex_scale_cancel_exactly(s, cutoffs):
+    # d = 121 takes the c·I-as-scalar product path, d = 2 the matrix product
+    sp = HilbertSpace([fock_factor(f"c{i}", c) for i, c in enumerate(cutoffs)])
+    g = series(signal_adder([("u", -s)], sp), signal_adder([("u", s)], sp))
+    assert g.L[0].is_zero()
+    assert g.H.is_zero()
 
 
 def test_system_coupling_infers_space(rng):
