@@ -103,6 +103,13 @@ def _load(path: str):
     return compile_netlist(parse_netlist(text), base_dir=os.path.dirname(path) or ".")
 
 
+def _load_reduced(path: str):
+    """The reduced triple and the signal bindings of a netlist file; the
+    components and the trace of the reduction are freed before a run."""
+    compiled = _load(path)
+    return compiled.triple, compiled.signals
+
+
 def _check_tolerances(args):
     """Each tolerance flag the command has must be a number >= 0."""
     for name in ("tol", "trace_tol", "leak_threshold"):
@@ -207,7 +214,9 @@ def _initial_state(spec: str, space) -> QuantumState:
     """``vacuum``, ``fock:n`` or ``coherent:re,im``.  Any other spec, a
     number that does not parse or a wrong count of numbers included, is
     one "bad initial state spec" error; a Fock level out of range and an
-    amplitude that is not finite or overflows keep the state's message."""
+    amplitude that is not finite or overflows keep the state's message.
+    A coherent state takes the space's one Fock factor, so a space with
+    none or several is refused."""
     kind, colon, value = spec.partition(":")
     try:
         if kind == "fock" and colon:
@@ -222,6 +231,10 @@ def _initial_state(spec: str, space) -> QuantumState:
     if kind == "fock":
         return QuantumState.fock(space, level)
     if kind == "coherent":
+        modes = sum(f.kind == "fock" for f in space.factors)
+        if modes != 1:
+            raise ValueError(f"a coherent initial state needs exactly one Fock factor; "
+                             f"this space has {modes}")
         return QuantumState.coherent(space, complex(re, im))
     return QuantumState.vacuum(space)
 
@@ -244,24 +257,23 @@ def _observable(name: str, space):
 
 
 def cmd_simulate(args) -> int:
-    compiled = _load(args.file)
-    g = compiled.triple
+    g, bindings = _load_reduced(args.file)
     space = g.space
     try:
         state = _initial_state(args.initial, space)
         observables = {name: _observable(name, space) for name in args.observable}
     except ValueError as exc:
         raise ArgumentError(str(exc)) from exc
-    times = _grid(args.horizon, args.step, compiled.signals)
+    times = _grid(args.horizon, args.step, bindings)
     if all(entry.is_zero() for entry in g.L) and state.is_pure:
         log.info("closed system and pure state: Schrodinger integration")
         result = integrate_schrodinger(
-            g.H, state, times, compiled.signals, observables,
+            g.H, state, times, bindings, observables,
             norm_tol=args.trace_tol, leak_threshold=args.leak_threshold,
         )
     else:
         result = integrate_master(
-            g, state, times, compiled.signals, observables,
+            g, state, times, bindings, observables,
             trace_tol=args.trace_tol, leak_threshold=args.leak_threshold,
         )
     _write_output(args.output, result.to_csv())
@@ -362,10 +374,10 @@ def cmd_verify(args) -> int:
     elif args.file is None:
         raise ArgumentError("give a netlist file or --demo")
     else:
-        compiled = _load(args.file)
+        g, bindings = _load_reduced(args.file)
         horizon = 1.0 if args.horizon is None else args.horizon
         instance = args.file
-        checks = _verify_ladder(compiled.triple, compiled.signals, horizon, args)[0]
+        checks = _verify_ladder(g, bindings, horizon, args)[0]
     passed = all(c["passed"] for c in checks)
     bundle = {"instance": instance, "checks": checks, "passed": passed}
     _write_output(args.output, json.dumps(bundle, indent=2) + "\n")

@@ -718,7 +718,10 @@ def _compiled_lindblad(
         live = [Lp for Lp in g.L if not Lp.is_zero()]
         K = g.H.scale(-1j)
         for Lp in live:
-            K = K + (Lp.dagger() * Lp).scale(-0.5)
+            LdL = Lp.dagger()._product_terms(Lp)  # fresh arrays, scaled in place
+            for c in LdL.values():
+                np.multiply(c, complex(-0.5), out=c)
+            K = K + OpPolynomial._shared(g.space, LdL)
         compiled = _compile([K] + live, bindings, half)
         (Km, *Ls), n, d = compiled.values, len(compiled.values), g.space.total_dim
         scratch = np.empty((d, d), dtype=complex)
@@ -787,9 +790,11 @@ def integrate_master(
     ``leak_threshold``; pass ``leak_threshold=None`` to only record the
     leak.
     """
-    rho = rho0.density() if isinstance(rho0, QuantumState) else np.asarray(rho0, dtype=complex)
-    return _rk4(_compiled_lindblad(g, bindings), rho, times, g.space, observables,
-                store_states, trace_tol, leak_threshold)
+    # ρ₀ is read once, into the run's own state: no name here keeps it
+    return _rk4(_compiled_lindblad(g, bindings),
+                rho0.density() if isinstance(rho0, QuantumState)
+                else np.asarray(rho0, dtype=complex),
+                times, g.space, observables, store_states, trace_tol, leak_threshold)
 
 
 def integrate_schrodinger(

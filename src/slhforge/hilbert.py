@@ -113,12 +113,30 @@ class HilbertSpace:
 
 
 class Operator:
-    """Dense complex square matrix acting on a :class:`HilbertSpace`."""
+    """Dense complex square matrix acting on a :class:`HilbertSpace`.
+
+    The matrix is a read-only, C-ordered complex array that the operator
+    owns.  The constructor copies the array a caller hands in, so changing
+    it afterwards leaves the operator unchanged; the algebra and the
+    constructors below adopt the array they have just computed, and a
+    result may share a frozen matrix with its operand.
+    """
 
     __slots__ = ("space", "matrix")
 
     def __init__(self, space: HilbertSpace, matrix):
-        matrix = np.array(matrix, dtype=complex)
+        self._own(space, np.array(matrix, dtype=complex, order="C"))
+
+    @classmethod
+    def _adopt(cls, space: HilbertSpace, matrix: np.ndarray) -> "Operator":
+        """An operator on a C-ordered complex array that nothing else
+        writes: a result just computed, or a frozen matrix.  It is frozen,
+        not copied."""
+        op = cls.__new__(cls)
+        op._own(space, matrix)
+        return op
+
+    def _own(self, space: HilbertSpace, matrix: np.ndarray):
         if matrix.shape != (space.total_dim, space.total_dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match space dim {space.total_dim}"
@@ -130,27 +148,27 @@ class Operator:
     # -- algebra ----------------------------------------------------------
 
     def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
+        return Operator._adopt(self.space, _conj_transpose(self.matrix))
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        return Operator(self.space, self.matrix + other.matrix)
+        return Operator._adopt(self.space, self.matrix + other.matrix)
 
     def __sub__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        return Operator(self.space, self.matrix - other.matrix)
+        return Operator._adopt(self.space, self.matrix - other.matrix)
 
     def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
+        return Operator._adopt(self.space, -self.matrix)
 
     def __mul__(self, c) -> "Operator":
-        return Operator(self.space, self.matrix * complex(c))
+        return Operator._adopt(self.space, self.matrix * complex(c))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        return Operator(self.space, self.matrix @ other.matrix)
+        return Operator._adopt(self.space, self.matrix @ other.matrix)
 
     def _check_space(self, other: "Operator"):
         if self.space != other.space:
@@ -170,7 +188,7 @@ class Operator:
 
 
 def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.total_dim))
+    return Operator._adopt(space, np.eye(space.total_dim, dtype=complex))
 
 
 def annihilator(space: HilbertSpace, factor_label: str) -> Operator:
@@ -184,7 +202,7 @@ def annihilator(space: HilbertSpace, factor_label: str) -> Operator:
     if f.kind != FOCK:
         raise ValueError(f"factor {factor_label!r} is not a Fock factor")
     a = np.diag(np.sqrt(np.arange(1, f.dim)), 1)
-    return embed(Operator(HilbertSpace([f]), a), space)
+    return embed(Operator._adopt(HilbertSpace([f]), a.astype(complex)), space)
 
 
 def creator(space: HilbertSpace, factor_label: str) -> Operator:
@@ -206,7 +224,9 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
     """Kronecker-extend ``op`` to ``big_space`` as ``I_before ⊗ op ⊗ I_after``.
 
     The factors of ``op.space`` must be a contiguous run of the factors of
-    ``big_space``, in the same order (no permutation is performed).
+    ``big_space``, in the same order (no permutation is performed).  The
+    result adopts the last Kronecker product's array, or shares ``op``'s
+    matrix when there is nothing to extend.
     """
     positions = []
     for f in op.space.factors:
@@ -227,4 +247,9 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
         matrix = np.kron(np.eye(before), matrix)
     if after > 1:
         matrix = np.kron(matrix, np.eye(after))
-    return Operator(big_space, matrix)
+    return Operator._adopt(big_space, matrix)
+
+
+def _conj_transpose(m: np.ndarray) -> np.ndarray:
+    """m† as a new C-ordered array, whatever m's shape."""
+    return np.conjugate(m.T, out=np.empty(m.shape[::-1], dtype=complex))

@@ -592,7 +592,9 @@ def print_netlist(ast: NetlistAST) -> str:
 #: Most states the composite space may have.  Operators are dense d×d
 #: complex matrices, one of which takes 256 MiB at this bound, so a larger
 #: space is refused at the `space` line that crosses the bound, before
-#: anything is allocated.
+#: anything is allocated.  A `simulate` of the two-cavity cascade peaked
+#: at 21.1 such arrays at d = 196 and 21.0 at d = 441 (tracemalloc), so
+#: about 5.3 GiB at this bound; a longer chain or more channels hold more.
 MAX_DIM = 4096
 
 

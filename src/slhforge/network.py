@@ -220,26 +220,20 @@ def series(g2: SLHTriple, g1: SLHTriple) -> SLHTriple:
     n = g1.channels
     S = tuple(
         tuple(
-            _poly_sum(g2.S[i][k] * g1.S[k][j] for k in range(n)) for j in range(n)
+            OpPolynomial._sum(g2.S[i][k] * g1.S[k][j] for k in range(n)) for j in range(n)
         )
         for i in range(n)
     )
     L = tuple(
-        g2.L[i] + _poly_sum(g2.S[i][j] * g1.L[j] for j in range(n)) for i in range(n)
+        g2.L[i] + OpPolynomial._sum(g2.S[i][j] * g1.L[j] for j in range(n)) for i in range(n)
     )
-    cross = _poly_sum(
+    # Im(L2† S2 L1) alone outlives the cross polynomial, and H is summed in
+    # place on the arrays the sum allocates
+    cross_imag = OpPolynomial._sum(
         g2.L[i].dagger() * g2.S[i][j] * g1.L[j] for i in range(n) for j in range(n)
-    )
-    H = g1.H + g2.H + cross.imag()
+    ).imag()
+    H = OpPolynomial._sum((g1.H, g2.H, cross_imag))
     return SLHTriple(S, L, H)
-
-
-def _poly_sum(polys) -> OpPolynomial:
-    it = iter(polys)
-    total = next(it)
-    for p in it:
-        total = total + p
-    return total
 
 
 def _is_pure_hamiltonian(g: SLHTriple) -> bool:

@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, HilbertSpace, Operator
+from .hilbert import DEFAULT_TOL, HilbertSpace, Operator, _conj_transpose
 
 #: Guard against pathological compositions; nothing in scope exceeds degree 2.
 DEGREE_CAP = 8
@@ -250,8 +250,10 @@ class OpPolynomial:
     Coefficients are read-only, C-ordered complex arrays.  The constructor
     copies the arrays a caller hands in, so changing them afterwards
     leaves the polynomial unchanged.  The algebra copies nothing: a result
-    shares the coefficients it does not change with its operands and
-    freezes the arrays it has just computed.
+    shares the coefficients it does not change with its operands (and
+    ``constant`` shares its operator's matrix) and freezes the arrays it
+    has just computed, each written once where the operations allow:
+    a sum adds in place into the arrays it has allocated itself.
     """
 
     __slots__ = ("space", "terms")
@@ -260,10 +262,10 @@ class OpPolynomial:
         d = space.total_dim
         copied = {}
         for mono, coeff in (terms or {}).items():
-            coeff = np.asarray(coeff, dtype=complex)
+            coeff = np.array(coeff, dtype=complex, order="C")
             if coeff.shape != (d, d):
                 raise ValueError(f"coefficient shape {coeff.shape} does not match space dim {d}")
-            copied[mono] = coeff.copy()
+            copied[mono] = coeff
         self._adopt(space, copied)
 
     @classmethod
@@ -294,7 +296,7 @@ class OpPolynomial:
 
     @classmethod
     def constant(cls, op: Operator) -> "OpPolynomial":
-        return cls(op.space, {ONE: op.matrix})
+        return cls._shared(op.space, {ONE: op.matrix})
 
     @classmethod
     def scalar(cls, space: HilbertSpace, c: complex) -> "OpPolynomial":
@@ -308,7 +310,7 @@ class OpPolynomial:
                 raise ValueError("coefficient space mismatch")
         else:
             mat = complex(coeff) * np.eye(space.total_dim)
-        return cls(space, {SignalMonomial.of(name): mat})
+        return cls._shared(space, {SignalMonomial.of(name): mat})
 
     # -- algebra ----------------------------------------------------------
 
@@ -317,11 +319,35 @@ class OpPolynomial:
             raise ValueError(f"space mismatch: {self.space} vs {other.space}")
 
     def __add__(self, other: "OpPolynomial") -> "OpPolynomial":
-        self._check_space(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms[mono] + coeff if mono in terms else coeff
-        return OpPolynomial._shared(self.space, terms)
+        return OpPolynomial._sum((self, other))
+
+    @classmethod
+    def _sum(cls, polys: Iterable["OpPolynomial"]) -> "OpPolynomial":
+        """The sum ((p₁ + p₂) + p₃) + … of one or more polynomials, bit
+        for bit: a coefficient is added in place once the sum has
+        allocated it, and one that cancels to exactly zero is dropped at
+        that step, as each ``+`` drops it."""
+        polys = iter(polys)  # each operand is dropped once it is added
+        first = next(polys)
+        terms = dict(first.terms)
+        fresh = set()  # the monomials whose coefficient this sum allocated
+        for p in polys:
+            first._check_space(p)
+            for mono, coeff in p.terms.items():
+                if mono not in terms:
+                    terms[mono] = coeff
+                    continue
+                if mono in fresh:
+                    total = np.add(terms[mono], coeff, out=terms[mono])
+                else:
+                    total = terms[mono] + coeff
+                    fresh.add(mono)
+                if total.any():
+                    terms[mono] = total
+                else:
+                    del terms[mono]
+                    fresh.discard(mono)
+        return cls._shared(first.space, terms)
 
     def __sub__(self, other: "OpPolynomial") -> "OpPolynomial":
         return self + (-other)
@@ -345,28 +371,36 @@ class OpPolynomial:
         says it does, as for a pair of adders that cancel.
         """
         if isinstance(other, OpPolynomial):
-            self._check_space(other)
-            large = self.space.total_dim >= SPARSE_MIN_DIM
-            scalars = {m2: _identity_multiple(c2) if large else None
-                       for m2, c2 in other.terms.items()}
-            terms: dict[SignalMonomial, np.ndarray] = {}
-            for m1, c1 in self.terms.items():
-                s1 = _identity_multiple(c1) if large else None
-                for m2, c2 in other.terms.items():
-                    mono = m1 * m2
-                    s2 = scalars[m2]
-                    if s1 is not None:
-                        a, b, times = s1, c2, np.multiply
-                    elif s2 is not None:
-                        a, b, times = c1, s2, np.multiply
-                    else:
-                        a, b, times = c1, c2, np.matmul
-                    prod = times(a, b)
-                    if mono.entries and all(p == q for _, p, q in mono.entries):
-                        prod.imag = times(a.real, b.imag) + times(a.imag, b.real)
-                    terms[mono] = terms[mono] + prod if mono in terms else prod
-            return OpPolynomial._shared(self.space, terms)
+            return OpPolynomial._shared(self.space, self._product_terms(other))
         return self.scale(other)
+
+    def _product_terms(self, other: "OpPolynomial") -> dict[SignalMonomial, np.ndarray]:
+        """The coefficients of self * other, unpruned, each a writable
+        array just allocated and summed over its products in place."""
+        self._check_space(other)
+        large = self.space.total_dim >= SPARSE_MIN_DIM
+        scalars = {m2: _identity_multiple(c2) if large else None
+                   for m2, c2 in other.terms.items()}
+        terms: dict[SignalMonomial, np.ndarray] = {}
+        for m1, c1 in self.terms.items():
+            s1 = _identity_multiple(c1) if large else None
+            for m2, c2 in other.terms.items():
+                mono = m1 * m2
+                s2 = scalars[m2]
+                if s1 is not None:
+                    a, b, times = s1, c2, np.multiply
+                elif s2 is not None:
+                    a, b, times = c1, s2, np.multiply
+                else:
+                    a, b, times = c1, c2, np.matmul
+                prod = times(a, b)
+                if mono.entries and all(p == q for _, p, q in mono.entries):
+                    prod.imag = times(a.real, b.imag) + times(a.imag, b.real)
+                if mono in terms:
+                    np.add(terms[mono], prod, out=terms[mono])
+                else:
+                    terms[mono] = prod
+        return terms
 
     def __rmul__(self, c) -> "OpPolynomial":
         return self.scale(c)
@@ -377,8 +411,28 @@ class OpPolynomial:
         )
 
     def imag(self) -> "OpPolynomial":
-        """Formal operator imaginary part (p - p†)/(2i); self-adjoint."""
-        return (self - self.dagger()).scale(-0.5j)
+        """Formal operator imaginary part (p - p†)/(2i); self-adjoint.
+
+        Each coefficient is written into one new array by the operations
+        of ``(p - p†).scale(-0.5j)``, in their order, so the bits are the
+        same: at a monomial m with coefficient c, whose conjugate m† has
+        coefficient c', it is c - c'† (c alone when m† has none, and -c'†
+        when m has none), then times -0.5j.
+        """
+        scale = complex(-0.5j)
+        terms = {}
+        for m, c in self.terms.items():
+            partner = self.terms.get(m.dagger())
+            if partner is None:
+                terms[m] = c * scale
+            else:
+                out = _conj_transpose(partner)
+                terms[m] = np.multiply(np.subtract(c, out, out=out), scale, out=out)
+        for m, c in self.terms.items():
+            if m.dagger() not in self.terms:
+                out = _conj_transpose(c)
+                terms[m.dagger()] = np.multiply(np.negative(out, out=out), scale, out=out)
+        return OpPolynomial._shared(self.space, terms)
 
     # -- queries ----------------------------------------------------------
 
@@ -397,7 +451,8 @@ class OpPolynomial:
     def constant_part(self) -> Operator:
         mat = self.terms.get(ONE)
         d = self.space.total_dim
-        return Operator(self.space, mat if mat is not None else np.zeros((d, d)))
+        return Operator._adopt(self.space, mat if mat is not None
+                               else np.zeros((d, d), dtype=complex))
 
     def __eq__(self, other) -> bool:
         """Exact canonical comparison (entrywise float equality)."""
@@ -431,8 +486,8 @@ class OpPolynomial:
         bindings = bindings or {}
         mat = np.zeros((self.space.total_dim, self.space.total_dim), dtype=complex)
         for mono, coeff in self.terms.items():
-            mat = mat + mono.evaluate(t, bindings) * coeff
-        return Operator(self.space, mat)
+            np.add(mat, mono.evaluate(t, bindings) * coeff, out=mat)
+        return Operator._adopt(self.space, mat)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -449,12 +504,6 @@ def _identity_multiple(c: np.ndarray) -> complex | None:
     if s != 0 and np.count_nonzero(c) == c.shape[0] and np.all(c.diagonal() == s):
         return s
     return None
-
-
-def _conj_transpose(c: np.ndarray) -> np.ndarray:
-    """c† as a new C-ordered array."""
-    out = np.ascontiguousarray(c.T)
-    return np.conjugate(out, out=out)
 
 
 def _mono_key(m: SignalMonomial):

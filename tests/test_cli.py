@@ -106,6 +106,21 @@ def test_reduce_probe_times(netlist, tmp_path):
     assert probes == ["0.000000000000e+00", "1.500000000000e+00"]
 
 
+def test_reduce_on_a_one_state_space(netlist, capsys):
+    # H = Im(L2† L1) = Im(-0.25i · 0.5) = -0.125; the 1×1 conjugate transpose
+    # is a new array, not the frozen coefficient
+    rc = main(["reduce", netlist("space generic(dim=1) as q\n"
+                                 "component S1 = SYS(L=[0.5 * I])\n"
+                                 "component S2 = SYS(L=[0.25i * I])\n"
+                                 "network main = S2 <| S1\n")])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["H"]["terms"] == [{"monomial": "1", "matrix": [[
+        ["-1.250000000000e-01", "0.000000000000e+00"]]]}]
+    assert report["L"][0]["terms"][0]["matrix"] == [[
+        ["5.000000000000e-01", "2.500000000000e-01"]]]
+
+
 # -- simulate --------------------------------------------------------------
 
 
@@ -466,6 +481,51 @@ def test_reduce_and_a_small_simulate_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
     assert (tmp_path / "s.csv").read_text().count("\n") == 12
+
+
+@pytest.mark.parametrize("spaces, count", [
+    ("space fock(cutoff=2) as c\nspace fock(cutoff=2) as d\n", 2),
+    ("space generic(dim=3) as q\n", 0),
+])
+def test_coherent_initial_state_needs_exactly_one_fock_factor(spaces, count, netlist, capsys):
+    path = netlist(spaces + "component H = HAM(0.5 * I)\nnetwork main = H\n")
+    rc = main(["simulate", path, "--horizon", "0.1", "--initial", "coherent:0.3,0.1"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: a coherent initial state needs exactly one "
+                                       f"Fock factor; this space has {count}\n")
+
+
+CASCADE_D196 = """\
+space fock(cutoff=13) as c1
+space fock(cutoff=13) as c2
+signal u = gaussian_pulse(amplitude=(0.4 + 0.1i), center=0.5, width=0.35)
+component D = ADD(u=[u])
+component A = CAVITY(gamma=0.6, omega=1.0, mode=c1)
+component B = CAVITY(gamma=0.6, omega=1.0, mode=c2)
+network cascade = B <| A <| D
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0),
+    (["verify"], 3),  # the cascade stays open
+])
+def test_a_cascade_run_holds_at_most_22_full_size_arrays(argv, code, netlist, tmp_path):
+    # the reduced triple (6 arrays), the RK4 workspace (9) and what
+    # reducing and compiling need on top of them: each d×d array has one
+    # owner, and nothing keeps the components or ρ₀ for the run
+    d = 196
+    argv = [argv[0], netlist(CASCADE_D196), "--horizon", "0.08", "--step", "0.04",
+            "-o", str(tmp_path / "out"), *argv[1:]]
+    assert main(argv) == code  # untraced, so the import of scipy.sparse is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == code
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * 16 * d * d, peak / (16 * d * d)
 
 
 def test_simulate_unknown_observable_label_exits_2(capsys):

@@ -10,6 +10,7 @@ from slhforge import (
     HilbertSpace,
     Operator,
     OpPolynomial,
+    SignalMonomial,
     annihilator,
     creator,
     embed,
@@ -82,6 +83,23 @@ def test_operator_matrix_is_read_only():
     x = identity(sp)
     with pytest.raises(ValueError):
         x.matrix[0, 0] = 5.0
+
+
+def test_operator_owns_a_read_only_c_ordered_matrix(rng):
+    sp = HilbertSpace.generic("q", 3)
+    given = np.asfortranarray(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    x = Operator(sp, given)
+    given[0, 0] += 1.0  # the caller's array was copied
+    assert x.matrix[0, 0] != given[0, 0]
+    y = random_operator(rng, sp)
+    a = annihilator(HilbertSpace([fock_factor("c", 2), fock_factor("d", 1)]), "c")
+    for op in (x, x.dagger(), x + y, x - y, -x, 2j * x, x @ y, identity(sp), a, a.dagger(),
+               embed(x, sp)):
+        assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
+        assert op.matrix.dtype == complex
+    assert np.array_equal(x.dagger().matrix, x.matrix.conj().T)
+    # a polynomial shares the operator's matrix rather than copying it
+    assert OpPolynomial.constant(x).terms[SignalMonomial()] is x.matrix
 
 
 def test_operator_space_mismatch():

@@ -231,6 +231,40 @@ def test_coefficients_are_copied_in_and_shared_read_only(rng):
     assert all(not c.flags.writeable and c.flags.c_contiguous for c in d.terms.values())
 
 
+def test_dagger_and_imag_on_a_one_state_space():
+    sp = HilbertSpace.generic("q", 1)
+    p = OpPolynomial.constant(Operator(sp, [[1 + 2j]]))
+    assert np.array_equal(p.dagger().terms[SignalMonomial()], [[1 - 2j]])
+    assert np.array_equal(p.imag().terms[SignalMonomial()], [[2.0]])
+    assert np.array_equal(p.terms[SignalMonomial()], [[1 + 2j]])  # the operand is unchanged
+
+
+def _bits(p: OpPolynomial) -> list:
+    """Each monomial in order, with its coefficient's bytes: signed zeros count."""
+    return [(m, c.tobytes()) for m, c in p.terms.items()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_imag_and_sum_write_the_bits_of_their_written_out_forms(seed):
+    rng = np.random.default_rng(seed)
+    p = random_poly(rng, SP, ["u", "v"])
+    q = random_poly(rng, SP, ["u"])
+    # imag() builds each coefficient in one array, with the operations of
+    # (p - p†)/(2i) in their order
+    for x in (p, p * p.dagger(), p.dagger() * q):
+        assert _bits(x.imag()) == _bits((x - x.dagger()).scale(-0.5j))
+    # a many-term sum adds in place; a coefficient that cancels is dropped at
+    # its step and comes back at the end of the order, as + drops it
+    polys = [p, q, -p, p, q.scale(0.5)]
+    operands = [_bits(x) for x in polys]
+    pairwise = polys[0]
+    for x in polys[1:]:
+        pairwise = pairwise + x
+    assert _bits(OpPolynomial._sum(polys)) == _bits(pairwise)
+    assert [_bits(x) for x in polys] == operands  # the operands are unchanged
+
+
 def test_polynomials_are_not_hashable():
     with pytest.raises(TypeError):
         hash(OpPolynomial.constant(identity(SP)))

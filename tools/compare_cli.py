@@ -10,11 +10,15 @@ three more times: with ``--observable a``, with ``--initial fock:1
 adag``.  The last two start with population near the corpus cutoffs, so
 they pass ``--leak-threshold inf``: the leak column records the
 truncation leak instead of aborting the run, and the ``n`` and ``adag``
-columns get compared.  Then ``verify --demo --step 0.002`` and each
-script under ``demos/`` run.  Every run happens twice, once with this
-tree's ``src/`` on PYTHONPATH and once with OTHER_TREE's, on this tree's
-netlists and demo scripts, from this tree's root, so only the package
-differs.
+columns get compared.  The corpus stays below d = 100, so the tool also
+writes the two-cavity cascade at cutoff 9 (d = 100, the smallest space
+that takes the c·I-scale coefficient products and the CSR generator) to a
+temporary directory and runs ``reduce``, ``simulate --horizon 0.2 --step
+0.04 --observable a:c1`` and ``verify --horizon 0.2 --step 0.04`` on it.
+Then ``verify --demo --step 0.002`` and each script under ``demos/`` run.
+Every run happens twice, once with this tree's ``src/`` on PYTHONPATH and
+once with OTHER_TREE's, on the same netlists and demo scripts, from this
+tree's root, so only the package differs.
 
 A run is compared on its stdout, stderr and exit code, whatever the
 code is.  Each run whose stdout, stderr or exit code differs is printed
@@ -30,14 +34,27 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DIFF_LINES = 12  # diff lines shown per differing stream
 
+# two damped cavities in cascade at cutoff 9: d = 100
+CASCADE = """\
+space fock(cutoff=9) as c1
+space fock(cutoff=9) as c2
+signal u = gaussian_pulse(amplitude=(0.4 + 0.1i), center=0.1, width=0.1)
+component D = ADD(u=[u])
+component A = CAVITY(gamma=0.6, omega=1.0, mode=c1)
+component B = CAVITY(gamma=0.6, omega=1.0, mode=c2)
+network cascade = B <| A <| D
+"""
 
-def runs() -> list[list[str]]:
-    """Each run's argv, relative to the tree's root."""
+
+def runs(tmp: Path) -> list[list[str]]:
+    """Each run's argv, relative to the tree's root; the d = 100 cascade
+    is written to ``tmp``."""
     cli = [sys.executable, "-m", "slhforge.cli"]
     out = []
     for path in sorted((ROOT / "tests" / "netlists").glob("*.slh")):
@@ -51,6 +68,12 @@ def runs() -> list[list[str]]:
                     leaky + ["--initial", "fock:1", "--observable", "n"],
                     leaky + ["--initial", "coherent:0.3,0.1", "--observable", "adag"]]
         out.append(cli + ["verify", name, "--horizon", "0.3", "--step", "0.01"])
+    cascade = tmp / "cascade_d100.slh"
+    cascade.write_text(CASCADE)
+    grid = ["--horizon", "0.2", "--step", "0.04"]
+    out += [cli + ["reduce", str(cascade)],
+            cli + ["simulate", str(cascade), *grid, "--observable", "a:c1"],
+            cli + ["verify", str(cascade), *grid]]
     out.append(cli + ["verify", "--demo", "--step", "0.002"])
     out += [[sys.executable, str(p.relative_to(ROOT))]
             for p in sorted((ROOT / "demos").glob("*.py"))]
@@ -72,28 +95,31 @@ def main(argv=None) -> int:
     if not (other / "src" / "slhforge").is_dir():
         parser.error(f"{other} has no src/slhforge")
 
-    all_runs = runs()
-    differing = 0
-    for argv_ in all_runs:
-        label = " ".join(argv_[3:] if argv_[1:3] == ["-m", "slhforge.cli"] else argv_[1:])
-        here, there = run(argv_, ROOT), run(argv_, other)
-        if here == there:
-            continue
-        differing += 1
-        print(f"DIFF {label}")
-        if here[0] != there[0]:
-            print(f"  exit code: {there[0]} (other) vs {here[0]} (this)")
-        for stream, a, b in (("stdout", there[1], here[1]), ("stderr", there[2], here[2])):
-            if a == b:
-                continue
-            diff = list(difflib.unified_diff(a.splitlines(), b.splitlines(), "other", "this",
-                                             lineterm="", n=0))
-            print(f"  {stream}:")
-            print("\n".join("    " + line for line in diff[:DIFF_LINES]))
-            if len(diff) > DIFF_LINES:
-                print(f"    … {len(diff) - DIFF_LINES} more diff lines")
+    with tempfile.TemporaryDirectory() as tmp:
+        all_runs = runs(Path(tmp))
+        differing = sum(compare(argv, other) for argv in all_runs)
     print(f"{differing} of {len(all_runs)} runs differ")
     return 1 if differing else 0
+
+
+def compare(argv: list[str], other: Path) -> bool:
+    """Run argv under both trees; print the run and return True if it differs."""
+    here, there = run(argv, ROOT), run(argv, other)
+    if here == there:
+        return False
+    print("DIFF " + " ".join(argv[3:] if argv[1:3] == ["-m", "slhforge.cli"] else argv[1:]))
+    if here[0] != there[0]:
+        print(f"  exit code: {there[0]} (other) vs {here[0]} (this)")
+    for stream, a, b in (("stdout", there[1], here[1]), ("stderr", there[2], here[2])):
+        if a == b:
+            continue
+        diff = list(difflib.unified_diff(a.splitlines(), b.splitlines(), "other", "this",
+                                         lineterm="", n=0))
+        print(f"  {stream}:")
+        print("\n".join("    " + line for line in diff[:DIFF_LINES]))
+        if len(diff) > DIFF_LINES:
+            print(f"    … {len(diff) - DIFF_LINES} more diff lines")
+    return True
 
 
 if __name__ == "__main__":
