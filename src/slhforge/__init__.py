@@ -43,9 +43,7 @@ from .network import (
     series_chain,
     series_steps,
     signal_adder,
-    splitter_conjugate,
     system_coupling,
-    triples_approx_equal,
     validate_triple,
 )
 from .netlist import (
@@ -66,7 +64,6 @@ from .dynamics import (
     analytic_driven_cavity,
     coherent_fidelity,
     coherent_vector,
-    heisenberg_generator,
     integrate_master,
     integrate_schrodinger,
     lindblad_rhs,

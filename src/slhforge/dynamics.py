@@ -254,19 +254,6 @@ def lindblad_rhs(rho: np.ndarray, g: SLHTriple, t: float,
     return out
 
 
-def heisenberg_generator(X: np.ndarray, H: np.ndarray, Ls: Sequence[np.ndarray]) -> np.ndarray:
-    """Heisenberg-picture Lindbladian ½ΣL†[X,L] + ½Σ[L†,X]L - i[X,H].
-
-    Kept textually independent of :func:`lindblad_rhs`; the two are
-    related by trace duality and tested against each other.
-    """
-    out = -1j * (X @ H - H @ X)
-    for L in Ls:
-        Ld = L.conj().T
-        out = out + 0.5 * (Ld @ (X @ L - L @ X)) + 0.5 * ((Ld @ X - X @ Ld) @ L)
-    return out
-
-
 # -- simulation -----------------------------------------------------------
 
 

@@ -272,23 +272,6 @@ def series_chain(components: Sequence[SLHTriple]) -> SLHTriple:
     return acc
 
 
-def splitter_conjugate(g: SLHTriple, T, tol: float = DEFAULT_TOL) -> SLHTriple:
-    """Sandwich g between BS(T) upstream and BS(T^-1) downstream:
-
-        (T^-1, 0, 0) <| (S, L, H) <| (T, 0, 0) = (T^-1 S T, T^-1 L, H)
-
-    assuming zero travel delay.  Computed via the two series products,
-    which is the defining identity.
-    """
-    T = np.atleast_2d(np.asarray(T, dtype=complex))
-    n = g.channels
-    if T.shape != (n, n):
-        raise ValueError(f"T must be {n}x{n}")
-    pre = beam_splitter(T, g.space, tol)  # checks that T is unitary
-    post = beam_splitter(T.conj().T, g.space, tol)
-    return series(post, series(g, pre))
-
-
 # -- flagship constructions ----------------------------------------------
 
 
@@ -358,46 +341,5 @@ def build_noisy_construction(
         entries_in.append(p)
     add_in = signal_adder(entries_in, space)
     add_out = signal_adder([(name, -1.0) for name in signals], space)
-    return series(add_out, series(middle, add_in))
+    return series_chain([add_out, middle, add_in])
 
-
-# -- comparison -----------------------------------------------------------
-
-
-def triples_approx_equal(
-    g1: SLHTriple,
-    g2: SLHTriple,
-    tol: float = DEFAULT_TOL,
-    probe_times: Sequence[float] = (0.0,),
-    probe_bindings: Bindings | None = None,
-) -> tuple[bool, str]:
-    """Compare two triples: exact canonical comparison first, then (for
-    entries that differ symbolically) numerically at the probe times.
-    Returns (equal, report); the report names the first differing entry.
-    """
-    if g1.channels != g2.channels:
-        return False, f"channel counts differ: {g1.channels} vs {g2.channels}"
-    if g1.space != g2.space:
-        return False, "spaces differ"
-    n = g1.channels
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            entries.append((f"S[{i}][{j}]", g1.S[i][j], g2.S[i][j]))
-    for i in range(n):
-        entries.append((f"L[{i}]", g1.L[i], g2.L[i]))
-    entries.append(("H", g1.H, g2.H))
-
-    for name, p, q in entries:
-        if p == q:
-            continue
-        for t in probe_times:
-            try:
-                a = p.evaluate(t, probe_bindings)
-                b = q.evaluate(t, probe_bindings)
-            except KeyError as exc:
-                return False, f"{name} differs symbolically and {exc.args[0]}"
-            diff = float(np.max(np.abs(a.matrix - b.matrix)))
-            if not diff <= tol:  # NaN fails
-                return False, f"{name} differs by {diff:.3e} at t={t}"
-    return True, "equal"

@@ -142,25 +142,29 @@ class SampledSignal(Signal):
     @classmethod
     def from_csv(cls, name: str, path) -> "SampledSignal":
         """Read a `t,re,im` CSV table (header row required); a row without
-        three numeric fields is an error that names its line."""
+        three numeric fields, or one the csv module cannot split, is an
+        error that names its line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["t", "re", "im"]:
-                raise ValueError(f"{path}: expected header 't,re,im', got {header}")
-            times, values = [], []
-            for row in reader:
-                if not row:
-                    continue
-                where = f"{path}: line {reader.line_num}"
-                if len(row) != 3:
-                    raise ValueError(f"{where}: expected 3 fields t,re,im, got {len(row)}")
-                try:
-                    t, re, im = (float(x) for x in row)
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-                times.append(t)
-                values.append(complex(re, im))
+            try:  # only the reader raises csv.Error
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header] != ["t", "re", "im"]:
+                    raise ValueError(f"{path}: expected header 't,re,im', got {header}")
+                times, values = [], []
+                for row in reader:
+                    if not row:
+                        continue
+                    where = f"{path}: line {reader.line_num}"
+                    if len(row) != 3:
+                        raise ValueError(f"{where}: expected 3 fields t,re,im, got {len(row)}")
+                    try:
+                        t, re, im = (float(x) for x in row)
+                    except ValueError as exc:
+                        raise ValueError(f"{where}: {exc}") from None
+                    times.append(t)
+                    values.append(complex(re, im))
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         return cls(name, times, values)
 
 
@@ -447,12 +451,6 @@ class OpPolynomial:
         for m in self.terms:
             names |= m.names()
         return names
-
-    def constant_part(self) -> Operator:
-        mat = self.terms.get(ONE)
-        d = self.space.total_dim
-        return Operator._adopt(self.space, mat if mat is not None
-                               else np.zeros((d, d), dtype=complex))
 
     def __eq__(self, other) -> bool:
         """Exact canonical comparison (entrywise float equality)."""

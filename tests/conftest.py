@@ -1,7 +1,8 @@
-"""Shared random-object builders for the test suite.
+"""Shared helpers for the test suite: random-object builders and a reader
+for the constant term of a polynomial.
 
-Everything takes an explicit numpy Generator so failures reproduce from
-the seed printed by pytest.
+Every builder takes an explicit numpy Generator so failures reproduce
+from the seed printed by pytest.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from slhforge import (
     OpPolynomial,
     SLHTriple,
     ConstantSignal,
+    SignalMonomial,
 )
 
 
@@ -57,6 +59,13 @@ def random_triple(rng, dim, channels, signals=(), label="q"):
     h = random_poly(rng, space, signals, scale=0.7)
     H = h.imag() + OpPolynomial.constant(random_hermitian(rng, space, 0.7))
     return SLHTriple(S, L, H)
+
+
+def constant_term(p):
+    """The signal-free coefficient of p as an Operator; zero when p has none."""
+    m = p.terms.get(SignalMonomial())
+    d = p.space.total_dim
+    return Operator(p.space, m if m is not None else np.zeros((d, d)))
 
 
 def random_bindings(rng, names):

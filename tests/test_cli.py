@@ -428,6 +428,20 @@ def test_malformed_sampled_drive_row_exits_2_naming_its_csv_line(rows, line, mes
     assert captured.out == ""
 
 
+def test_oversized_sampled_drive_field_exits_2_naming_its_csv_line(netlist, capsys):
+    # the csv module refuses a field past its limit (131072 characters)
+    text = (NETLISTS / "sampled_drive.slh").read_text()
+    path = netlist(text.split("\n", 1)[1])  # drop the comment: the signal is on line 2
+    csv = Path(path).with_name("drive.csv")
+    csv.write_text(f"t,re,im\n0,{'1' * 200000},0\n")
+    rc = main(["reduce", path])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("reduction error: line 2, col 1: cannot load sampled signal: "
+                            f"{csv}: line 2: field larger than field limit (131072)\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, prefix", [
     # the Schrodinger path: closed chain from vacuum, drift ~1e-16
     (["simulate", str(NETLISTS / "cancel_chain.slh"), "--horizon", "0.5", "--step", "0.01"],

@@ -28,7 +28,6 @@ from slhforge import (
     cavity,
     coherent_fidelity,
     coherent_vector,
-    heisenberg_generator,
     identity,
     integrate_master,
     integrate_schrodinger,
@@ -51,6 +50,7 @@ from conftest import (
     random_matrix,
     random_triple,
 )
+from reference import heisenberg_generator
 
 
 # -- states ----------------------------------------------------------------

@@ -23,10 +23,11 @@ from slhforge import (
     number_op,
     parse_netlist,
     print_netlist,
-    triples_approx_equal,
 )
 from slhforge.netlist import (MAX_EXPR_DEPTH, BinOp, Dagger, Neg, NetworkDecl, Num, Ref,
                               Sqrt)
+from conftest import constant_term
+from reference import triples_approx_equal
 
 
 MINIMAL = """\
@@ -49,7 +50,7 @@ def test_compile_minimal_file():
     g = compiled.triple
     assert g.channels == 1
     a = annihilator(compiled.space, "c")
-    assert g.L[0].constant_part().approx_equal(np.sqrt(0.4) * a, 1e-12)
+    assert constant_term(g.L[0]).approx_equal(np.sqrt(0.4) * a, 1e-12)
     assert compiled.network_name == "main"
     assert len(compiled.trace) == 1
 
@@ -148,7 +149,7 @@ network main = G
     sp = compiled.space
     a = annihilator(sp, "c")
     want = 2.0 * (a + a.dagger()) - 1j * (a.dagger() @ a)
-    assert compiled.triple.L[0].constant_part().approx_equal(want, 1e-12)
+    assert constant_term(compiled.triple.L[0]).approx_equal(want, 1e-12)
 
 
 # -- scalar arithmetic -----------------------------------------------------
@@ -269,6 +270,29 @@ def test_mutated_corpus_netlists_compile_or_fail_with_a_position(name, edit, dat
         # the chain's channel counts disagree (err_channel_mismatch.slh and
         # its mutants): the message names the component and where it stands
         _assert_mismatch_names_its_component(err, mutant)
+
+
+# keyword and operator fragments, plus whole statements that let the
+# text get past its first line
+FUZZ_TOKENS = ["space ", "fock(cutoff=", "generic(dim=", " as ", "signal ", "u", " = ",
+               "constant(", "gaussian_pulse(amplitude=", "component ", "G", "SYS(L=[", "HAM(",
+               "BS(T=[[", "ADD(u=[", "CAVITY(gamma=", ", omega=", "network ", " <| ", "<|",
+               "a(c)", "adag(c)", "n(c)", "dagger(", "sqrt(", "0.4", "2", "1i", " * ", ")]",
+               "\n", "space fock(cutoff=2) as c\n", "\nsignal u = constant(0.4)\n",
+               "component G = ", "network n = G"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(FUZZ_TOKENS) | st.sampled_from(MUTANT_CHARS),
+                min_size=1, max_size=40).map("".join))
+def test_random_text_compiles_or_fails_with_a_position(text):
+    try:
+        compile_netlist(parse_netlist(text), base_dir=str(NETLISTS))
+    except (NetlistSyntaxError, NetlistSemanticError) as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines) and 1 <= err.col <= len(lines[err.line - 1]) + 1
+    except NetlistReductionError:
+        pass
 
 
 def _assert_mismatch_names_its_component(err, text):

@@ -11,10 +11,14 @@ adag``.  The last two start with population near the corpus cutoffs, so
 they pass ``--leak-threshold inf``: the leak column records the
 truncation leak instead of aborting the run, and the ``n`` and ``adag``
 columns get compared.  The corpus stays below d = 100, so the tool also
-writes the two-cavity cascade at cutoff 9 (d = 100, the smallest space
+writes two netlists on two modes at cutoff 9 (d = 100, the smallest space
 that takes the c·I-scale coefficient products and the CSR generator) to a
-temporary directory and runs ``reduce``, ``simulate --horizon 0.2 --step
-0.04 --observable a:c1`` and ``verify --horizon 0.2 --step 0.04`` on it.
+temporary directory.  The open two-cavity cascade runs ``reduce``,
+``simulate --horizon 0.2 --step 0.04 --observable a:c1`` and ``verify
+--horizon 0.2 --step 0.04``.  The closed cancellation chain, whose
+Schrödinger runs take the CSR matrix-vector product, runs ``simulate
+--horizon 0.2 --step 0.04 --observable a:c1`` and ``verify --horizon 0.2
+--step 0.01`` (at step 0.04 its ``purity_drift`` check fails).
 Then ``verify --demo --step 0.002`` and each script under ``demos/`` run.
 Every run happens twice, once with this tree's ``src/`` on PYTHONPATH and
 once with OTHER_TREE's, on the same netlists and demo scripts, from this
@@ -51,10 +55,24 @@ component B = CAVITY(gamma=0.6, omega=1.0, mode=c2)
 network cascade = B <| A <| D
 """
 
+# the noise-cancellation chain on the same space: closed, so its
+# Schrödinger runs take the CSR matrix-vector product
+CLOSED = """\
+space fock(cutoff=9) as c1
+space fock(cutoff=9) as c2
+signal u = gaussian_pulse(amplitude=(0.4 + 0.1i), center=0.1, width=0.1)
+component H0 = HAM(n(c1) + 0.7 * n(c2))
+component P = ADD(u=[u])
+component M = ADD(u=[-u])
+component R = BS(T=[[-1]])
+component G = SYS(L=[sqrt(0.4) * a(c1)])
+network closed = H0 <| P <| R <| G <| R <| M <| G
+"""
+
 
 def runs(tmp: Path) -> list[list[str]]:
-    """Each run's argv, relative to the tree's root; the d = 100 cascade
-    is written to ``tmp``."""
+    """Each run's argv, relative to the tree's root; the two d = 100
+    netlists are written to ``tmp``."""
     cli = [sys.executable, "-m", "slhforge.cli"]
     out = []
     for path in sorted((ROOT / "tests" / "netlists").glob("*.slh")):
@@ -74,6 +92,10 @@ def runs(tmp: Path) -> list[list[str]]:
     out += [cli + ["reduce", str(cascade)],
             cli + ["simulate", str(cascade), *grid, "--observable", "a:c1"],
             cli + ["verify", str(cascade), *grid]]
+    closed = tmp / "closed_d100.slh"
+    closed.write_text(CLOSED)
+    out += [cli + ["simulate", str(closed), *grid, "--observable", "a:c1"],
+            cli + ["verify", str(closed), "--horizon", "0.2", "--step", "0.01"]]
     out.append(cli + ["verify", "--demo", "--step", "0.002"])
     out += [[sys.executable, str(p.relative_to(ROOT))]
             for p in sorted((ROOT / "demos").glob("*.py"))]
