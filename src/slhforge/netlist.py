@@ -593,8 +593,8 @@ def print_netlist(ast: NetlistAST) -> str:
 #: complex matrices, one of which takes 256 MiB at this bound, so a larger
 #: space is refused at the `space` line that crosses the bound, before
 #: anything is allocated.  A `simulate` of the two-cavity cascade peaked
-#: at 21.1 such arrays at d = 196 and 21.0 at d = 441 (tracemalloc), so
-#: about 5.3 GiB at this bound; a longer chain or more channels hold more.
+#: at 18.1 such arrays at d = 196 and 18.0 at d = 441 (tracemalloc), so
+#: about 4.5 GiB at this bound; a longer chain or more channels hold more.
 MAX_DIM = 4096
 
 
@@ -617,9 +617,7 @@ class CompiledNetlist:
 
 def triple_summary(g: SLHTriple) -> str:
     """One-line symbolic summary (monomial structure only)."""
-    s_rows = "; ".join(
-        ",".join(str(entry) for entry in row) for row in g.S
-    )
+    s_rows = "; ".join(",".join("0" if t == 0 else "[1]" for t in row) for row in g.T)
     l_entries = ",".join(str(entry) for entry in g.L)
     return f"channels={g.channels} S=[{s_rows}] L=[{l_entries}] H={g.H}"
 
@@ -630,8 +628,8 @@ def _is_finite(polys: Sequence[OpPolynomial]) -> bool:
 
 
 def _entries(g: SLHTriple) -> list[OpPolynomial]:
-    """Every polynomial of the triple: S row by row, then L, then H."""
-    return [*(e for row in g.S for e in row), *g.L, g.H]
+    """Every polynomial of the triple, L then H; T is unitary, so finite."""
+    return [*g.L, g.H]
 
 
 class _Analyzer:

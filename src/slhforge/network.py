@@ -1,20 +1,20 @@
 """Markovian input-output components and their series composition.
 
 A component is an :class:`SLHTriple` (S, L, H): an n-by-n channel
-scattering matrix, an n-vector of coupling operators, and a Hamiltonian,
-all carried as :class:`OpPolynomial` so signal-dependent entries stay
-symbolic.  Two components connected output-to-input with zero time delay
-reduce to the single effective triple
+scattering matrix, an n-vector of coupling operators, and a Hamiltonian.
+Scattering is static: S = T ⊗ I for a unitary c-number matrix T, so the
+triple holds T, and L and H are :class:`OpPolynomial` so signal-dependent
+entries stay symbolic.  Two components connected output-to-input with
+zero time delay reduce to the single effective triple
 
-    (S2, L2, H2) <| (S1, L1, H1)
-        = (S2 S1, L2 + S2 L1, H1 + H2 + Im(L2† S2 L1))
+    (T2, L2, H2) <| (T1, L1, H1)
+        = (T2 T1, L2 + T2 L1, H1 + H2 + Im(L2† T2 L1))
 
 which is associative but not commutative.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -28,82 +28,86 @@ from .hilbert import (
     identity,
     number_op,
 )
-from .signals import Bindings, OpPolynomial
+from .signals import OpPolynomial
 
 
 class ChannelMismatchError(ValueError):
     """Series composition of triples with different channel counts."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SLHTriple:
-    """Effective model (S, L, H) of a Markovian input-output component."""
+    """Effective model (S, L, H) of a Markovian input-output component,
+    with S = T ⊗ I for the read-only (n, n) complex matrix T."""
 
-    S: tuple[tuple[OpPolynomial, ...], ...]
+    T: np.ndarray
     L: tuple[OpPolynomial, ...]
     H: OpPolynomial
 
     def __post_init__(self):
-        n = len(self.S)
-        if any(len(row) != n for row in self.S):
-            raise ValueError("S must be square")
-        if len(self.L) != n:
-            raise ValueError(f"L has {len(self.L)} entries for {n} channels")
+        T = np.array(self.T, dtype=complex)
+        if T.ndim != 2 or T.shape[0] != T.shape[1]:
+            raise ValueError("T must be square")
+        if len(self.L) != T.shape[0]:
+            raise ValueError(f"L has {len(self.L)} entries for {T.shape[0]} channels")
+        T.setflags(write=False)
+        object.__setattr__(self, "T", T)
         space = self.H.space
-        for row in self.S:
-            for entry in row:
-                if entry.space != space:
-                    raise ValueError("all triple entries must share one space")
         for entry in self.L:
             if entry.space != space:
                 raise ValueError("all triple entries must share one space")
 
     @property
+    def S(self) -> tuple[tuple[OpPolynomial, ...], ...]:
+        """S = T ⊗ I as polynomial entries, built on each read: the
+        identity where T_ij = 1, no terms where T_ij = 0, and T_ij·I
+        elsewhere.  Reductions and runs read T."""
+        one = OpPolynomial.constant(identity(self.space))
+        zero = OpPolynomial.zero(self.space)
+        return tuple(
+            tuple(one if t == 1 else zero if t == 0 else OpPolynomial.scalar(self.space, t)
+                  for t in row)
+            for row in self.T
+        )
+
+    @property
     def channels(self) -> int:
-        return len(self.S)
+        return len(self.L)
 
     @property
     def space(self) -> HilbertSpace:
         return self.H.space
 
+    def __eq__(self, other) -> bool:
+        """Exact comparison of T, L and H."""
+        if not isinstance(other, SLHTriple):
+            return NotImplemented
+        return np.array_equal(self.T, other.T) and self.L == other.L and self.H == other.H
+
     def __repr__(self) -> str:
         return f"SLHTriple(channels={self.channels}, dim={self.space.total_dim})"
 
 
-def validate_triple(
-    g: SLHTriple,
-    probe_times: Sequence[float] = (0.0,),
-    bindings: Bindings | None = None,
-    tol: float = DEFAULT_TOL,
-) -> None:
-    """Check the triple invariants: H formally self-adjoint, then S as
+def validate_triple(g: SLHTriple, tol: float = DEFAULT_TOL) -> None:
+    """Check the triple invariants: H formally self-adjoint, then T as
     :func:`validate_scattering` checks it.
     """
     if not g.H.dagger().approx_equal(g.H, tol):
         raise ValueError("H is not self-adjoint")
-    validate_scattering(g, probe_times, bindings, tol)
+    validate_scattering(g, tol)
 
 
-def validate_scattering(g: SLHTriple, probe_times: Sequence[float] = (0.0,),
-                        bindings: Bindings | None = None, tol: float = DEFAULT_TOL) -> None:
-    """Check that S is unitary at the probe times, whatever H is: S is
-    evaluated as one (n·d)×(n·d) block operator, and both SS† and S†S
-    must be within tol of the identity.  Warns if S has acquired signal
-    dependence (no construction in scope produces one).
-    """
-    s_signals = set()
-    for row in g.S:
-        for entry in row:
-            s_signals |= entry.signals()
-    if s_signals:
-        warnings.warn(f"S depends on signals {sorted(s_signals)}; this is unusual")
-    eye = np.eye(g.channels * g.space.total_dim)
-    for t in probe_times:
-        S = np.block([[entry.evaluate(t, bindings).matrix for entry in row] for row in g.S])
-        Sd = S.conj().T
-        # written so that a NaN entry fails
-        if not (np.max(np.abs(S @ Sd - eye)) <= tol and np.max(np.abs(Sd @ S - eye)) <= tol):
-            raise ValueError(f"S fails the unitarity conditions at t={t}")
+def validate_scattering(g: SLHTriple, tol: float = DEFAULT_TOL) -> None:
+    """Check that S = T ⊗ I is unitary, whatever H is: both TT† and T†T
+    must be within tol of the identity."""
+    if not _is_unitary(g.T, tol):
+        raise ValueError("S fails the unitarity conditions")
+
+
+def _is_unitary(T: np.ndarray, tol: float) -> bool:
+    Td, eye = T.conj().T, np.eye(T.shape[0])
+    # written so that a NaN entry fails
+    return np.max(np.abs(T @ Td - eye)) <= tol and np.max(np.abs(Td @ T - eye)) <= tol
 
 
 # -- component constructors ----------------------------------------------
@@ -121,12 +125,6 @@ def _as_poly(x, space: HilbertSpace) -> OpPolynomial:
     return OpPolynomial.scalar(space, complex(x))
 
 
-def _identity_S(space: HilbertSpace, n: int) -> tuple[tuple[OpPolynomial, ...], ...]:
-    one = OpPolynomial.constant(identity(space))
-    zero = OpPolynomial.zero(space)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def pure_hamiltonian(H, space: HilbertSpace | None = None, channels: int = 1) -> SLHTriple:
     """HAM(H): the closed system (I, 0, H); no field interaction."""
     if channels < 1:
@@ -137,7 +135,7 @@ def pure_hamiltonian(H, space: HilbertSpace | None = None, channels: int = 1) ->
     if not h.dagger().approx_equal(h, DEFAULT_TOL):
         raise ValueError("HAM requires a self-adjoint Hamiltonian")
     zero = OpPolynomial.zero(space)
-    return SLHTriple(_identity_S(space, channels), (zero,) * channels, h)
+    return SLHTriple(np.eye(channels), (zero,) * channels, h)
 
 
 def beam_splitter(T, space: HilbertSpace, tol: float = DEFAULT_TOL) -> SLHTriple:
@@ -146,14 +144,10 @@ def beam_splitter(T, space: HilbertSpace, tol: float = DEFAULT_TOL) -> SLHTriple
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError("T must be square")
-    if not np.max(np.abs(T @ T.conj().T - np.eye(n))) <= tol:  # NaN fails
+    if not _is_unitary(T, tol):
         raise ValueError("T is not unitary")
-    eye = identity(space)
-    S = tuple(
-        tuple(OpPolynomial.constant(T[i, j] * eye) for j in range(n)) for i in range(n)
-    )
     zero = OpPolynomial.zero(space)
-    return SLHTriple(S, (zero,) * n, zero)
+    return SLHTriple(T, (zero,) * n, zero)
 
 
 def signal_adder(entries: Iterable, space: HilbertSpace) -> SLHTriple:
@@ -175,7 +169,7 @@ def signal_adder(entries: Iterable, space: HilbertSpace) -> SLHTriple:
     if n == 0:
         raise ValueError("ADD needs at least one channel")
     zero = OpPolynomial.zero(space)
-    return SLHTriple(_identity_S(space, n), tuple(polys), zero)
+    return SLHTriple(np.eye(n), tuple(polys), zero)
 
 
 def system_coupling(L: Iterable, space: HilbertSpace | None = None) -> SLHTriple:
@@ -187,7 +181,7 @@ def system_coupling(L: Iterable, space: HilbertSpace | None = None) -> SLHTriple
         first = L[0]
         space = first.space
     polys = tuple(_as_poly(x, space) for x in L)
-    return SLHTriple(_identity_S(space, len(polys)), polys, OpPolynomial.zero(space))
+    return SLHTriple(np.eye(len(polys)), polys, OpPolynomial.zero(space))
 
 
 def cavity(space: HilbertSpace, mode: str, gamma: float, omega: float) -> SLHTriple:
@@ -197,7 +191,7 @@ def cavity(space: HilbertSpace, mode: str, gamma: float, omega: float) -> SLHTri
     a = annihilator(space, mode)
     L = OpPolynomial.constant(np.sqrt(gamma) * a)
     H = OpPolynomial.constant(omega * number_op(space, mode))
-    return SLHTriple(_identity_S(space, 1), (L,), H)
+    return SLHTriple(np.eye(1), (L,), H)
 
 
 # -- composition ----------------------------------------------------------
@@ -217,28 +211,25 @@ def series(g2: SLHTriple, g1: SLHTriple) -> SLHTriple:
         )
     if g1.space != g2.space:
         raise ValueError("operands live on different spaces; embed before composing")
-    n = g1.channels
-    S = tuple(
-        tuple(
-            OpPolynomial._sum(g2.S[i][k] * g1.S[k][j] for k in range(n)) for j in range(n)
-        )
-        for i in range(n)
-    )
-    L = tuple(
-        g2.L[i] + OpPolynomial._sum(g2.S[i][j] * g1.L[j] for j in range(n)) for i in range(n)
-    )
-    # Im(L2† S2 L1) alone outlives the cross polynomial, and H is summed in
+    zero = OpPolynomial.zero(g1.space)
+    # (T2 L1)_i = Σ_j T2_ij L1_j: a coefficient 1 takes L1_j as it is,
+    # and 0 adds nothing
+    routed = [
+        OpPolynomial._sum((zero, *(p if t == 1 else p.scale(t)
+                                   for t, p in zip(row, g1.L) if t != 0)))
+        for row in g2.T
+    ]
+    L = tuple(l2 + r for l2, r in zip(g2.L, routed))
+    # Im(L2† T2 L1) alone outlives the cross polynomial, and H is summed in
     # place on the arrays the sum allocates
-    cross_imag = OpPolynomial._sum(
-        g2.L[i].dagger() * g2.S[i][j] * g1.L[j] for i in range(n) for j in range(n)
-    ).imag()
+    cross_imag = OpPolynomial._sum(l2.dagger() * r for l2, r in zip(g2.L, routed)).imag()
     H = OpPolynomial._sum((g1.H, g2.H, cross_imag))
-    return SLHTriple(S, L, H)
+    return SLHTriple(g2.T @ g1.T, L, H)
 
 
 def _is_pure_hamiltonian(g: SLHTriple) -> bool:
-    """True for (S = I, L = 0) triples, whatever their channel count."""
-    return all(entry.is_zero() for entry in g.L) and g.S == _identity_S(g.space, g.channels)
+    """True for (T = I, L = 0) triples, whatever their channel count."""
+    return all(entry.is_zero() for entry in g.L) and np.array_equal(g.T, np.eye(g.channels))
 
 
 def series_steps(components: Sequence[SLHTriple]) -> Iterator[SLHTriple]:
@@ -247,7 +238,7 @@ def series_steps(components: Sequence[SLHTriple]) -> Iterator[SLHTriple]:
     yields the rightmost component, then each product with the next
     component to its left.
 
-    A pure Hamiltonian (S = I, L = 0) carries no field, so when the
+    A pure Hamiltonian (T = I, L = 0) carries no field, so when the
     channel counts of a step differ it takes its neighbour's count;
     any other mismatch raises ChannelMismatchError.
     """
@@ -330,9 +321,7 @@ def build_noisy_construction(
     if T.shape != (n, n):
         raise ValueError(f"T must be {n}x{n}")
     Tinv = T.conj().T
-    middle = SLHTriple(
-        beam_splitter(T, space).S, sys_g.L, _as_poly(H0, space)
-    )
+    middle = SLHTriple(beam_splitter(T, space).T, sys_g.L, _as_poly(H0, space))
     entries_in = []
     for i in range(n):
         p = OpPolynomial.zero(space)

@@ -360,8 +360,10 @@ class OpPolynomial:
         return OpPolynomial._shared(self.space, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c: complex) -> "OpPolynomial":
+        """c times each coefficient, the scalar as the left operand, as a
+        product with the coefficient c·I takes it."""
         c = complex(c)
-        return OpPolynomial._shared(self.space, {m: coeff * c for m, coeff in self.terms.items()})
+        return OpPolynomial._shared(self.space, {m: c * coeff for m, coeff in self.terms.items()})
 
     def __mul__(self, other) -> "OpPolynomial":
         """The product; on a space of at least ``SPARSE_MIN_DIM`` states, a

@@ -50,15 +50,10 @@ def random_triple(rng, dim, channels, signals=(), label="q"):
     random self-adjoint Hamiltonian; signal terms mixed in when asked."""
     space = HilbertSpace.generic(label, dim)
     T = random_unitary(rng, channels)
-    eye = np.eye(dim)
-    S = tuple(
-        tuple(OpPolynomial.constant(Operator(space, T[i, j] * eye)) for j in range(channels))
-        for i in range(channels)
-    )
     L = tuple(random_poly(rng, space, signals, scale=0.7) for _ in range(channels))
     h = random_poly(rng, space, signals, scale=0.7)
     H = h.imag() + OpPolynomial.constant(random_hermitian(rng, space, 0.7))
-    return SLHTriple(S, L, H)
+    return SLHTriple(T, L, H)
 
 
 def constant_term(p):

@@ -40,8 +40,9 @@ def triples_approx_equal(
     probe_times: Sequence[float] = (0.0,),
     probe_bindings: Bindings | None = None,
 ) -> tuple[bool, str]:
-    """Compare two triples: exact canonical comparison first, then (for
-    entries that differ symbolically) numerically at the probe times.
+    """Compare two triples: T entrywise within tol, then L and H by exact
+    canonical comparison first and (for entries that differ symbolically)
+    numerically at the probe times.
     Returns (equal, report); the report names the first differing entry.
     """
     if g1.channels != g2.channels:
@@ -49,12 +50,12 @@ def triples_approx_equal(
     if g1.space != g2.space:
         return False, "spaces differ"
     n = g1.channels
-    entries = []
     for i in range(n):
         for j in range(n):
-            entries.append((f"S[{i}][{j}]", g1.S[i][j], g2.S[i][j]))
-    for i in range(n):
-        entries.append((f"L[{i}]", g1.L[i], g2.L[i]))
+            diff = abs(g1.T[i, j] - g2.T[i, j])
+            if not diff <= tol:  # NaN fails
+                return False, f"S[{i}][{j}] differs by {diff:.3e}"
+    entries = [(f"L[{i}]", g1.L[i], g2.L[i]) for i in range(n)]
     entries.append(("H", g1.H, g2.H))
 
     for name, p, q in entries:

@@ -432,7 +432,7 @@ def _two_mode_triple(rng, channels, signals):
         u = OpPolynomial.of_signal(sp, name)
         L[0] = L[0] + u.scale(c())
         H = H + (u * const(c() * hop)).imag()
-    return SLHTriple(system_coupling(L, sp).S, tuple(L), H)
+    return SLHTriple(system_coupling(L, sp).T, tuple(L), H)
 
 
 def _reference_case(rng, case, two_mode=False):
@@ -450,7 +450,7 @@ def _reference_case(rng, case, two_mode=False):
     H = g.H + u * u.dagger() * OpPolynomial.constant(
         number_op(sp, "b") if two_mode else random_hermitian(rng, sp, 0.7))
     L = (OpPolynomial.zero(sp),) + g.L[1:] if case == "zero_L" else g.L
-    g = SLHTriple(g.S, L, H)
+    g = SLHTriple(g.T, L, H)
     if case == "sampled":
         values = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         return g, {"u": SampledSignal("u", np.linspace(0.0, 0.2, 7), values)}
@@ -740,7 +740,7 @@ def test_dense_master_stage_is_the_written_out_sum_bitwise(rng, d, live):
     # below SPARSE_MIN_DIM every run is dense, and its stage is
     # Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) on the compiled values, rounded in that order
     g = random_triple(rng, d, 2, signals=["u"])
-    g = SLHTriple(g.S, g.L[:live] + (OpPolynomial.zero(g.space),) * (2 - live), g.H)
+    g = SLHTriple(g.T, g.L[:live] + (OpPolynomial.zero(g.space),) * (2 - live), g.H)
     binds = random_bindings(rng, ["u"])
     K = g.H.scale(-1j)
     for Lp in g.L[:live]:

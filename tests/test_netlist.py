@@ -178,9 +178,9 @@ def _u(sp, coeff=1.0):
      lambda c: c.triple.L, lambda sp: (OpPolynomial.scalar(sp, 1.5 - 2j) + _u(sp),
                                        OpPolynomial.zero(sp))),
     ("component A = BS(T=[[sqrt(0.5), sqrt(0.5) * 1i], [sqrt(0.5) * 1i, sqrt(0.5)]])",
-     lambda c: c.triple.S[1][0], lambda sp: OpPolynomial.scalar(sp, math.sqrt(0.5) * 1j)),
+     lambda c: c.triple.T[1, 0], lambda sp: math.sqrt(0.5) * 1j),
     ("component A = BS(T=[[-(1i * dagger(1i))]])",
-     lambda c: c.triple.S[0][0], lambda sp: OpPolynomial.scalar(sp, -1)),
+     lambda c: c.triple.T[0, 0], lambda sp: -1),
     ("component A = CAVITY(gamma=0.25 * 2, omega=sqrt(4) - 1)",
      lambda c: (c.triple.L[0], c.triple.H),
      lambda sp: (cavity(sp, "c", 0.5, 1.0).L[0], cavity(sp, "c", 0.5, 1.0).H)),

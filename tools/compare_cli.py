@@ -18,8 +18,12 @@ temporary directory.  The open two-cavity cascade runs ``reduce``,
 --horizon 0.2 --step 0.04``.  The closed cancellation chain, whose
 Schrödinger runs take the CSR matrix-vector product, runs ``simulate
 --horizon 0.2 --step 0.04 --observable a:c1`` and ``verify --horizon 0.2
---step 0.01`` (at step 0.04 its ``purity_drift`` check fails).
-Then ``verify --demo --step 0.002`` and each script under ``demos/`` run.
+--step 0.01`` (at step 0.04 its ``purity_drift`` check fails).  The
+corpus scatters only by ±1, 0 and the swap, so a third netlist puts a
+complex two-channel T around a two-channel ``SYS`` and an ``ADD`` on two
+modes at cutoff 2; it runs ``reduce``, ``simulate --horizon 0.5 --step
+0.01 --observable a:c1 --leak-threshold inf`` (its drive fills the top
+Fock levels) and ``verify --horizon 0.3 --step 0.01``.  Then ``verify --demo --step 0.002`` and each script under ``demos/`` run.
 Every run happens twice, once with this tree's ``src/`` on PYTHONPATH and
 once with OTHER_TREE's, on the same netlists and demo scripts, from this
 tree's root, so only the package differs.
@@ -69,10 +73,22 @@ component G = SYS(L=[sqrt(0.4) * a(c1)])
 network closed = H0 <| P <| R <| G <| R <| M <| G
 """
 
+# a complex two-channel T (a rotation by 0.3 with i on the off-diagonal)
+# on both sides of a coupling and an adder: d = 9
+COMPLEX_T = """\
+space fock(cutoff=2) as c1
+space fock(cutoff=2) as c2
+signal u = gaussian_pulse(amplitude=(0.4 + 0.1i), center=0.1, width=0.1)
+component X = BS(T=[[0.955336489125606, 0.29552020666133955i], [0.29552020666133955i, 0.955336489125606]])
+component G = SYS(L=[sqrt(0.4) * a(c1), sqrt(0.3) * a(c2)])
+component A = ADD(u=[u, 0.5 * u])
+network mix = X <| G <| A <| X
+"""
+
 
 def runs(tmp: Path) -> list[list[str]]:
-    """Each run's argv, relative to the tree's root; the two d = 100
-    netlists are written to ``tmp``."""
+    """Each run's argv, relative to the tree's root; the d = 100 and the
+    complex-T netlists are written to ``tmp``."""
     cli = [sys.executable, "-m", "slhforge.cli"]
     out = []
     for path in sorted((ROOT / "tests" / "netlists").glob("*.slh")):
@@ -96,6 +112,12 @@ def runs(tmp: Path) -> list[list[str]]:
     closed.write_text(CLOSED)
     out += [cli + ["simulate", str(closed), *grid, "--observable", "a:c1"],
             cli + ["verify", str(closed), "--horizon", "0.2", "--step", "0.01"]]
+    mix = tmp / "complex_t.slh"
+    mix.write_text(COMPLEX_T)
+    out += [cli + ["reduce", str(mix)],
+            cli + ["simulate", str(mix), "--horizon", "0.5", "--step", "0.01",
+                   "--observable", "a:c1", "--leak-threshold", "inf"],
+            cli + ["verify", str(mix), "--horizon", "0.3", "--step", "0.01"]]
     out.append(cli + ["verify", "--demo", "--step", "0.002"])
     out += [[sys.executable, str(p.relative_to(ROOT))]
             for p in sorted((ROOT / "demos").glob("*.py"))]
