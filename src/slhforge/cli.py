@@ -43,7 +43,7 @@ from .netlist import (
 )
 from .network import (build_cancellation_chain, build_noisy_construction,
                       validate_scattering, validate_triple)
-from .signals import GaussianPulseSignal, OpPolynomial
+from .signals import GaussianPulseSignal, OpPolynomial, _mono_key
 
 EXIT_PARSE = 1
 EXIT_REDUCE = 2
@@ -79,7 +79,8 @@ FAILURES = {
 
 
 def _fmt(x: float) -> str:
-    return "%.12e" % float(x)
+    # + 0.0 turns -0.0 into 0.0, so a zero prints the same on every arithmetic path
+    return "%.12e" % (float(x) + 0.0)
 
 
 def _dump_matrix(mat: np.ndarray) -> list:
@@ -87,7 +88,7 @@ def _dump_matrix(mat: np.ndarray) -> list:
 
 
 def _dump_poly(p: OpPolynomial) -> dict:
-    monos = sorted(p.terms, key=lambda m: (m.degree, m.entries))
+    monos = sorted(p.terms, key=_mono_key)
     return {"terms": [{"monomial": str(m), "matrix": _dump_matrix(p.terms[m])} for m in monos]}
 
 
@@ -124,21 +125,7 @@ def _check_tolerances(args):
 # -- reduce ---------------------------------------------------------------
 
 
-def _probe_times(spec: str | None) -> list[float]:
-    """The --probe-times list; anything but finite numbers exits 2."""
-    if not spec:
-        return [0.0]
-    try:
-        probes = [float(x) for x in spec.split(",")]
-        if all(math.isfinite(t) for t in probes):
-            return probes
-    except ValueError:
-        pass
-    raise ArgumentError(f"--probe-times must be finite numbers, got {spec!r}")
-
-
 def cmd_reduce(args) -> int:
-    probes = _probe_times(args.probe_times)
     compiled = _load(args.file)
     g = compiled.triple
 
@@ -159,8 +146,9 @@ def cmd_reduce(args) -> int:
             {"component": step.component, "summary": step.summary}
             for step in compiled.trace
         ],
+        # T is static, so its check at t = 0 holds at every time
         "validation": {
-            "probe_times": [_fmt(t) for t in probes],
+            "probe_times": [_fmt(0.0)],
             "h_self_adjoint": h_ok,
             "s_unitary_at_probes": s_ok,
             "l_zero": [entry.is_zero() for entry in g.L],
@@ -232,8 +220,8 @@ def _initial_state(spec: str, space) -> QuantumState:
     if kind == "fock":
         return QuantumState.fock(space, level)
     if kind == "coherent":
-        modes = sum(f.kind == "fock" for f in space.factors)
-        if modes != 1:
+        if space.sole_fock_label() is None:
+            modes = sum(f.kind == "fock" for f in space.factors)
             raise ValueError(f"a coherent initial state needs exactly one Fock factor; "
                              f"this space has {modes}")
         return QuantumState.coherent(space, complex(re, im))
@@ -246,10 +234,9 @@ def _observable(name: str, space):
     if colon and not label:
         raise ValueError(unknown)
     if not label:
-        fock_labels = [f.label for f in space.factors if f.kind == "fock"]
-        if len(fock_labels) != 1:
+        label = space.sole_fock_label()
+        if label is None:
             raise ValueError(f"observable {name!r} needs a :label on this space")
-        label = fock_labels[0]
     if label not in space:
         raise ValueError(f"observable {name!r}: no factor labeled {label!r} in {space}")
     if kind in MODE_OPERATORS:
@@ -266,7 +253,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ArgumentError(str(exc)) from exc
     times = _grid(args.horizon, args.step, bindings)
-    if all(entry.is_zero() for entry in g.L) and state.is_pure:
+    if all(entry.is_zero() for entry in g.L):
         log.info("closed system and pure state: Schrodinger integration")
         result = integrate_schrodinger(
             g.H, state, times, bindings, observables,
@@ -404,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce a netlist to its effective triple")
     p.add_argument("file")
-    p.add_argument("--probe-times", default=None, help="comma-separated validation times")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_reduce)

@@ -96,49 +96,27 @@ class IntegrationError(RuntimeError):
 
 
 class QuantumState:
-    """Pure (unit vector) or mixed (density matrix) state on a space."""
+    """A pure state on a space: a finite unit vector, checked once.  A
+    mixed start is a density matrix handed to :func:`integrate_master`."""
 
-    __slots__ = ("space", "vector", "rho")
+    __slots__ = ("space", "vector")
 
-    def __init__(self, space: HilbertSpace, vector=None, rho=None):
-        if (vector is None) == (rho is None):
-            raise ValueError("give exactly one of vector or rho")
+    def __init__(self, space: HilbertSpace, vector=None):
+        if vector is None:
+            raise ValueError("a QuantumState needs a state vector")
         self.space = space
-        d = space.total_dim
-        if vector is not None:
-            vector = np.asarray(vector, dtype=complex)
-            if vector.shape != (d,):
-                raise ValueError("pure state shape mismatch")
-            if not np.isfinite(vector).all():
-                raise ValueError("pure state has a non-finite entry")
-            norm = np.linalg.norm(vector)
-            if abs(norm - 1.0) > 1e-10:
-                raise ValueError(f"pure state norm {norm} is not 1 within 1e-10")
-            self.vector = vector
-            self.rho = None
-        else:
-            rho = np.asarray(rho, dtype=complex)
-            if rho.shape != (d, d):
-                raise ValueError("density matrix shape mismatch")
-            if not np.isfinite(rho).all():
-                raise ValueError("density matrix has a non-finite entry")
-            if abs(np.trace(rho) - 1.0) > 1e-10:
-                raise ValueError("density matrix trace is not 1 within 1e-10")
-            if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-                raise ValueError("density matrix is not Hermitian within 1e-10")
-            if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -1e-8:
-                raise ValueError("density matrix has eigenvalue below -1e-8")
-            self.vector = None
-            self.rho = rho
-
-    @property
-    def is_pure(self) -> bool:
-        return self.vector is not None
+        vector = np.asarray(vector, dtype=complex)
+        if vector.shape != (space.total_dim,):
+            raise ValueError("pure state shape mismatch")
+        if not np.isfinite(vector).all():
+            raise ValueError("pure state has a non-finite entry")
+        norm = np.linalg.norm(vector)
+        if abs(norm - 1.0) > 1e-10:
+            raise ValueError(f"pure state norm {norm} is not 1 within 1e-10")
+        self.vector = vector
 
     def density(self) -> np.ndarray:
-        if self.is_pure:
-            return np.outer(self.vector, self.vector.conj())
-        return self.rho
+        return np.outer(self.vector, self.vector.conj())
 
     @classmethod
     def vacuum(cls, space: HilbertSpace) -> "QuantumState":
@@ -183,10 +161,9 @@ def coherent_vector(space: HilbertSpace, alpha: complex, mode: str | None = None
     renormalized after truncation; other factors stay in their ground level.
     """
     if mode is None:
-        fock_labels = [f.label for f in space.factors if f.kind == FOCK]
-        if len(fock_labels) != 1:
+        mode = space.sole_fock_label()
+        if mode is None:
             raise ValueError("mode label required when the space has != 1 Fock factor")
-        mode = fock_labels[0]
     f = space.factor(mode)
     if f.kind != FOCK:
         raise ValueError(f"factor {mode!r} is not a Fock factor")
@@ -216,11 +193,9 @@ def coherent_vector(space: HilbertSpace, alpha: complex, mode: str | None = None
 
 
 def coherent_fidelity(state: QuantumState, alpha: complex, mode: str | None = None) -> float:
-    """<alpha| rho |alpha> with the truncated, renormalized coherent state."""
+    """|<alpha|psi>|² with the truncated, renormalized coherent state."""
     v = coherent_vector(state.space, alpha, mode)
-    if state.is_pure:
-        return float(abs(v.conj() @ state.vector) ** 2)
-    return float(np.real(v.conj() @ state.rho @ v))
+    return float(abs(v.conj() @ state.vector) ** 2)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -754,6 +729,27 @@ def _compiled_lindblad(
     return rhs
 
 
+def _initial(state: QuantumState | np.ndarray, space: HilbertSpace, pure: bool) -> np.ndarray:
+    """The initial state of a run on ``space``: a QuantumState's vector
+    (``pure``) or its density matrix, or an array of that shape, (d,) or
+    (d, d), with finite entries.  Anything else is a ValueError that names
+    the shape."""
+    d = space.total_dim
+    if pure:
+        shape, need = (d,), "Schrodinger integration needs a pure state"
+    else:
+        shape, need = (d, d), "master-equation integration needs a density matrix"
+    if isinstance(state, QuantumState):
+        y = state.vector if pure else state.density()
+    else:
+        y = np.asarray(state, dtype=complex)
+        if y.shape == shape and not np.isfinite(y).all():
+            raise ValueError("initial state has a non-finite entry")
+    if y.shape != shape:
+        raise ValueError(f"{need} of shape {shape}, got one of shape {y.shape}")
+    return y
+
+
 def integrate_master(
     g: SLHTriple,
     rho0: QuantumState | np.ndarray,
@@ -772,15 +768,15 @@ def integrate_master(
     by the rule of :func:`_compile`, and the stage of that format computes
     Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†), the map of :func:`lindblad_rhs`, with every
     right product ρM† taken from one stacked product.  ρ is always dense.
-    The run aborts (IntegrationError) when a diagnostic is not finite, the
-    trace drifts beyond ``trace_tol`` or the truncation leak exceeds
-    ``leak_threshold``; pass ``leak_threshold=None`` to only record the
-    leak.
+    ``rho0`` is a QuantumState, whose density matrix starts the run, or a
+    (d, d) array with finite entries, which may be mixed; any other shape
+    is a ValueError (:func:`_initial`).  The run aborts (IntegrationError)
+    when a diagnostic is not finite, the trace drifts beyond ``trace_tol``
+    or the truncation leak exceeds ``leak_threshold``; pass
+    ``leak_threshold=None`` to only record the leak.
     """
     # ρ₀ is read once, into the run's own state: no name here keeps it
-    return _rk4(_compiled_lindblad(g, bindings),
-                rho0.density() if isinstance(rho0, QuantumState)
-                else np.asarray(rho0, dtype=complex),
+    return _rk4(_compiled_lindblad(g, bindings), _initial(rho0, g.space, pure=False),
                 times, g.space, observables, store_states, trace_tol, leak_threshold)
 
 
@@ -795,7 +791,9 @@ def integrate_schrodinger(
     leak_threshold: float | None = DEFAULT_LEAK_THRESHOLD,
 ) -> SimulationResult:
     """Fixed-step RK4 on dpsi/dt = -i H(t) psi; norm drift is reported,
-    never corrected.
+    never corrected.  ``psi0`` is a QuantumState or a (d,) array with
+    finite entries; a density matrix or a vector of another length is a
+    ValueError that says the equation needs a pure state (:func:`_initial`).
 
     -iH is compiled once per run on the stage times, dense or CSR by the
     rule of :func:`_compile`, and the stage is its :func:`_product`, one
@@ -803,12 +801,7 @@ def integrate_schrodinger(
     """
     if not H.dagger().approx_equal(H, 1e-10):
         raise ValueError("H is not formally self-adjoint")
-    if isinstance(psi0, QuantumState):
-        if not psi0.is_pure:
-            raise ValueError("Schrodinger integration needs a pure state")
-        psi = psi0.vector
-    else:
-        psi = np.asarray(psi0, dtype=complex)
+    psi = _initial(psi0, H.space, pure=True)
 
     def rhs(half):
         compiled = _compile([H.scale(-1j)], bindings, half)
@@ -851,15 +844,16 @@ def analytic_driven_cavity(
     gamma: float,
     u: Callable[[float], complex],
     t: float,
-    tol: float = 1e-10,
 ) -> complex:
     """Coherent amplitude reached from vacuum by the driven oscillator
 
         alpha(t) = -(sqrt(gamma)/2) * integral_0^t exp(-i omega0 (t-s)) u(s) ds
 
-    evaluated by adaptive quadrature (absolute tolerance ``tol``).  A
-    complex ``omega0 = w0 - i*gamma/2`` gives the damped cavity.
+    evaluated by adaptive quadrature to absolute and relative tolerance
+    1e-10; an error estimate above 1e-7 raises RuntimeError.  A complex
+    ``omega0 = w0 - i*gamma/2`` gives the damped cavity.
     """
+    tol = 1e-10
     if t == 0.0:
         return 0.0
 

@@ -95,6 +95,12 @@ class HilbertSpace:
             raise KeyError(f"no factor labeled {label!r} in {self}")
         return self._index[label]
 
+    def sole_fock_label(self) -> str | None:
+        """The label of the space's one Fock factor, which a mode argument
+        may then omit; None when it has none or several."""
+        labels = [f.label for f in self.factors if f.kind == FOCK]
+        return labels[0] if len(labels) == 1 else None
+
     def __contains__(self, label: str) -> bool:
         return label in self._index
 

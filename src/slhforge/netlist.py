@@ -818,12 +818,9 @@ class _Analyzer:
                 entries = [self.eval_expr(e, allow_ops=False) for e in decl.args["u"]]
                 return signal_adder(entries, self.space)
             if decl.kind == "CAVITY":
-                mode = decl.args.get("mode")
+                mode = decl.args.get("mode") or self.space.sole_fock_label()
                 if mode is None:
-                    fock_labels = [f.label for f in self.space.factors if f.kind == "fock"]
-                    if len(fock_labels) != 1:
-                        self.fail("CAVITY needs mode= when there is not exactly one Fock factor", decl.pos)
-                    mode = fock_labels[0]
+                    self.fail("CAVITY needs mode= when there is not exactly one Fock factor", decl.pos)
                 return cavity(
                     self.space,
                     mode,

@@ -138,13 +138,14 @@ def pure_hamiltonian(H, space: HilbertSpace | None = None, channels: int = 1) ->
     return SLHTriple(np.eye(channels), (zero,) * channels, h)
 
 
-def beam_splitter(T, space: HilbertSpace, tol: float = DEFAULT_TOL) -> SLHTriple:
-    """BS(T): static channel scattering by a unitary c-number matrix T."""
+def beam_splitter(T, space: HilbertSpace) -> SLHTriple:
+    """BS(T): static channel scattering by a c-number matrix T, unitary
+    within DEFAULT_TOL."""
     T = np.atleast_2d(np.asarray(T, dtype=complex))
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError("T must be square")
-    if not _is_unitary(T, tol):
+    if not _is_unitary(T, DEFAULT_TOL):
         raise ValueError("T is not unitary")
     zero = OpPolynomial.zero(space)
     return SLHTriple(T, (zero,) * n, zero)

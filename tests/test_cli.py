@@ -99,14 +99,6 @@ def test_reduce_missing_file_exits_1(tmp_path, capsys):
     assert rc == 1
 
 
-def test_reduce_probe_times(netlist, tmp_path):
-    out = tmp_path / "r.json"
-    rc = main(["reduce", netlist(MINIMAL), "--probe-times", "0.0,1.5", "-o", str(out)])
-    assert rc == 0
-    probes = json.loads(out.read_text())["validation"]["probe_times"]
-    assert probes == ["0.000000000000e+00", "1.500000000000e+00"]
-
-
 def test_reduce_on_a_one_state_space(netlist, capsys):
     # H = Im(L2† L1) = Im(-0.25i · 0.5) = -0.125; the 1×1 conjugate transpose
     # is a new array, not the frozen coefficient
@@ -120,6 +112,29 @@ def test_reduce_on_a_one_state_space(netlist, capsys):
         ["-1.250000000000e-01", "0.000000000000e+00"]]]}]
     assert report["L"][0]["terms"][0]["matrix"] == [[
         ["5.000000000000e-01", "2.500000000000e-01"]]]
+
+
+def test_reduce_prints_a_zero_without_its_sign(netlist, capsys):
+    # BS(-1) scales the coupling by -1, which turns its zero entries into -0.0
+    rc = main(["reduce", netlist("space fock(cutoff=2) as c\n"
+                                 "component B = BS(T=[[-1]])\n"
+                                 "component G = SYS(L=[a(c)])\n"
+                                 "network main = B <| G\n")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "0.000000000000e+00" in out
+    assert "-0.000000000000e+00" not in out
+
+
+def test_reduce_checks_scattering_at_t_0_only(capsys):
+    # T is static, so the report lists t = 0 and takes no probe times
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", str(NETLISTS / "cavity.slh"), "--probe-times", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --probe-times 0" in capsys.readouterr().err
+    assert main(["reduce", str(NETLISTS / "cavity.slh")]) == 0
+    validation = json.loads(capsys.readouterr().out)["validation"]
+    assert validation["probe_times"] == ["0.000000000000e+00"]
 
 
 # -- simulate --------------------------------------------------------------
@@ -241,8 +256,6 @@ def test_bad_time_grid_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["reduce", "{cavity}", "--probe-times", "a,b"], 2),
-    (["reduce", "{cavity}", "--probe-times", "0,nan"], 2),
     (["reduce", "{latin1}"], 1),
     (["reduce", "{cavity}", "-o", "{tmp}/absent/x.json"], 1),
     (["simulate", "{cavity}", "--horizon", "0.1", "--step", "0.01",
@@ -257,7 +270,7 @@ def test_bad_time_grid_exits_2(argv, capsys):
     (["verify", "{cavity}", "--tol", "nan"], 2),
     (["simulate", "{cavity}", "--horizon", "0.1", "--trace-tol", "nan"], 2),
     (["simulate", "{cavity}", "--horizon", "0.1", "--leak-threshold", "-1"], 2),
-], ids=["probe_not_a_number", "probe_not_finite", "input_not_utf8",
+], ids=["input_not_utf8",
         "reduce_output_unwritable", "simulate_output_unwritable", "verify_output_unwritable",
         "coherent_not_finite", "coherent_norm_overflows", "reduce_tol_nan",
         "reduce_tol_negative", "verify_tol_nan", "trace_tol_nan", "leak_threshold_negative"])
