@@ -254,7 +254,7 @@ def cmd_simulate(args) -> int:
         raise ArgumentError(str(exc)) from exc
     times = _grid(args.horizon, args.step, bindings)
     if all(entry.is_zero() for entry in g.L):
-        log.info("closed system and pure state: Schrodinger integration")
+        log.info("closed system: Schrodinger integration")
         result = integrate_schrodinger(
             g.H, state, times, bindings, observables,
             norm_tol=args.trace_tol, leak_threshold=args.leak_threshold,
