@@ -5,9 +5,9 @@ with %.12e, so golden files diff cleanly.
 
 Exit codes: 0 ok, 1 parse or file I/O error, 2 reduction error or bad
 argument, 3 validation or verification failure, 4 integration abort.
-Commands return 0 or 3 and raise every other failure; ``FAILURES`` is
-the one table in which ``main`` turns each exception into its exit code
-and its one stderr line.
+Commands return 0, or 3 once their report shows the failure, and raise
+every other failure; ``FAILURES`` is the one table in which ``main``
+turns each exception into its exit code and its one stderr line.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .netlist import (
     compile_netlist,
     parse_netlist,
 )
-from .network import (build_cancellation_chain, build_noisy_construction,
-                      validate_scattering, validate_triple)
+from .network import (InvalidTripleError, build_cancellation_chain,
+                      build_noisy_construction, is_unitary, validate_triple)
 from .signals import GaussianPulseSignal, OpPolynomial, _mono_key
 
 EXIT_PARSE = 1
@@ -74,6 +74,7 @@ FAILURES = {
     NetlistReductionError: (EXIT_REDUCE, "reduction error"),
     ArgumentError: (EXIT_REDUCE, "error"),
     MemoryError: (EXIT_REDUCE, "error"),
+    InvalidTripleError: (EXIT_VALIDATE, "validation failure"),
     IntegrationError: (EXIT_DYNAMICS, "integration aborted"),
 }
 
@@ -130,11 +131,7 @@ def cmd_reduce(args) -> int:
     g = compiled.triple
 
     h_ok = g.H.dagger().approx_equal(g.H, args.tol)
-    s_ok = True
-    try:
-        validate_scattering(g, tol=args.tol)
-    except ValueError:
-        s_ok = False
+    s_ok = is_unitary(g.T, args.tol)
     report = {
         "network": compiled.network_name,
         "channels": g.channels,
@@ -253,6 +250,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ArgumentError(str(exc)) from exc
     times = _grid(args.horizon, args.step, bindings)
+    validate_triple(g)
     if all(entry.is_zero() for entry in g.L):
         log.info("closed system: Schrodinger integration")
         result = integrate_schrodinger(
@@ -272,7 +270,7 @@ def cmd_simulate(args) -> int:
 
 
 def _check(name, measured, tolerance, larger_ok=False):
-    passed = measured > tolerance if larger_ok else measured < tolerance
+    passed = measured >= tolerance if larger_ok else measured <= tolerance
     return {"name": name, "passed": bool(passed), "measured": _fmt(measured),
             "tolerance": _fmt(tolerance)}
 
@@ -281,10 +279,11 @@ def _verify_ladder(g, bindings, horizon, args) -> tuple[list, SimulationResult |
     """The checks every verified triple gets, from a file or from --demo.
 
     The grid is checked first (exit 2).  The couplings must cancel
-    exactly and the triple must be valid within --tol.  A closed triple
-    then runs from vacuum under the master and Schrodinger equations,
-    whose final states must agree, and must stay pure; the Schrodinger
-    run is returned too (None when open).
+    exactly and the triple must be valid within --tol
+    (:func:`validate_triple`).  Only when both pass does the triple run,
+    from vacuum under the master and Schrodinger equations, whose final
+    states must agree, and must stay pure; the Schrodinger run is
+    returned too (None when a check failed and nothing ran).
     """
     times = _grid(horizon, args.step, bindings)
     nonzero = [i for i, entry in enumerate(g.L) if not entry.is_zero()]
@@ -295,9 +294,9 @@ def _verify_ladder(g, bindings, horizon, args) -> tuple[list, SimulationResult |
     try:
         validate_triple(g, tol=args.tol)
         checks.append(_check("triple_valid", 0.0, 0.5))
-    except ValueError as exc:
+    except InvalidTripleError as exc:
         checks.append(dict(_check("triple_valid", 1.0, 0.5), detail=str(exc)))
-    if nonzero:
+    if not all(c["passed"] for c in checks):
         return checks, None
 
     vac = QuantumState.vacuum(g.space)

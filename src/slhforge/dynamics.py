@@ -66,9 +66,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import FOCK, HilbertSpace, Operator
+from .hilbert import DEFAULT_TOL, FOCK, HilbertSpace, Operator
 from .network import SLHTriple
-from .signals import SPARSE_MIN_DIM, Bindings, OpPolynomial
+from .signals import Bindings, OpPolynomial
 
 DEFAULT_TRACE_TOL = 1e-6
 DEFAULT_LEAK_THRESHOLD = 1e-6
@@ -77,9 +77,10 @@ DEFAULT_LEAK_THRESHOLD = 1e-6
 # per-stage crossover table in CHANGES.md.  On the two-cavity cascade,
 # CSR overtakes dense BLAS products at d ≈ 50 for the master equation and
 # between d = 64 and 100 for the Schrödinger equation, so both stay dense
-# below SPARSE_MIN_DIM = 100 (defined in signals, whose products read it
-# too).  At d = 100…400 the fill at which dense wins again measured
-# 7–12% of the matrix across runs; SPARSE_MAX_FILL stays below it.
+# below SPARSE_MIN_DIM states.  At d = 100…400 the fill at which dense
+# wins again measured 7–12% of the matrix across runs; SPARSE_MAX_FILL
+# stays below it.
+SPARSE_MIN_DIM = 100
 SPARSE_MAX_FILL = 1 / 16
 
 
@@ -794,12 +795,15 @@ def integrate_schrodinger(
     never corrected.  ``psi0`` is a QuantumState or a (d,) array with
     finite entries; a density matrix or a vector of another length is a
     ValueError that says the equation needs a pure state (:func:`_initial`).
+    An H that is not formally self-adjoint within ``DEFAULT_TOL`` is a
+    ValueError too, for a library caller; the command line refuses such a
+    triple earlier, with ``network.validate_triple``.
 
     -iH is compiled once per run on the stage times, dense or CSR by the
     rule of :func:`_compile`, and the stage is its :func:`_product`, one
     matrix-vector product.
     """
-    if not H.dagger().approx_equal(H, 1e-10):
+    if not H.dagger().approx_equal(H, DEFAULT_TOL):
         raise ValueError("H is not formally self-adjoint")
     psi = _initial(psi0, H.space, pure=True)
 

@@ -25,7 +25,6 @@ from .hilbert import (
     HilbertSpace,
     Operator,
     annihilator,
-    identity,
     number_op,
 )
 from .signals import OpPolynomial
@@ -59,16 +58,9 @@ class SLHTriple:
 
     @property
     def S(self) -> tuple[tuple[OpPolynomial, ...], ...]:
-        """S = T ⊗ I as polynomial entries, built on each read: the
-        identity where T_ij = 1, no terms where T_ij = 0, and T_ij·I
-        elsewhere.  Reductions and runs read T."""
-        one = OpPolynomial.constant(identity(self.space))
-        zero = OpPolynomial.zero(self.space)
-        return tuple(
-            tuple(one if t == 1 else zero if t == 0 else OpPolynomial.scalar(self.space, t)
-                  for t in row)
-            for row in self.T
-        )
+        """S = T ⊗ I as polynomial entries T_ij·I, built on each read (an
+        entry T_ij = 0 has no terms).  Reductions and runs read T."""
+        return tuple(tuple(OpPolynomial.scalar(self.space, t) for t in row) for row in self.T)
 
     @property
     def channels(self) -> int:
@@ -88,26 +80,28 @@ class SLHTriple:
         return f"SLHTriple(channels={self.channels}, dim={self.space.total_dim})"
 
 
+class InvalidTripleError(ValueError):
+    """A triple that fails :func:`validate_triple`."""
+
+
 def validate_triple(g: SLHTriple, tol: float = DEFAULT_TOL) -> None:
-    """Check the triple invariants: H formally self-adjoint, then T as
-    :func:`validate_scattering` checks it.
+    """Check the triple invariants: H formally self-adjoint, then S = T ⊗ I
+    unitary (:func:`is_unitary`), each within tol; the first that fails
+    raises InvalidTripleError.  The command line integrates no triple that
+    this rejects.
     """
     if not g.H.dagger().approx_equal(g.H, tol):
-        raise ValueError("H is not self-adjoint")
-    validate_scattering(g, tol)
+        raise InvalidTripleError("H is not self-adjoint")
+    if not is_unitary(g.T, tol):
+        raise InvalidTripleError("S fails the unitarity conditions")
 
 
-def validate_scattering(g: SLHTriple, tol: float = DEFAULT_TOL) -> None:
-    """Check that S = T ⊗ I is unitary, whatever H is: both TT† and T†T
-    must be within tol of the identity."""
-    if not _is_unitary(g.T, tol):
-        raise ValueError("S fails the unitarity conditions")
-
-
-def _is_unitary(T: np.ndarray, tol: float) -> bool:
+def is_unitary(T: np.ndarray, tol: float) -> bool:
+    """Whether both TT† and T†T are within tol of the identity (max-abs
+    norm); a NaN entry fails at any tol."""
     Td, eye = T.conj().T, np.eye(T.shape[0])
     # written so that a NaN entry fails
-    return np.max(np.abs(T @ Td - eye)) <= tol and np.max(np.abs(Td @ T - eye)) <= tol
+    return bool(np.max(np.abs(T @ Td - eye)) <= tol and np.max(np.abs(Td @ T - eye)) <= tol)
 
 
 # -- component constructors ----------------------------------------------
@@ -145,7 +139,7 @@ def beam_splitter(T, space: HilbertSpace) -> SLHTriple:
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError("T must be square")
-    if not _is_unitary(T, DEFAULT_TOL):
+    if not is_unitary(T, DEFAULT_TOL):
         raise ValueError("T is not unitary")
     zero = OpPolynomial.zero(space)
     return SLHTriple(T, (zero,) * n, zero)

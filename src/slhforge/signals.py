@@ -20,12 +20,6 @@ from .hilbert import DEFAULT_TOL, HilbertSpace, Operator, _conj_transpose
 #: Guard against pathological compositions; nothing in scope exceeds degree 2.
 DEGREE_CAP = 8
 
-#: Spaces with at least this many states take the sparse paths: the
-#: compiled generator may stack a polynomial as CSR (see ``dynamics``), and
-#: a coefficient product with an exact c·I factor is a scale of the other
-#: factor, not a dense O(d³) product.
-SPARSE_MIN_DIM = 100
-
 
 # -- signals --------------------------------------------------------------
 
@@ -366,15 +360,17 @@ class OpPolynomial:
         return OpPolynomial._shared(self.space, {m: c * coeff for m, coeff in self.terms.items()})
 
     def __mul__(self, other) -> "OpPolynomial":
-        """The product; on a space of at least ``SPARSE_MIN_DIM`` states, a
-        coefficient that is exactly c·I multiplies the other one as the
-        scalar c.
+        """The product, decided by the coefficients alone: one that is
+        exactly c·I multiplies the other as the scalar c, at any dimension.
 
-        On a self-conjugate signal monomial such as u·conj(u), the
-        imaginary part of a coefficient product is formed from separate
-        real products, so that conj(z)·z rounds to a real number: the
-        series product's Im(L†SL) then vanishes exactly where the algebra
-        says it does, as for a pair of adders that cancel.
+        On a self-conjugate signal monomial, u·conj(u) or the constant
+        monomial, both parts of a coefficient product are formed from
+        separate real products, so that conj(z)·z rounds to a real number
+        and X†X to a Hermitian matrix: the series product's Im(L†SL) then
+        vanishes exactly where the algebra says it does, as for a pair of
+        adders or of couplings s·X and −s·X that cancel.  (At d ≥ 100 the
+        blocked BLAS products need not be bit-symmetric, so a dense X
+        there may leave a rounding-level term.)
         """
         if isinstance(other, OpPolynomial):
             return OpPolynomial._shared(self.space, self._product_terms(other))
@@ -384,12 +380,10 @@ class OpPolynomial:
         """The coefficients of self * other, unpruned, each a writable
         array just allocated and summed over its products in place."""
         self._check_space(other)
-        large = self.space.total_dim >= SPARSE_MIN_DIM
-        scalars = {m2: _identity_multiple(c2) if large else None
-                   for m2, c2 in other.terms.items()}
+        scalars = {m2: _identity_multiple(c2) for m2, c2 in other.terms.items()}
         terms: dict[SignalMonomial, np.ndarray] = {}
         for m1, c1 in self.terms.items():
-            s1 = _identity_multiple(c1) if large else None
+            s1 = _identity_multiple(c1)
             for m2, c2 in other.terms.items():
                 mono = m1 * m2
                 s2 = scalars[m2]
@@ -399,9 +393,13 @@ class OpPolynomial:
                     a, b, times = c1, s2, np.multiply
                 else:
                     a, b, times = c1, c2, np.matmul
-                prod = times(a, b)
-                if mono.entries and all(p == q for _, p, q in mono.entries):
-                    prod.imag = times(a.real, b.imag) + times(a.imag, b.real)
+                if all(p == q for _, p, q in mono.entries):
+                    prod = times(a.real, b.real).astype(complex)
+                    prod.real -= times(a.imag, b.imag)
+                    prod.imag = times(a.real, b.imag)
+                    prod.imag += times(a.imag, b.real)
+                else:
+                    prod = times(a, b)
                 if mono in terms:
                     np.add(terms[mono], prod, out=terms[mono])
                 else:

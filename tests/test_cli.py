@@ -41,6 +41,16 @@ network main = G <| A
 """
 
 
+# each HAM is 8e-11 from self-adjoint, within the default 1e-10; their
+# sum is 1.6e-10 from it
+TWO_HAMS = """\
+space fock(cutoff=2) as c
+component H1 = HAM(n(c) + 4e-11i * I)
+component H2 = HAM(n(c) + 4e-11i * I)
+network m = H1 <| H2
+"""
+
+
 @pytest.fixture
 def netlist(tmp_path):
     def write(text, name="net.slh"):
@@ -124,6 +134,16 @@ def test_reduce_prints_a_zero_without_its_sign(netlist, capsys):
     out = capsys.readouterr().out
     assert "0.000000000000e+00" in out
     assert "-0.000000000000e+00" not in out
+
+
+def test_reduce_cancels_opposite_couplings_into_an_h_with_no_terms(netlist, capsys):
+    # Im(L2† L1) = -|s|² Im(a†a) = 0: conj(s)·s rounds to a real number
+    rc = main(["reduce", netlist("space fock(cutoff=2) as c\n"
+                                 "component P = SYS(L=[(0.3+0.4i) * a(c)])\n"
+                                 "component M = SYS(L=[-(0.3+0.4i) * a(c)])\n"
+                                 "network m = P <| M\n")])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["H"] == {"terms": []}
 
 
 def test_reduce_checks_scattering_at_t_0_only(capsys):
@@ -585,6 +605,12 @@ def test_simulate_unknown_observable_label_exits_2(capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_simulate_integrates_only_a_valid_triple(netlist, capsys):
+    rc = main(["simulate", netlist(TWO_HAMS), "--horizon", "0.1", "--step", "0.01"])
+    assert rc == 3
+    assert capsys.readouterr() == ("", "validation failure: H is not self-adjoint\n")
+
+
 # -- verify ----------------------------------------------------------------
 
 
@@ -711,6 +737,25 @@ def test_tol_governs_reduce_and_verify_alike(netlist, tmp_path, capsys):
     assert by_name["triple_valid"]["passed"] is False
     assert by_name["triple_valid"]["detail"] == "H is not self-adjoint"
     assert capsys.readouterr().err.endswith("verification failed: triple_valid\n")
+
+
+def test_verify_integrates_only_a_valid_triple(netlist, tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    rc = main(["verify", netlist(TWO_HAMS), "--horizon", "0.1", "--step", "0.01",
+               "-o", str(out)])
+    assert rc == 3
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [
+        ("couplings_cancel_exactly", True), ("triple_valid", False)]
+    assert checks[1]["detail"] == "H is not self-adjoint"
+    assert capsys.readouterr().err.endswith("verification failed: triple_valid\n")
+
+
+def test_verify_demo_passes_at_tol_0(capsys):
+    # a check passes when its measure equals its tolerance, as triple_valid
+    # does: the demo's H term is exact
+    assert main(["verify", "--demo", "--tol", "0", "--step", "0.01"]) == 0
+    assert "FAIL" not in capsys.readouterr().err
 
 
 def test_verify_closed_file_passes(netlist, tmp_path):

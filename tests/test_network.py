@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slhforge import (
     ChannelMismatchError,
@@ -26,7 +28,6 @@ from slhforge import (
     system_coupling,
     validate_triple,
 )
-from slhforge.network import validate_scattering
 from reference import triples_approx_equal
 from conftest import (
     constant_term,
@@ -96,10 +97,25 @@ def test_signal_adder_entry_forms():
 @pytest.mark.parametrize("s", [0.3 + 0.4j, 0.1 + 0.7j, 1 / 3 + 1j / 7])
 @pytest.mark.parametrize("cutoffs", [(1,), (10, 10)], ids=["d2", "d121"])
 def test_adders_of_opposite_complex_scale_cancel_exactly(s, cutoffs):
-    # d = 121 takes the c·I-as-scalar product path, d = 2 the matrix product
+    # the c·I coefficients multiply as scalars at either dimension
     sp = HilbertSpace([fock_factor(f"c{i}", c) for i, c in enumerate(cutoffs)])
     g = series(signal_adder([("u", -s)], sp), signal_adder([("u", s)], sp))
     assert g.L[0].is_zero()
+    assert g.H.is_zero()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(s=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                            allow_nan=False, allow_infinity=False),
+       dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_couplings_of_opposite_complex_scale_cancel_exactly(s, dim, seed):
+    # Im((-s X)† (s X)) = -|s|² Im(X†X) = 0: the constant monomial's
+    # product takes separate real products, so it rounds to a Hermitian
+    # matrix and H cancels exactly, as for the adders above
+    sp = HilbertSpace.generic("q", dim)
+    X = random_operator(np.random.default_rng(seed), sp)
+    g = series(system_coupling([-s * X]), system_coupling([s * X]))
+    assert all(entry.is_zero() for entry in g.L)
     assert g.H.is_zero()
 
 
@@ -352,28 +368,28 @@ def test_validate_triple_rejects_bad_hamiltonian(rng):
         validate_triple(bad)
 
 
-def test_validate_scattering_checks_S_as_one_block_operator(rng):
+def test_validate_triple_checks_S_as_one_block_operator(rng):
     sp = HilbertSpace.generic("q", 2)
     zero = OpPolynomial.zero(sp)
 
     def closed(T):
-        """(T, 0, 0)."""
+        """(T, 0, 0): H = 0, so only the S rule can fail."""
         return SLHTriple(T, (zero,) * len(T), zero)
 
     T = random_unitary(rng, 2)
-    validate_scattering(closed(T), tol=1e-10)
+    validate_triple(closed(T), tol=1e-10)
     T[0, 0] = 2.0
     with pytest.raises(ValueError, match="unitarity"):
-        validate_scattering(closed(T), tol=1e-10)
+        validate_triple(closed(T), tol=1e-10)
     # NaN fails at any tolerance
     T[0, 0] = np.nan
     with pytest.raises(ValueError, match="unitarity"):
-        validate_scattering(closed(T), tol=1e300)
+        validate_triple(closed(T), tol=1e300)
     with pytest.raises(ValueError, match="unitarity"):
-        validate_scattering(closed([[np.nan]]), tol=1e300)
+        validate_triple(closed([[np.nan]]), tol=1e300)
     # each diagonal entry is unitary; the whole of T is not
     with pytest.raises(ValueError, match="unitarity"):
-        validate_scattering(closed([[1, 1], [0, 1]]), tol=1e-10)
+        validate_triple(closed([[1, 1], [0, 1]]), tol=1e-10)
 
 
 def test_triples_approx_equal_reports_differences(rng):

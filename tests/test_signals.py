@@ -17,7 +17,7 @@ from slhforge import (
     SignalMonomial,
     identity,
 )
-from slhforge.signals import SPARSE_MIN_DIM
+from slhforge.dynamics import SPARSE_MIN_DIM
 from conftest import constant_term, random_operator, random_poly, random_bindings
 
 

@@ -23,7 +23,13 @@ corpus scatters only by ±1, 0 and the swap, so a third netlist puts a
 complex two-channel T around a two-channel ``SYS`` and an ``ADD`` on two
 modes at cutoff 2; it runs ``reduce``, ``simulate --horizon 0.5 --step
 0.01 --observable a:c1 --leak-threshold inf`` (its drive fills the top
-Fock levels) and ``verify --horizon 0.3 --step 0.01``.  Then ``verify --demo --step 0.002`` and each script under ``demos/`` run.
+Fock levels) and ``verify --horizon 0.3 --step 0.01``.  Two netlists at
+cutoff 2 reach the model rules' edges: two ``HAM`` components each
+within the default tolerance of self-adjoint, whose sum is not, run
+``simulate --horizon 0.1 --step 0.01`` and ``verify --horizon 0.1 --step
+0.01`` (both refuse the triple); a pair of couplings s·a and −s·a with a
+complex s runs ``reduce`` (its H cancels exactly).  Then ``verify --demo
+--step 0.002`` and each script under ``demos/`` run.
 Every run happens twice, once with this tree's ``src/`` on PYTHONPATH and
 once with OTHER_TREE's, on the same netlists and demo scripts, from this
 tree's root, so only the package differs.
@@ -86,9 +92,27 @@ network mix = X <| G <| A <| X
 """
 
 
+# each HAM is 8e-11 from self-adjoint, within the default 1e-10; their
+# sum is 1.6e-10 from it
+TWO_HAMS = """\
+space fock(cutoff=2) as c
+component H1 = HAM(n(c) + 4e-11i * I)
+component H2 = HAM(n(c) + 4e-11i * I)
+network m = H1 <| H2
+"""
+
+# couplings s·a and −s·a: L and Im(L2† L1) = −|s|² Im(a†a) cancel exactly
+OPPOSITE_COUPLINGS = """\
+space fock(cutoff=2) as c
+component P = SYS(L=[(0.3+0.4i) * a(c)])
+component M = SYS(L=[-(0.3+0.4i) * a(c)])
+network m = P <| M
+"""
+
+
 def runs(tmp: Path) -> list[list[str]]:
-    """Each run's argv, relative to the tree's root; the d = 100 and the
-    complex-T netlists are written to ``tmp``."""
+    """Each run's argv, relative to the tree's root; the d = 100, the
+    complex-T and the two cutoff-2 netlists are written to ``tmp``."""
     cli = [sys.executable, "-m", "slhforge.cli"]
     out = []
     for path in sorted((ROOT / "tests" / "netlists").glob("*.slh")):
@@ -118,6 +142,13 @@ def runs(tmp: Path) -> list[list[str]]:
             cli + ["simulate", str(mix), "--horizon", "0.5", "--step", "0.01",
                    "--observable", "a:c1", "--leak-threshold", "inf"],
             cli + ["verify", str(mix), "--horizon", "0.3", "--step", "0.01"]]
+    hams = tmp / "two_hams.slh"
+    hams.write_text(TWO_HAMS)
+    short = ["--horizon", "0.1", "--step", "0.01"]
+    out += [cli + ["simulate", str(hams), *short], cli + ["verify", str(hams), *short]]
+    opposite = tmp / "opposite_couplings.slh"
+    opposite.write_text(OPPOSITE_COUPLINGS)
+    out.append(cli + ["reduce", str(opposite)])
     out.append(cli + ["verify", "--demo", "--step", "0.002"])
     out += [[sys.executable, str(p.relative_to(ROOT))]
             for p in sorted((ROOT / "demos").glob("*.py"))]
