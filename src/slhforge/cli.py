@@ -251,15 +251,21 @@ def cmd_simulate(args) -> int:
         raise ArgumentError(str(exc)) from exc
     times = _grid(args.horizon, args.step, bindings)
     validate_triple(g)
-    if all(entry.is_zero() for entry in g.L):
+    closed = all(entry.is_zero() for entry in g.L)
+    # the integrator is handed the only references to the triple, the state
+    # and the observables, so it frees their dense arrays once it has
+    # compiled them; a name here would keep them for the whole run
+    handed = [g.H if closed else g, state, observables]
+    del g, state, observables
+    if closed:
         log.info("closed system: Schrodinger integration")
         result = integrate_schrodinger(
-            g.H, state, times, bindings, observables,
+            handed.pop(0), handed.pop(0), times, bindings, handed.pop(0),
             norm_tol=args.trace_tol, leak_threshold=args.leak_threshold,
         )
     else:
         result = integrate_master(
-            g, state, times, bindings, observables,
+            handed.pop(0), handed.pop(0), times, bindings, handed.pop(0),
             trace_tol=args.trace_tol, leak_threshold=args.leak_threshold,
         )
     _write_output(args.output, result.to_csv())

@@ -22,7 +22,11 @@ is kept as the reference the compiled master generator is tested
 against.  Each observable is compiled too, onto its nonzero pattern, so
 reading it at a grid point costs O(nnz).
 
-The workspace belongs to the run.  Each compiled polynomial keeps one
+The workspace belongs to the run, and the model does not: an
+integrator lets go of the triple (or H), K and the dense observables once
+they are compiled, before it allocates the workspace, so a caller that
+hands over its only references, as the command line does, holds no dense
+model array during the run.  Each compiled polynomial keeps one
 matrix whose entries the RK4 driver rewrites in place once per stage
 time, in order; the state and the RK4 slopes (the rows of one buffer),
 the stage input, a ring of the last states (at most 256 KiB, and only
@@ -480,6 +484,11 @@ def _csr_accumulate(m, x: np.ndarray, out: np.ndarray) -> None:
                                  x.ravel(), out.ravel())
 
 
+def _readers(observables: Mapping[str, Operator] | None, pure: bool) -> dict[str, Callable]:
+    """Each observable's reader (:func:`_observable`), by name."""
+    return {name: _observable(op.matrix, pure) for name, op in (observables or {}).items()}
+
+
 def _observable(matrix: np.ndarray, pure: bool) -> Callable[[np.ndarray], complex]:
     """A reader of the observable A = ``matrix`` on its nonzero pattern:
     ψ†Aψ of a state vector when ``pure``, else Tr(ρA) of a C-ordered
@@ -509,7 +518,7 @@ def _rk4(
     y: np.ndarray,
     times: Sequence[float],
     space: HilbertSpace,
-    observables: Mapping[str, Operator] | None,
+    readers: Mapping[str, Callable[[np.ndarray], complex]] | None,
     store_states: bool,
     drift_tol: float,
     leak_threshold: float | None,
@@ -523,17 +532,25 @@ def _rk4(
     ``rewrite(i)`` moves it to ``half[i]``, and ``f(y, out)`` writes dy/dt
     there into out, which is never y.  Step k computes k1 at 2k, rewrites
     at 2k + 1 for k2 and k3 and at 2k + 2 for k4 and the next k1, so each
-    stage time is sampled and rewritten once.  Each observable is
-    compiled onto its nonzero pattern (:func:`_observable`).
+    stage time is sampled and rewritten once.  ``readers`` maps each
+    observable's name to its reader on its nonzero pattern
+    (:func:`_readers`), which the integrators build, so no dense
+    observable reaches the run.
+
+    The compile comes first, before anything state-sized is allocated
+    here: an integrator's ``rhs`` takes the run's only reference to its
+    model and lets it go once it is compiled, so the RK4 workspace is
+    allocated beside the compiled values and the stage's buffers alone.
 
     The run's state and its four slopes are the rows (y, k1, k2, k3, k4)
     of one (5, …) buffer, allocated once with the stage input and a ring
     of the last B = :func:`_ring_size` (y.nbytes) states, min(32, max(1,
     256 KiB // y.nbytes)); the caller's y is copied into row 0 and never
-    written.  Every RK4 linear combination is one real contraction over
-    the float view of some of those rows: (1, c) over rows (0, j) for the
-    stage inputs y + (h/2)·k1, y + (h/2)·k2 and y + h·k3, and
-    (1, h/6, h/3, h/3, h/6) over all five for the update, which is
+    written, and this frame drops it there.  Every RK4 linear combination
+    is one real contraction over the float view of some of those rows:
+    (1, c) over rows (0, j) for the stage inputs y + (h/2)·k1,
+    y + (h/2)·k2 and y + h·k3, and (1, h/6, h/3, h/3, h/6) over all five
+    for the update, which is
     written straight into the ring's next slot and copied from there into
     row 0; at B = 1 the ring is a view of the stage input.  The
     contiguous contractions, over rows (0, 1) and over all five, go
@@ -558,7 +575,7 @@ def _rk4(
     pure = y.ndim == 1
     drift_message = "norm drift exceeds tolerance" if pure else "trace drift exceeds tolerance"
     leak_limit = math.inf if leak_threshold is None else leak_threshold
-    readers = {name: _observable(op.matrix, pure) for name, op in (observables or {}).items()}
+    readers = readers or {}
     masks = _leak_masks(space)
 
     n_steps = times.size
@@ -641,6 +658,35 @@ def _rk4(
     return SimulationResult(times, expect, drift, pur, leak, states, y.copy())
 
 
+def _lindblad_polys(g: SLHTriple) -> list[OpPolynomial]:
+    """[K, L₁, …, L_c]: K = -iH - ½Σᵢ Lᵢ†Lᵢ, then the couplings that are
+    not identically zero, over which K is folded.
+
+    K is bit for bit ``H.scale(-1j) + Σᵢ OpPolynomial._shared(space,
+    (-½)·Lᵢ†Lᵢ)``, in that association and with its monomials in that
+    order: H's, then each coupling's new ones as
+    :meth:`OpPolynomial._product_terms` lists them.  Every coefficient is
+    an array this fold allocates, so each sum is added in place and K is
+    never held twice; a zero coefficient of -½Lᵢ†Lᵢ is skipped and a sum
+    that cancels to exactly zero is dropped, as the polynomial sum does.
+    The fold lets go of g once -iH is formed, so a caller that hands over
+    its only reference frees H before the couplings' products are made.
+    """
+    space, live = g.space, [Lp for Lp in g.L if not Lp.is_zero()]
+    minus_i, minus_half = complex(-1j), complex(-0.5)
+    terms = {m: minus_i * c for m, c in g.H.terms.items()}
+    del g
+    for Lp in live:
+        for mono, c in Lp.dagger()._product_terms(Lp).items():
+            if not np.multiply(c, minus_half, out=c).any():
+                continue
+            if mono not in terms:
+                terms[mono] = c
+            elif not np.add(terms[mono], c, out=terms[mono]).any():
+                del terms[mono]
+    return [OpPolynomial._shared(space, terms)] + live
+
+
 def _compiled_lindblad(
     g: SLHTriple, bindings: Bindings | None,
 ) -> Callable[[np.ndarray], tuple[Callable, Callable]]:
@@ -653,7 +699,11 @@ def _compiled_lindblad(
     ``rhs(half)`` compiles K and each L once on the stage times ``half``,
     all dense or all CSR (:func:`_compile`), and returns the values'
     ``rewrite`` beside the stage ``(ρ, out)`` of that format, which never
-    checks it again.  The conjugates M̄ (M = K, L₁…L_c) are stacked as the
+    checks it again.  It is called once: it takes g, folds K in place
+    (:func:`_lindblad_polys`) and lets go of the triple, K and the
+    couplings once they are compiled, so when the caller has handed over
+    its only reference to g, the compiled values are all that is left of
+    the model.  The conjugates M̄ (M = K, L₁…L_c) are stacked as the
     blocks of one operator S̄ that the values rewrite with themselves
     (:meth:`_Compiled.conjugate_into`), so every right product ρM† of a
     stage is a block of one product with S̄.  out is never zeroed.
@@ -674,19 +724,18 @@ def _compiled_lindblad(
       onto it entry by entry.
 
     The stack, its products and the scratch matrix are allocated once per
-    run, so a stage allocates nothing.
+    run, after the model is let go, so a stage allocates nothing and they
+    never sit beside the dense triple or K.
     """
 
+    model = [g]  # the triple's one reference here, which rhs takes
+
     def rhs(half):
-        live = [Lp for Lp in g.L if not Lp.is_zero()]
-        K = g.H.scale(-1j)
-        for Lp in live:
-            LdL = Lp.dagger()._product_terms(Lp)  # fresh arrays, scaled in place
-            for c in LdL.values():
-                np.multiply(c, complex(-0.5), out=c)
-            K = K + OpPolynomial._shared(g.space, LdL)
-        compiled = _compile([K] + live, bindings, half)
-        (Km, *Ls), n, d = compiled.values, len(compiled.values), g.space.total_dim
+        # K and the couplings go with the list once they are compiled, so
+        # the model is gone before the buffers below are allocated
+        compiled = _compile(_lindblad_polys(model.pop()), bindings, half)
+        (Km, *Ls), n = compiled.values, len(compiled.values)
+        d = Km.shape[0]
         scratch = np.empty((d, d), dtype=complex)
         if isinstance(Km, np.ndarray):
             stack = np.empty((n, d, d), dtype=complex)
@@ -775,10 +824,20 @@ def integrate_master(
     when a diagnostic is not finite, the trace drifts beyond ``trace_tol``
     or the truncation leak exceeds ``leak_threshold``; pass
     ``leak_threshold=None`` to only record the leak.
+
+    This frame keeps none of its model: each observable becomes its
+    reader at once, the triple goes to the generator, which lets it go
+    once it is compiled, and ρ₀ is made from ``rho0`` and copied into the
+    run's own state, which drops it.  So when the caller hands over its
+    only references, as the command line does, the dense triple, K, the
+    observables and ρ₀ are freed before the RK4 workspace is allocated;
+    a caller that keeps g keeps its arrays, and the run does not change.
     """
-    # ρ₀ is read once, into the run's own state: no name here keeps it
-    return _rk4(_compiled_lindblad(g, bindings), _initial(rho0, g.space, pure=False),
-                times, g.space, observables, store_states, trace_tol, leak_threshold)
+    space, readers = g.space, _readers(observables, pure=False)
+    rhs = _compiled_lindblad(g, bindings)
+    del g, observables  # rhs holds the triple until it has compiled it
+    return _rk4(rhs, _initial(rho0, space, pure=False), times, space, readers,
+                store_states, trace_tol, leak_threshold)
 
 
 def integrate_schrodinger(
@@ -801,18 +860,23 @@ def integrate_schrodinger(
 
     -iH is compiled once per run on the stage times, dense or CSR by the
     rule of :func:`_compile`, and the stage is its :func:`_product`, one
-    matrix-vector product.
+    matrix-vector product.  As in :func:`integrate_master`, H and the
+    observables are let go once they are compiled, so an H whose only
+    reference the caller handed over is freed before -iH is stacked.
     """
     if not H.dagger().approx_equal(H, DEFAULT_TOL):
         raise ValueError("H is not formally self-adjoint")
-    psi = _initial(psi0, H.space, pure=True)
+    space, psi = H.space, _initial(psi0, H.space, pure=True)
+    readers = _readers(observables, pure=True)
+    model = [H]  # H's one reference here, which rhs takes
+    del H, observables
 
     def rhs(half):
-        compiled = _compile([H.scale(-1j)], bindings, half)
+        # H goes once -iH is formed, and -iH with the list once it is compiled
+        compiled = _compile([model.pop().scale(-1j)], bindings, half)
         return compiled.rewrite, _product(compiled.values[0])
 
-    return _rk4(rhs, psi, times, H.space, observables, store_states,
-                norm_tol, leak_threshold)
+    return _rk4(rhs, psi, times, space, readers, store_states, norm_tol, leak_threshold)
 
 
 def output_expectation(

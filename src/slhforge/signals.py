@@ -88,8 +88,9 @@ class GaussianPulseSignal(Signal):
         return self.amplitude * math.exp(-0.5 * x * x)
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        x = (times - self.center) / self.width
-        with np.errstate(over="ignore"):  # a far wing is 0, as math.exp makes it
+        # a far wing is 0, as math.exp makes it, even where x overflows
+        with np.errstate(over="ignore"):
+            x = (times - self.center) / self.width
             return self.amplitude * np.exp(-0.5 * x * x)
 
 

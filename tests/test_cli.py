@@ -14,7 +14,7 @@ import pytest
 from slhforge import cli
 from slhforge.cli import main
 from slhforge.network import SLHTriple
-from slhforge.signals import OpPolynomial
+from slhforge.signals import GaussianPulseSignal, OpPolynomial
 
 NETLISTS = Path(__file__).parent / "netlists"
 CORPUS_TWO_MODE = (NETLISTS / "two_mode.slh").read_text()
@@ -574,18 +574,36 @@ network cascade = B <| A <| D
 """
 
 
-@pytest.mark.parametrize("argv, code, arrays", [
-    (["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 19),
-    (["verify"], 3, 15),  # the cascade stays open, so only the reduction runs
-], ids=["simulate", "verify"])
-def test_a_cascade_run_holds_at_most_19_full_size_arrays(argv, code, arrays, netlist,
-                                                          tmp_path):
-    # reducing peaks at 14.1 arrays, as T is a c-number matrix; a simulate
-    # peaks at 18.1 in the integration, which holds the reduced triple and
-    # the observables (7 arrays) and the RK4 workspace on top of them:
-    # each d×d array has one owner, and nothing keeps the components or ρ₀
-    d = 196
-    argv = [argv[0], netlist(CASCADE_D196), "--horizon", "0.08", "--step", "0.04",
+# the noise-cancellation chain on two modes at cutoff 9: closed, so it
+# takes the Schrödinger path
+CLOSED_D100 = """\
+space fock(cutoff=9) as c1
+space fock(cutoff=9) as c2
+signal u = gaussian_pulse(amplitude=(0.4 + 0.1i), center=0.1, width=0.1)
+component H0 = HAM(n(c1) + 0.7 * n(c2))
+component P = ADD(u=[u])
+component M = ADD(u=[-u])
+component R = BS(T=[[-1]])
+component G = SYS(L=[sqrt(0.4) * a(c1)])
+network closed = H0 <| P <| R <| G <| R <| M <| G
+"""
+
+
+@pytest.mark.parametrize("text, d, argv, code, arrays", [
+    (CASCADE_D196, 196, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 15),
+    (CASCADE_D196, 196, ["verify"], 3, 15),  # the cascade stays open, so only the reduction runs
+    (CLOSED_D100, 100, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 14.5),
+], ids=["simulate", "verify", "simulate_closed_d100"])
+def test_a_run_holds_at_most_15_full_size_arrays(text, d, argv, code, arrays, netlist,
+                                                  tmp_path):
+    # reducing peaks at 14.1 arrays, as T is a c-number matrix, and sets
+    # the peak of every command.  simulate hands the reduced triple, the
+    # observables and the state to the integrator, which keeps none of
+    # them once its generator is compiled: K is folded in place while ρ₀,
+    # the couplings and K are held (12.6 arrays on the cascade), and the
+    # run then holds its RK4 workspace and the stage buffers alone (10.3).
+    # Each d×d array has one owner, and nothing keeps the components
+    argv = [argv[0], netlist(text), "--horizon", "0.08", "--step", "0.04",
             "-o", str(tmp_path / "out"), *argv[1:]]
     assert main(argv) == code  # untraced, so the import of scipy.sparse is not counted
     tracemalloc.start()
@@ -596,6 +614,24 @@ def test_a_cascade_run_holds_at_most_19_full_size_arrays(argv, code, arrays, net
     finally:
         tracemalloc.stop()
     assert peak <= arrays * 16 * d * d, peak / (16 * d * d)
+
+
+def test_a_tiny_pulse_width_samples_without_a_warning(netlist, capsys):
+    # (t - center) / width overflows past t = 0, where the pulse is 0
+    text = ("space fock(cutoff=2) as c\n"
+            "signal u = gaussian_pulse(amplitude=1, center=0, width=1e-320)\n"
+            "component C = CAVITY(gamma=1, omega=1)\n"
+            "component D = ADD(u=[u])\n"
+            "network m = C <| D\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = GaussianPulseSignal("u", 1, 0, 1e-320).sample(np.array([0.0, 0.005, 0.01]))
+        rc = main(["simulate", netlist(text), "--horizon", "0.02", "--step", "0.01"])
+    assert samples.tolist() == [1, 0, 0]
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == 4
 
 
 def test_simulate_unknown_observable_label_exits_2(capsys):

@@ -42,6 +42,7 @@ from slhforge import (
 )
 from slhforge import cli, dynamics
 from slhforge.dynamics import _compile, _compiled_lindblad
+from slhforge.signals import ONE
 from slhforge.netlist import compile_netlist, parse_netlist
 from conftest import (
     random_bindings,
@@ -701,6 +702,49 @@ def test_compiled_integrators_match_the_reference(rng, case):
                                 leak_threshold=None)
     want = _classic_rk4(lambda psi, t: -1j * g.H.evaluate(t, binds).matrix @ psi, psi0, times)
     assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
+
+
+def _K_by_the_algebra(g):
+    """-iH - ½ΣL†L by the polynomial sum, one coupling at a time."""
+    K = g.H.scale(-1j)
+    for Lp in g.L:
+        if Lp.is_zero():
+            continue
+        LdL = Lp.dagger()._product_terms(Lp)
+        for c in LdL.values():
+            np.multiply(c, complex(-0.5), out=c)
+        K = K + OpPolynomial._shared(g.space, LdL)
+    return K
+
+
+def _cancelling_triple(rng):
+    """-iH cancels -½L₁†L₁ exactly, so K loses its constant monomial, and
+    L₂ adds it back after H's signal monomials; a zero coupling between
+    them is skipped."""
+    sp = HilbertSpace.fock("c", 4)
+    L1, X = (OpPolynomial.constant(Operator(sp, random_matrix(rng, 5))) for _ in range(2))
+    u = OpPolynomial.of_signal(sp, "u")
+    H = (L1.dagger() * L1).scale(0.5j) + u * X + (u * X).dagger()
+    return SLHTriple(np.eye(3), (L1, OpPolynomial.zero(sp), X + u.scale(0.3)), H)
+
+
+@pytest.mark.parametrize("case", ["cascade_d196", "d121_signals_3ch", "cancelling"])
+def test_the_folded_K_is_the_algebra_s_bit_for_bit(rng, case):
+    if case == "cascade_d196":
+        g = compile_netlist(parse_netlist(CASCADE.format(cutoff=13))).triple
+    elif case == "cancelling":
+        g = _cancelling_triple(rng)
+    else:
+        g = _reference_case(rng, "signals_3ch", two_mode=True)[0]
+    want = _K_by_the_algebra(g)
+    K, *live = dynamics._lindblad_polys(g)
+    assert live == [Lp for Lp in g.L if not Lp.is_zero()]
+    # the same monomials in the same order, so _compile stacks them alike
+    assert list(K.terms) == list(want.terms)
+    for mono, c in K.terms.items():
+        assert c.view(float).tobytes() == want.terms[mono].view(float).tobytes(), mono
+    if case == "cancelling":
+        assert list(g.H.terms).index(ONE) == 0 and list(K.terms).index(ONE) == 2
 
 
 def _values_at(polys, binds, t):

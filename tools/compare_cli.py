@@ -23,7 +23,11 @@ corpus scatters only by ±1, 0 and the swap, so a third netlist puts a
 complex two-channel T around a two-channel ``SYS`` and an ``ADD`` on two
 modes at cutoff 2; it runs ``reduce``, ``simulate --horizon 0.5 --step
 0.01 --observable a:c1 --leak-threshold inf`` (its drive fills the top
-Fock levels) and ``verify --horizon 0.3 --step 0.01``.  Two netlists at
+Fock levels) and ``verify --horizon 0.3 --step 0.01``.  The benchmark's
+shape, the same cascade at cutoff 13 (d = 196), runs ``simulate --horizon
+0.2 --step 0.04 --observable a:c1 --observable a:c2``: two observables on
+the space whose run hands its model over to the integrator and folds K in
+place, as the ``cascade_dense`` workload runs it.  Two netlists at
 cutoff 2 reach the model rules' edges: two ``HAM`` components each
 within the default tolerance of self-adjoint, whose sum is not, run
 ``simulate --horizon 0.1 --step 0.01`` and ``verify --horizon 0.1 --step
@@ -64,6 +68,9 @@ component A = CAVITY(gamma=0.6, omega=1.0, mode=c1)
 component B = CAVITY(gamma=0.6, omega=1.0, mode=c2)
 network cascade = B <| A <| D
 """
+
+# the same cascade at cutoff 13: d = 196, the size the benchmark runs
+CASCADE_D196 = CASCADE.replace("cutoff=9", "cutoff=13")
 
 # the noise-cancellation chain on the same space: closed, so its
 # Schrödinger runs take the CSR matrix-vector product
@@ -111,8 +118,9 @@ network m = P <| M
 
 
 def runs(tmp: Path) -> list[list[str]]:
-    """Each run's argv, relative to the tree's root; the d = 100, the
-    complex-T and the two cutoff-2 netlists are written to ``tmp``."""
+    """Each run's argv, relative to the tree's root; the d = 100 and
+    d = 196, the complex-T and the two cutoff-2 netlists are written to
+    ``tmp``."""
     cli = [sys.executable, "-m", "slhforge.cli"]
     out = []
     for path in sorted((ROOT / "tests" / "netlists").glob("*.slh")):
@@ -132,6 +140,10 @@ def runs(tmp: Path) -> list[list[str]]:
     out += [cli + ["reduce", str(cascade)],
             cli + ["simulate", str(cascade), *grid, "--observable", "a:c1"],
             cli + ["verify", str(cascade), *grid]]
+    cascade_d196 = tmp / "cascade_d196.slh"
+    cascade_d196.write_text(CASCADE_D196)
+    out.append(cli + ["simulate", str(cascade_d196), *grid,
+                      "--observable", "a:c1", "--observable", "a:c2"])
     closed = tmp / "closed_d100.slh"
     closed.write_text(CLOSED)
     out += [cli + ["simulate", str(closed), *grid, "--observable", "a:c1"],
