@@ -33,7 +33,7 @@ from .dynamics import (
     integrate_schrodinger,
     trace_distance,
 )
-from .hilbert import DEFAULT_TOL, MODE_OPERATORS, HilbertSpace, annihilator, number_op
+from .hilbert import DEFAULT_TOL, MODE_OPERATORS, HilbertSpace, _dense, annihilator, number_op
 from .netlist import (
     NetlistReductionError,
     NetlistSemanticError,
@@ -84,8 +84,9 @@ def _fmt(x: float) -> str:
     return "%.12e" % (float(x) + 0.0)
 
 
-def _dump_matrix(mat: np.ndarray) -> list:
-    return [[[_fmt(v.real), _fmt(v.imag)] for v in row] for row in mat]
+def _dump_matrix(mat) -> list:
+    # a CSR coefficient is densified here only to be printed, one at a time
+    return [[[_fmt(v.real), _fmt(v.imag)] for v in row] for row in _dense(mat)]
 
 
 def _dump_poly(p: OpPolynomial) -> dict:

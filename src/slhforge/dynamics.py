@@ -14,10 +14,13 @@ its coefficients stacked on the union of their nonzero patterns, so a
 polynomial's value at a stage time is a single contraction of that
 time's monomial values with its stack.  Every stack of a run is CSR,
 multiplied into a dense state, or every one is dense, by the rule of
-:func:`_compile`; scipy.sparse is imported only by a CSR run
-(scipy.integrate only by the analytic oracle), so a small run loads
-neither.  Sparsity stops at this boundary: operators, polynomials, the
-series reduction and every report stay dense.  :func:`lindblad_rhs` evaluates the polynomials directly and
+:func:`_compile`; scipy.sparse is imported only by a CSR run or a CSR
+model (scipy.integrate only by the analytic oracle), so a small run
+loads neither.  The model arrives in the storage form of its space
+(``hilbert``'s rule: CSR coefficients from ``SPARSE_MIN_DIM`` on), and
+the fold of K, the compile and the observables read it in that form;
+only the states, ρ and ψ, are dense at every size.
+:func:`lindblad_rhs` evaluates the polynomials directly and
 is kept as the reference the compiled master generator is tested
 against.  Each observable is compiled too, onto its nonzero pattern, so
 reading it at a grid point costs O(nnz).
@@ -70,21 +73,18 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, FOCK, HilbertSpace, Operator
+from .hilbert import (DEFAULT_TOL, FOCK, SPARSE_MIN_DIM, HilbertSpace, Operator, _add_into,
+                      _dense, _entries, _map_into, _nonzero)
 from .network import SLHTriple
 from .signals import Bindings, OpPolynomial
 
 DEFAULT_TRACE_TOL = 1e-6
 DEFAULT_LEAK_THRESHOLD = 1e-6
 
-# Format of each compiled run (see _compile), read off the
-# per-stage crossover table in CHANGES.md.  On the two-cavity cascade,
-# CSR overtakes dense BLAS products at d ≈ 50 for the master equation and
-# between d = 64 and 100 for the Schrödinger equation, so both stay dense
-# below SPARSE_MIN_DIM states.  At d = 100…400 the fill at which dense
-# wins again measured 7–12% of the matrix across runs; SPARSE_MAX_FILL
-# stays below it.
-SPARSE_MIN_DIM = 100
+# Format of each compiled run (see _compile): CSR needs a space stored as
+# CSR (hilbert.SPARSE_MIN_DIM) and a sparse enough pattern.  At d =
+# 100…400 the fill at which dense wins again measured 7–12% of the matrix
+# across runs (CHANGES.md); SPARSE_MAX_FILL stays below it.
 SPARSE_MAX_FILL = 1 / 16
 
 
@@ -226,7 +226,7 @@ def lindblad_rhs(rho: np.ndarray, g: SLHTriple, t: float,
     out = -1j * (H @ rho - rho @ H)
     for Lp in g.L:
         L = Lp.evaluate(t, bindings).matrix
-        if not np.any(L):
+        if not _nonzero(L):
             continue
         Ld = L.conj().T
         LdL = Ld @ L
@@ -371,8 +371,10 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
     Each polynomial's k coefficients are stacked into one (k, nnz) array
     on the union of their nonzero patterns: the row-major CSR pattern with
     sorted column indices, shared by every row, or nnz = d·d when dense.
-    A coefficient that misses part of the union holds explicit zeros
-    there, and the zero polynomial stacks one zero row.  Each signal is
+    The union is read from the coefficients' entries, the CSR indices of a
+    space stored as CSR, so no dense mask is made.  A coefficient that
+    misses part of the union holds explicit zeros there, and the zero
+    polynomial stacks one zero row.  Each signal is
     sampled once, on all of ``times`` (``Signal.sample``), and each
     monomial's scalar values are written straight into the polynomial's
     (m, k) table for the m times, so a polynomial's value at a time is
@@ -390,30 +392,35 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
             raise KeyError(f"unbound signal {name!r}")
         samples[name] = bindings[name].sample(times)
 
-    masks = [sum((c != 0 for c in p.terms.values()), np.zeros((d, d), dtype=bool))
-             for p in polys]  # each polynomial's union pattern
-    csr = d >= SPARSE_MIN_DIM and all(np.count_nonzero(m) <= SPARSE_MAX_FILL * d * d
-                                      for m in masks)
+    csr = False
+    if d >= SPARSE_MIN_DIM:
+        # each polynomial's union pattern, as sorted row-major keys r·d + c
+        keys = [np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + [
+            r * d + c for r, c, _ in map(_entries, p.terms.values())])) for p in polys]
+        csr = all(k.size <= SPARSE_MAX_FILL * d * d for k in keys)
     if csr:
         from scipy import sparse
     values, updates = [], []
-    for i, (poly, mask) in enumerate(zip(polys, masks)):
-        coeffs = list(poly.terms.values()) or [np.zeros((d, d), dtype=complex)]
+    for i, poly in enumerate(polys):
+        coeffs = list(poly.terms.values())
         # the entries a rewrite writes: the CSR data, or a dense matrix's flat view
         if csr:
-            rows, cols = np.nonzero(mask)  # row-major: the CSR order
+            stack = np.zeros((max(1, len(coeffs)), keys[i].size), dtype=complex)
+            for row, (r, c, v) in zip(stack, map(_entries, coeffs)):
+                row[np.searchsorted(keys[i], r * d + c)] = v
+            rows, cols = np.divmod(keys[i], d)
             indptr = np.searchsorted(rows, np.arange(d + 1)).astype(np.int32)
-            stack = np.stack([c[rows, cols] for c in coeffs])
             value = sparse.csr_array((stack[0].copy(), cols.astype(np.int32), indptr),
                                      shape=(d, d))
             entries = value.data
         else:
+            coeffs = [_dense(c) for c in coeffs] or [np.zeros((d, d), dtype=complex)]
             stack = np.stack(coeffs).reshape(len(coeffs), d * d)
             value = stack[0].reshape(d, d).copy()
             entries = value.reshape(-1)
         values.append(value)
         if not poly.is_constant():
-            table = np.ones((times.size, len(coeffs)), dtype=complex)
+            table = np.ones((times.size, len(stack)), dtype=complex)
             for m, mono in enumerate(poly.terms):
                 v = table[:, m]
                 for name, p, q in mono.entries:
@@ -422,7 +429,7 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
                     if q:
                         v *= samples[name].conj() ** q
             # np.dot rounds a (1,)·(1, nnz) product differently from matmul
-            contract = _blas_entry(entries.nbytes) if len(coeffs) > 1 else np.matmul
+            contract = _blas_entry(entries.nbytes) if len(stack) > 1 else np.matmul
             updates.append((i, contract, table, stack, entries, None))
     return _Compiled(values, updates)
 
@@ -489,13 +496,12 @@ def _readers(observables: Mapping[str, Operator] | None, pure: bool) -> dict[str
     return {name: _observable(op.matrix, pure) for name, op in (observables or {}).items()}
 
 
-def _observable(matrix: np.ndarray, pure: bool) -> Callable[[np.ndarray], complex]:
-    """A reader of the observable A = ``matrix`` on its nonzero pattern:
-    ψ†Aψ of a state vector when ``pure``, else Tr(ρA) of a C-ordered
-    density matrix, each one gather and one dot over the nnz(A) entries.
-    The gather buffers are allocated here, once."""
-    rows, cols = np.nonzero(matrix)
-    vals = matrix[rows, cols]
+def _observable(matrix, pure: bool) -> Callable[[np.ndarray], complex]:
+    """A reader of the observable A = ``matrix``, dense or CSR, on its
+    nonzero pattern: ψ†Aψ of a state vector when ``pure``, else Tr(ρA) of
+    a C-ordered density matrix, each one gather and one dot over the
+    nnz(A) entries.  The gather buffers are allocated here, once."""
+    rows, cols, vals = _entries(matrix)
     taken = np.empty(vals.size, dtype=complex)
     if pure:
         left = np.empty_like(taken)
@@ -666,9 +672,10 @@ def _lindblad_polys(g: SLHTriple) -> list[OpPolynomial]:
     (-½)·Lᵢ†Lᵢ)``, in that association and with its monomials in that
     order: H's, then each coupling's new ones as
     :meth:`OpPolynomial._product_terms` lists them.  Every coefficient is
-    an array this fold allocates, so each sum is added in place and K is
-    never held twice; a zero coefficient of -½Lᵢ†Lᵢ is skipped and a sum
-    that cancels to exactly zero is dropped, as the polynomial sum does.
+    a matrix this fold allocates, so each dense sum is added in place and
+    K is never held twice (a CSR sum is a new matrix); a zero coefficient
+    of -½Lᵢ†Lᵢ is skipped and a sum that cancels to exactly zero is
+    dropped, as the polynomial sum does.
     The fold lets go of g once -iH is formed, so a caller that hands over
     its only reference frees H before the couplings' products are made.
     """
@@ -678,12 +685,14 @@ def _lindblad_polys(g: SLHTriple) -> list[OpPolynomial]:
     del g
     for Lp in live:
         for mono, c in Lp.dagger()._product_terms(Lp).items():
-            if not np.multiply(c, minus_half, out=c).any():
+            if not _nonzero(_map_into(np.multiply, c, minus_half)):
                 continue
             if mono not in terms:
                 terms[mono] = c
-            elif not np.add(terms[mono], c, out=terms[mono]).any():
-                del terms[mono]
+            else:
+                terms[mono] = _add_into(terms[mono], c)
+                if not _nonzero(terms[mono]):
+                    del terms[mono]
     return [OpPolynomial._shared(space, terms)] + live
 
 

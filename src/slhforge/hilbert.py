@@ -1,21 +1,46 @@
-"""Finite-dimensional Hilbert spaces and dense complex operators.
+"""Finite-dimensional Hilbert spaces and complex operators.
 
 A :class:`HilbertSpace` is an ordered tensor product of labeled factors,
 each either a Fock space truncated at a cutoff occupation number or a
-generic d-dimensional space.  :class:`Operator` is a dense complex matrix
+generic d-dimensional space.  :class:`Operator` is a complex matrix
 tagged with the space it acts on.  All values are immutable after
 construction and every operation is pure.
+
+This module owns the storage rule of every matrix of the algebra, the
+matrix of an :class:`Operator` and each coefficient of an
+``OpPolynomial``: it is decided by the dimension d of the space alone.
+Below ``SPARSE_MIN_DIM`` a matrix is a dense, C-ordered complex array.
+From there on it is a canonical ``scipy.sparse.csr_array``: sorted
+column indices, no duplicate entry and no explicit zero.  The ladder
+operators of a netlist have at most one nonzero per row, and the
+products a reduction makes have a few, while one dense matrix takes
+256 MiB at d = 4096.  The primitives at the end of this module (storage,
+identity, conjugate transpose, the zero test, exact equality, the
+largest entry, in-place sums, the real/imaginary assembly of a product)
+and the Kronecker :func:`embed` take either form, so the algebra is
+written once.  scipy.sparse is imported only where a CSR matrix is made
+or read, so a space below the bound never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+
+# Smallest dimension stored as CSR, and the smallest at which a run may
+# compile to CSR (dynamics._compile), read off the per-stage crossover
+# table in CHANGES.md: on the two-cavity cascade, CSR overtakes dense BLAS
+# products at d ≈ 50 for the master equation and between d = 64 and 100
+# for the Schrödinger equation.  With one bound for both, a model below it
+# is dense end to end, and one at or past it is densified for a run only
+# when its pattern fills more than dynamics.SPARSE_MAX_FILL.
+SPARSE_MIN_DIM = 100
 
 FOCK = "fock"
 GENERIC = "generic"
@@ -119,35 +144,38 @@ class HilbertSpace:
 
 
 class Operator:
-    """Dense complex square matrix acting on a :class:`HilbertSpace`.
+    """Complex square matrix acting on a :class:`HilbertSpace`, stored by
+    the rule of this module: dense below ``SPARSE_MIN_DIM``, canonical CSR
+    from there on.
 
-    The matrix is a read-only, C-ordered complex array that the operator
-    owns.  The constructor copies the array a caller hands in, so changing
-    it afterwards leaves the operator unchanged; the algebra and the
-    constructors below adopt the array they have just computed, and a
+    The operator owns its matrix, which is read-only (a CSR matrix's
+    data, indices and index pointer are).  The constructor copies the
+    dense or scipy sparse matrix a caller hands in, so changing it
+    afterwards leaves the operator unchanged; the algebra and the
+    constructors below adopt the matrix they have just computed, and a
     result may share a frozen matrix with its operand.
     """
 
     __slots__ = ("space", "matrix")
 
     def __init__(self, space: HilbertSpace, matrix):
-        self._own(space, np.array(matrix, dtype=complex, order="C"))
+        self._own(space, _stored(matrix, space.total_dim))
 
     @classmethod
-    def _adopt(cls, space: HilbertSpace, matrix: np.ndarray) -> "Operator":
-        """An operator on a C-ordered complex array that nothing else
-        writes: a result just computed, or a frozen matrix.  It is frozen,
-        not copied."""
+    def _adopt(cls, space: HilbertSpace, matrix) -> "Operator":
+        """An operator on a matrix in the space's storage form that nothing
+        else writes: a result just computed, or a frozen matrix.  It is
+        frozen, not copied."""
         op = cls.__new__(cls)
         op._own(space, matrix)
         return op
 
-    def _own(self, space: HilbertSpace, matrix: np.ndarray):
+    def _own(self, space: HilbertSpace, matrix):
         if matrix.shape != (space.total_dim, space.total_dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match space dim {space.total_dim}"
             )
-        matrix.setflags(write=False)
+        _freeze(_canonical(matrix))
         self.space = space
         self.matrix = matrix
 
@@ -184,7 +212,7 @@ class Operator:
 
     def approx_equal(self, other: "Operator", tol: float = DEFAULT_TOL) -> bool:
         self._check_space(other)
-        return float(np.max(np.abs(self.matrix - other.matrix))) <= tol
+        return _max_abs(self.matrix - other.matrix) <= tol
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.space.total_dim})"
@@ -194,7 +222,7 @@ class Operator:
 
 
 def identity(space: HilbertSpace) -> Operator:
-    return Operator._adopt(space, np.eye(space.total_dim, dtype=complex))
+    return Operator._adopt(space, _identity_matrix(space.total_dim))
 
 
 def annihilator(space: HilbertSpace, factor_label: str) -> Operator:
@@ -207,8 +235,9 @@ def annihilator(space: HilbertSpace, factor_label: str) -> Operator:
     f = space.factor(factor_label)
     if f.kind != FOCK:
         raise ValueError(f"factor {factor_label!r} is not a Fock factor")
-    a = np.diag(np.sqrt(np.arange(1, f.dim)), 1)
-    return embed(Operator._adopt(HilbertSpace([f]), a.astype(complex)), space)
+    m = np.arange(f.dim - 1)
+    a = _matrix(m, m + 1, np.sqrt(m + 1.0), f.dim)
+    return embed(Operator._adopt(HilbertSpace([f]), a), space)
 
 
 def creator(space: HilbertSpace, factor_label: str) -> Operator:
@@ -231,8 +260,9 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
 
     The factors of ``op.space`` must be a contiguous run of the factors of
     ``big_space``, in the same order (no permutation is performed).  The
-    result adopts the last Kronecker product's array, or shares ``op``'s
-    matrix when there is nothing to extend.
+    result adopts the last Kronecker product's array, a CSR one when
+    ``big_space`` is stored as CSR, or shares ``op``'s matrix when there
+    is nothing to extend.
     """
     positions = []
     for f in op.space.factors:
@@ -249,13 +279,152 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
                          "embedding is a Kronecker product over a contiguous run")
     matrix = op.matrix
     before, after = math.prod(big_space.dims[:first]), math.prod(big_space.dims[last + 1:])
+    kron, eye = np.kron, np.eye
+    if big_space.total_dim >= SPARSE_MIN_DIM:
+        from scipy import sparse
+
+        kron, eye = partial(sparse.kron, format="csr"), sparse.eye_array
     if before > 1:
-        matrix = np.kron(np.eye(before), matrix)
+        matrix = kron(eye(before), matrix)
     if after > 1:
-        matrix = np.kron(matrix, np.eye(after))
+        matrix = kron(matrix, eye(after))
     return Operator._adopt(big_space, matrix)
 
 
-def _conj_transpose(m: np.ndarray) -> np.ndarray:
-    """m† as a new C-ordered array, whatever m's shape."""
-    return np.conjugate(m.T, out=np.empty(m.shape[::-1], dtype=complex))
+# -- storage --------------------------------------------------------------
+#
+# The primitives below take a matrix in either storage form; each one
+# that makes a matrix makes it in the form of its dimension.
+
+
+def _is_dense(m) -> bool:
+    return isinstance(m, np.ndarray)
+
+
+def _stored(matrix, d: int):
+    """A new matrix holding a caller's dense or scipy sparse ``matrix``,
+    of any shape, in the storage form of dimension d."""
+    if hasattr(matrix, "tocsr"):  # scipy sparse
+        if d < SPARSE_MIN_DIM:
+            return np.array(matrix.toarray(), dtype=complex, order="C")
+        from scipy import sparse
+
+        return _canonical(sparse.csr_array(matrix, dtype=complex, copy=True))
+    matrix = np.array(matrix, dtype=complex, order="C")
+    if d < SPARSE_MIN_DIM or matrix.ndim != 2:
+        return matrix
+    from scipy import sparse
+
+    return _canonical(sparse.csr_array(matrix))
+
+
+def _matrix(rows, cols, vals, d: int):
+    """The d×d matrix with the entries ``vals`` at (``rows``, ``cols``),
+    each position once, and zeros elsewhere, in the storage form of d."""
+    if d < SPARSE_MIN_DIM:
+        m = np.zeros((d, d), dtype=complex)
+        m[rows, cols] = vals
+        return m
+    from scipy import sparse
+
+    return _canonical(sparse.csr_array((np.asarray(vals, dtype=complex), (rows, cols)),
+                                       shape=(d, d)))
+
+
+def _identity_matrix(d: int):
+    i = np.arange(d)
+    return _matrix(i, i, np.ones(d), d)
+
+
+def _dense(m) -> np.ndarray:
+    """m as a dense array: itself, or a new array for a CSR matrix."""
+    return m if _is_dense(m) else m.toarray()
+
+
+def _values(m) -> np.ndarray:
+    """The stored entries of m: a dense array itself, or a CSR matrix's
+    data, so a test over every entry that is not a stored zero reads them."""
+    return m if _is_dense(m) else m.data
+
+
+def _entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the nonzero entries of m, a matrix of the
+    algebra (so a CSR one is canonical), in row-major order."""
+    if _is_dense(m):
+        rows, cols = np.nonzero(m)
+        return rows, cols, m[rows, cols]
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+
+
+def _canonical(m):
+    """m, with a CSR matrix that nothing else holds put in canonical form
+    in place: its indices sorted, its duplicates summed and its explicit
+    zeros dropped.  A canonical one, frozen or not, is not written."""
+    if not _is_dense(m):
+        if not m.has_canonical_format:
+            m.sum_duplicates()
+        if not m.data.all():
+            m.eliminate_zeros()
+    return m
+
+
+def _freeze(m) -> None:
+    for a in (m,) if _is_dense(m) else (m.data, m.indices, m.indptr):
+        a.setflags(write=False)
+
+
+def _nonzero(m) -> bool:
+    """Whether m has a nonzero entry; a CSR matrix is made canonical
+    first (:func:`_canonical`), so an entry that cancelled to exactly zero
+    is dropped, and a matrix with none has nnz = 0."""
+    return bool(_values(_canonical(m)).any())
+
+
+def _equal(a, b) -> bool:
+    """Exact entrywise equality of two matrices of one storage form (a
+    NaN entry is unequal)."""
+    if _is_dense(a):
+        return np.array_equal(a, b)
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+def _max_abs(m) -> float:
+    """The largest |entry| of m, 0 for the zero matrix, NaN if any is NaN."""
+    return float(np.max(np.abs(_values(m)), initial=0.0))
+
+
+def _map_into(ufunc, m, *args):
+    """m after ``ufunc(entry, *args)`` is written over each stored entry;
+    m is a matrix that only the caller holds, and ufunc maps 0 to 0."""
+    ufunc(_values(m), *args, out=_values(m))
+    return m
+
+
+def _add_into(a, b):
+    """a + b, written into a when it is dense; a is an array that only the
+    caller holds.  The sum of two CSR matrices is a new one."""
+    return np.add(a, b, out=a) if _is_dense(a) else a + b
+
+
+def _complex(re, im):
+    """re + i·im from two real matrices of one form that only the caller
+    holds, each part exact (no product with i, which would make a NaN of
+    an infinite part)."""
+    if _is_dense(re):
+        out = re.astype(complex)
+        out.imag = im
+        return out
+    im = _canonical(im)
+    i_im = np.zeros(im.nnz, dtype=complex)
+    i_im.imag = im.data
+    return _canonical(re).astype(complex) + type(im)((i_im, im.indices, im.indptr),
+                                                     shape=im.shape)
+
+
+def _conj_transpose(m):
+    """m† as a new matrix of m's form; a dense one is C-ordered, whatever
+    m's shape."""
+    if _is_dense(m):
+        return np.conjugate(m.T, out=np.empty(m.shape[::-1], dtype=complex))
+    return _canonical(m.conj().T.tocsr())

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import MODE_OPERATORS, HilbertSpace, fock_factor, generic_factor, identity
+from .hilbert import MODE_OPERATORS, HilbertSpace, _values, fock_factor, generic_factor, identity
 from .network import (
     SLHTriple,
     beam_splitter,
@@ -589,12 +589,13 @@ def print_netlist(ast: NetlistAST) -> str:
 
 # -- semantic analysis ----------------------------------------------------
 
-#: Most states the composite space may have.  Operators are dense d×d
-#: complex matrices, one of which takes 256 MiB at this bound, so a larger
-#: space is refused at the `space` line that crosses the bound, before
-#: anything is allocated.  A `simulate` of the two-cavity cascade peaked
-#: at 18.1 such arrays at d = 196 and 18.0 at d = 441 (tracemalloc), so
-#: about 4.5 GiB at this bound; a longer chain or more channels hold more.
+#: Most states the composite space may have; a larger space is refused at
+#: the `space` line that crosses the bound, before anything is allocated.
+#: From d = 100 operators are CSR (``hilbert.SPARSE_MIN_DIM``), so the
+#: reduction holds no dense d×d array, which takes 256 MiB at this bound: a
+#: closed chain at d = 4096 reduces and runs in about 2 MiB (tracemalloc).
+#: A master-equation run holds its dense ρ and RK4 workspace, 10.3 such
+#: arrays on the two-cavity cascade at d = 196, so about 2.6 GiB here.
 MAX_DIM = 4096
 
 
@@ -624,7 +625,7 @@ def triple_summary(g: SLHTriple) -> str:
 
 def _is_finite(polys: Sequence[OpPolynomial]) -> bool:
     """Whether every coefficient entry of every polynomial is finite."""
-    return all(np.isfinite(c).all() for p in polys for c in p.terms.values())
+    return all(np.isfinite(_values(c)).all() for p in polys for c in p.terms.values())
 
 
 def _entries(g: SLHTriple) -> list[OpPolynomial]:

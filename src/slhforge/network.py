@@ -27,7 +27,7 @@ from .hilbert import (
     annihilator,
     number_op,
 )
-from .signals import OpPolynomial
+from .signals import DEGREE_CAP, OpPolynomial
 
 
 class ChannelMismatchError(ValueError):
@@ -86,14 +86,20 @@ class InvalidTripleError(ValueError):
 
 def validate_triple(g: SLHTriple, tol: float = DEFAULT_TOL) -> None:
     """Check the triple invariants: H formally self-adjoint, then S = T ⊗ I
-    unitary (:func:`is_unitary`), each within tol; the first that fails
-    raises InvalidTripleError.  The command line integrates no triple that
-    this rejects.
+    unitary (:func:`is_unitary`), each within tol, then each coupling Lᵢ
+    of degree at most ``DEGREE_CAP`` / 2, since the master equation holds
+    Lᵢ†Lᵢ; the first that fails raises InvalidTripleError.  The command
+    line integrates no triple that this rejects.
     """
     if not g.H.dagger().approx_equal(g.H, tol):
         raise InvalidTripleError("H is not self-adjoint")
     if not is_unitary(g.T, tol):
         raise InvalidTripleError("S fails the unitarity conditions")
+    for i, entry in enumerate(g.L):
+        degree = max((m.degree for m in entry.terms), default=0)
+        if 2 * degree > DEGREE_CAP:
+            raise InvalidTripleError(f"L[{i}] has degree {degree}, so L†L exceeds "
+                                     f"degree cap {DEGREE_CAP}")
 
 
 def is_unitary(T: np.ndarray, tol: float) -> bool:

@@ -10,12 +10,29 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, HilbertSpace, Operator, _conj_transpose
+from .hilbert import (
+    DEFAULT_TOL,
+    HilbertSpace,
+    Operator,
+    _add_into,
+    _complex,
+    _conj_transpose,
+    _equal,
+    _freeze,
+    _identity_matrix,
+    _map_into,
+    _matrix,
+    _max_abs,
+    _nonzero,
+    _stored,
+    _values,
+)
 
 #: Guard against pathological compositions; nothing in scope exceeds degree 2.
 DEGREE_CAP = 8
@@ -246,43 +263,46 @@ class OpPolynomial:
     zero matrix are pruned, so two polynomials built by different
     association orders of the same exact expression compare equal.
 
-    Coefficients are read-only, C-ordered complex arrays.  The constructor
-    copies the arrays a caller hands in, so changing them afterwards
+    Coefficients are read-only matrices in the storage form of the space
+    (``hilbert``'s rule: C-ordered complex arrays below ``SPARSE_MIN_DIM``,
+    canonical CSR from there on).  The constructor copies the dense or
+    scipy sparse matrices a caller hands in, so changing them afterwards
     leaves the polynomial unchanged.  The algebra copies nothing: a result
     shares the coefficients it does not change with its operands (and
-    ``constant`` shares its operator's matrix) and freezes the arrays it
+    ``constant`` shares its operator's matrix) and freezes the matrices it
     has just computed, each written once where the operations allow:
-    a sum adds in place into the arrays it has allocated itself.
+    a sum adds in place into the dense arrays it has allocated itself.
     """
 
     __slots__ = ("space", "terms")
 
-    def __init__(self, space: HilbertSpace, terms: Mapping[SignalMonomial, np.ndarray] | None = None):
+    def __init__(self, space: HilbertSpace, terms: Mapping | None = None):
         d = space.total_dim
         copied = {}
         for mono, coeff in (terms or {}).items():
-            coeff = np.array(coeff, dtype=complex, order="C")
+            coeff = _stored(coeff, d)
             if coeff.shape != (d, d):
                 raise ValueError(f"coefficient shape {coeff.shape} does not match space dim {d}")
             copied[mono] = coeff
         self._adopt(space, copied)
 
     @classmethod
-    def _shared(cls, space: HilbertSpace, terms: Mapping[SignalMonomial, np.ndarray]) -> "OpPolynomial":
-        """A polynomial on C-ordered complex (d, d) arrays that nothing
-        outside the algebra can write: results it has just computed, or
-        coefficients of other polynomials.  They are frozen, not copied."""
+    def _shared(cls, space: HilbertSpace, terms: Mapping) -> "OpPolynomial":
+        """A polynomial on (d, d) matrices in the space's storage form that
+        nothing outside the algebra can write: results it has just
+        computed, or coefficients of other polynomials.  They are frozen,
+        not copied, and a CSR result is made canonical first."""
         p = cls.__new__(cls)
         p._adopt(space, terms)
         return p
 
-    def _adopt(self, space: HilbertSpace, terms: Mapping[SignalMonomial, np.ndarray]):
-        clean: dict[SignalMonomial, np.ndarray] = {}
+    def _adopt(self, space: HilbertSpace, terms: Mapping):
+        clean = {}
         for mono, coeff in terms.items():
             if mono.degree > DEGREE_CAP:
                 raise ValueError(f"monomial {mono} exceeds degree cap {DEGREE_CAP}")
-            if coeff.any():
-                coeff.setflags(write=False)
+            if _nonzero(coeff):
+                _freeze(coeff)
                 clean[mono] = coeff
         self.space = space
         self.terms = clean
@@ -299,7 +319,7 @@ class OpPolynomial:
 
     @classmethod
     def scalar(cls, space: HilbertSpace, c: complex) -> "OpPolynomial":
-        return cls._shared(space, {ONE: complex(c) * np.eye(space.total_dim)})
+        return cls._shared(space, {ONE: complex(c) * _identity_matrix(space.total_dim)})
 
     @classmethod
     def of_signal(cls, space: HilbertSpace, name: str, coeff: Operator | complex = 1.0) -> "OpPolynomial":
@@ -308,7 +328,7 @@ class OpPolynomial:
             if coeff.space != space:
                 raise ValueError("coefficient space mismatch")
         else:
-            mat = complex(coeff) * np.eye(space.total_dim)
+            mat = complex(coeff) * _identity_matrix(space.total_dim)
         return cls._shared(space, {SignalMonomial.of(name): mat})
 
     # -- algebra ----------------------------------------------------------
@@ -323,7 +343,7 @@ class OpPolynomial:
     @classmethod
     def _sum(cls, polys: Iterable["OpPolynomial"]) -> "OpPolynomial":
         """The sum ((p₁ + p₂) + p₃) + … of one or more polynomials, bit
-        for bit: a coefficient is added in place once the sum has
+        for bit: a dense coefficient is added in place once the sum has
         allocated it, and one that cancels to exactly zero is dropped at
         that step, as each ``+`` drops it."""
         polys = iter(polys)  # each operand is dropped once it is added
@@ -337,11 +357,11 @@ class OpPolynomial:
                     terms[mono] = coeff
                     continue
                 if mono in fresh:
-                    total = np.add(terms[mono], coeff, out=terms[mono])
+                    total = _add_into(terms[mono], coeff)
                 else:
                     total = terms[mono] + coeff
                     fresh.add(mono)
-                if total.any():
+                if _nonzero(total):
                     terms[mono] = total
                 else:
                     del terms[mono]
@@ -369,40 +389,40 @@ class OpPolynomial:
         separate real products, so that conj(z)·z rounds to a real number
         and X†X to a Hermitian matrix: the series product's Im(L†SL) then
         vanishes exactly where the algebra says it does, as for a pair of
-        adders or of couplings s·X and −s·X that cancel.  (At d ≥ 100 the
-        blocked BLAS products need not be bit-symmetric, so a dense X
-        there may leave a rounding-level term.)
+        adders or of couplings s·X and −s·X that cancel.  Below
+        ``SPARSE_MIN_DIM`` the real products are BLAS's; from there on
+        they are CSR products, which sum each (XᵀY)ᵢⱼ in the order of k, so
+        X†X is Hermitian to the bit at every d.
         """
         if isinstance(other, OpPolynomial):
             return OpPolynomial._shared(self.space, self._product_terms(other))
         return self.scale(other)
 
-    def _product_terms(self, other: "OpPolynomial") -> dict[SignalMonomial, np.ndarray]:
+    def _product_terms(self, other: "OpPolynomial") -> dict:
         """The coefficients of self * other, unpruned, each a writable
-        array just allocated and summed over its products in place."""
+        matrix just allocated and summed over its products (in place when
+        dense)."""
         self._check_space(other)
         scalars = {m2: _identity_multiple(c2) for m2, c2 in other.terms.items()}
-        terms: dict[SignalMonomial, np.ndarray] = {}
+        terms = {}
         for m1, c1 in self.terms.items():
             s1 = _identity_multiple(c1)
             for m2, c2 in other.terms.items():
                 mono = m1 * m2
                 s2 = scalars[m2]
                 if s1 is not None:
-                    a, b, times = s1, c2, np.multiply
+                    a, b, times = s1, c2, operator.mul
                 elif s2 is not None:
-                    a, b, times = c1, s2, np.multiply
+                    a, b, times = c1, s2, operator.mul
                 else:
-                    a, b, times = c1, c2, np.matmul
+                    a, b, times = c1, c2, operator.matmul
                 if all(p == q for _, p, q in mono.entries):
-                    prod = times(a.real, b.real).astype(complex)
-                    prod.real -= times(a.imag, b.imag)
-                    prod.imag = times(a.real, b.imag)
-                    prod.imag += times(a.imag, b.real)
+                    prod = _complex(times(a.real, b.real) - times(a.imag, b.imag),
+                                    times(a.real, b.imag) + times(a.imag, b.real))
                 else:
                     prod = times(a, b)
                 if mono in terms:
-                    np.add(terms[mono], prod, out=terms[mono])
+                    terms[mono] = _add_into(terms[mono], prod)
                 else:
                     terms[mono] = prod
         return terms
@@ -418,11 +438,12 @@ class OpPolynomial:
     def imag(self) -> "OpPolynomial":
         """Formal operator imaginary part (p - p†)/(2i); self-adjoint.
 
-        Each coefficient is written into one new array by the operations
+        Each coefficient is written into one new matrix by the operations
         of ``(p - p†).scale(-0.5j)``, in their order, so the bits are the
         same: at a monomial m with coefficient c, whose conjugate m† has
-        coefficient c', it is c - c'† (c alone when m† has none, and -c'†
-        when m has none), then times -0.5j.
+        coefficient c', it is c - c'†, formed as (-c'†) + c, which rounds
+        alike (c alone when m† has none, and -c'† when m has none), then
+        times -0.5j.
         """
         scale = complex(-0.5j)
         terms = {}
@@ -431,12 +452,12 @@ class OpPolynomial:
             if partner is None:
                 terms[m] = c * scale
             else:
-                out = _conj_transpose(partner)
-                terms[m] = np.multiply(np.subtract(c, out, out=out), scale, out=out)
+                minus = _map_into(np.negative, _conj_transpose(partner))
+                terms[m] = _map_into(np.multiply, _add_into(minus, c), scale)
         for m, c in self.terms.items():
             if m.dagger() not in self.terms:
-                out = _conj_transpose(c)
-                terms[m.dagger()] = np.multiply(np.negative(out, out=out), scale, out=out)
+                minus = _map_into(np.negative, _conj_transpose(c))
+                terms[m.dagger()] = _map_into(np.multiply, minus, scale)
         return OpPolynomial._shared(self.space, terms)
 
     # -- queries ----------------------------------------------------------
@@ -459,7 +480,7 @@ class OpPolynomial:
             return NotImplemented if not isinstance(other, OpPolynomial) else False
         if self.terms.keys() != other.terms.keys():
             return False
-        return all(np.array_equal(self.terms[m], other.terms[m]) for m in self.terms)
+        return all(_equal(self.terms[m], other.terms[m]) for m in self.terms)
 
     def __hash__(self):
         raise TypeError("OpPolynomial is not hashable")
@@ -471,21 +492,20 @@ class OpPolynomial:
     def max_coeff_diff(self, other: "OpPolynomial") -> float:
         """Largest |difference| over all coefficient entries, NaN if any is NaN."""
         self._check_space(other)
-        d = self.space.total_dim
-        z = np.zeros((d, d))
-        diffs = [
-            np.max(np.abs(self.terms.get(mono, z) - other.terms.get(mono, z)))
-            for mono in self.terms.keys() | other.terms.keys()
-        ]
+        diffs = []
+        for mono in self.terms.keys() | other.terms.keys():
+            a, b = self.terms.get(mono), other.terms.get(mono)
+            diffs.append(_max_abs(b if a is None else a if b is None else a - b))
         return float(np.max(diffs, initial=0.0))
 
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, t: float, bindings: Bindings | None = None) -> Operator:
         bindings = bindings or {}
-        mat = np.zeros((self.space.total_dim, self.space.total_dim), dtype=complex)
+        none = np.arange(0)
+        mat = _matrix(none, none, none, self.space.total_dim)  # zero
         for mono, coeff in self.terms.items():
-            np.add(mat, mono.evaluate(t, bindings) * coeff, out=mat)
+            mat = _add_into(mat, mono.evaluate(t, bindings) * coeff)
         return Operator._adopt(self.space, mat)
 
     def __str__(self) -> str:
@@ -497,10 +517,11 @@ class OpPolynomial:
         return f"OpPolynomial({len(self.terms)} terms, dim={self.space.total_dim})"
 
 
-def _identity_multiple(c: np.ndarray) -> complex | None:
+def _identity_multiple(c) -> complex | None:
     """c when the matrix is exactly c·I with c != 0, else None."""
-    s = c[0, 0]
-    if s != 0 and np.count_nonzero(c) == c.shape[0] and np.all(c.diagonal() == s):
+    diagonal = c.diagonal()
+    s = diagonal[0]
+    if s != 0 and np.count_nonzero(_values(c)) == c.shape[0] and np.all(diagonal == s):
         return s
     return None
 

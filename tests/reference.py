@@ -14,6 +14,12 @@ import numpy as np
 from slhforge import DEFAULT_TOL, Bindings, SLHTriple
 
 
+def dense(m) -> np.ndarray:
+    """A matrix of the library as a dense array: a dense one itself, and a
+    CSR one, the storage form from ``SPARSE_MIN_DIM`` on, by its toarray()."""
+    return m.toarray() if hasattr(m, "toarray") else m
+
+
 # -- generators -----------------------------------------------------------
 
 

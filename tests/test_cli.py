@@ -590,19 +590,19 @@ network closed = H0 <| P <| R <| G <| R <| M <| G
 
 
 @pytest.mark.parametrize("text, d, argv, code, arrays", [
-    (CASCADE_D196, 196, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 15),
-    (CASCADE_D196, 196, ["verify"], 3, 15),  # the cascade stays open, so only the reduction runs
-    (CLOSED_D100, 100, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 14.5),
+    (CASCADE_D196, 196, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 10.5),
+    (CASCADE_D196, 196, ["verify"], 3, 0.5),  # the cascade stays open, so only the reduction runs
+    (CLOSED_D100, 100, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 1.25),
 ], ids=["simulate", "verify", "simulate_closed_d100"])
-def test_a_run_holds_at_most_15_full_size_arrays(text, d, argv, code, arrays, netlist,
-                                                  tmp_path):
-    # reducing peaks at 14.1 arrays, as T is a c-number matrix, and sets
-    # the peak of every command.  simulate hands the reduced triple, the
-    # observables and the state to the integrator, which keeps none of
-    # them once its generator is compiled: K is folded in place while ρ₀,
-    # the couplings and K are held (12.6 arrays on the cascade), and the
-    # run then holds its RK4 workspace and the stage buffers alone (10.3).
-    # Each d×d array has one owner, and nothing keeps the components
+def test_a_run_holds_at_most_its_integration_arrays(text, d, argv, code, arrays, netlist,
+                                                    tmp_path):
+    # from d = 100 on, the reduction, the fold of K and the observables are
+    # CSR, so no dense d×d array exists before the integration: the
+    # cascade's master run peaks at its RK4 workspace and stage buffers
+    # (10.27 arrays measured; it was 14.1 with dense coefficients), and
+    # verify, which refuses the open cascade before integrating, at 0.20.
+    # A closed run holds states of d entries, so its peak is the CSR model
+    # and the compile's tables (0.95 arrays at d = 100)
     argv = [argv[0], netlist(text), "--horizon", "0.08", "--step", "0.04",
             "-o", str(tmp_path / "out"), *argv[1:]]
     assert main(argv) == code  # untraced, so the import of scipy.sparse is not counted
@@ -614,6 +614,42 @@ def test_a_run_holds_at_most_15_full_size_arrays(text, d, argv, code, arrays, ne
     finally:
         tracemalloc.stop()
     assert peak <= arrays * 16 * d * d, peak / (16 * d * d)
+
+
+# CLOSED_D100 on three modes at cutoff 15: d = 4096, netlist.MAX_DIM
+CLOSED_D4096 = """\
+space fock(cutoff=15) as c1
+space fock(cutoff=15) as c2
+space fock(cutoff=15) as c3
+signal u = gaussian_pulse(amplitude=(0.4 + 0.1i), center=0.1, width=0.1)
+component H0 = HAM(n(c1) + 0.7 * n(c2) + 0.4 * n(c3))
+component P = ADD(u=[u])
+component M = ADD(u=[-u])
+component R = BS(T=[[-1]])
+component G = SYS(L=[sqrt(0.4) * a(c1)])
+network closed = H0 <| P <| R <| G <| R <| M <| G
+"""
+
+
+def test_a_closed_network_at_the_largest_space_runs_in_a_few_megabytes(netlist, tmp_path):
+    # one dense d×d complex array takes 16·4096² bytes = 268 MB, and dense
+    # coefficients took 14 of them to reduce this chain; CSR ones peak at
+    # 2.1 MB (measured) for the reduction and a 5-step Schrödinger run
+    out = tmp_path / "run.csv"
+    argv = ["simulate", netlist(CLOSED_D4096), "--horizon", "0.05", "--step", "0.01",
+            "--observable", "a:c1", "-o", str(out)]
+    assert main(argv) == 0  # untraced, so the import of scipy.sparse is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, peak
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (6, 6)  # t, ⟨a⟩ re and im, drift, purity, leak
+    assert 1e-3 < abs(complex(*rows[-1, 1:3])) < 0.1  # the pulse has driven the mode
 
 
 def test_a_tiny_pulse_width_samples_without_a_warning(netlist, capsys):
@@ -645,6 +681,19 @@ def test_simulate_integrates_only_a_valid_triple(netlist, capsys):
     rc = main(["simulate", netlist(TWO_HAMS), "--horizon", "0.1", "--step", "0.01"])
     assert rc == 3
     assert capsys.readouterr() == ("", "validation failure: H is not self-adjoint\n")
+
+
+def test_simulate_refuses_a_coupling_whose_l_dagger_l_passes_the_degree_cap(netlist, capsys):
+    # L has degree 5 and reduces; the master equation's L†L would have 10
+    path = netlist("space fock(cutoff=1) as c\n"
+                   "signal u = constant(0.3)\n"
+                   "component S = SYS(L=[u * u * u * u * u * a(c)])\n"
+                   "network m = S\n")
+    assert main(["reduce", path]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["simulate", path, "--horizon", "0.02", "--step", "0.01"]) == 3
+    assert capsys.readouterr() == (
+        "", "validation failure: L[0] has degree 5, so L†L exceeds degree cap 8\n")
 
 
 # -- verify ----------------------------------------------------------------

@@ -51,7 +51,7 @@ from conftest import (
     random_matrix,
     random_triple,
 )
-from reference import heisenberg_generator
+from reference import dense, heisenberg_generator
 
 
 # -- states ----------------------------------------------------------------
@@ -710,9 +710,7 @@ def _K_by_the_algebra(g):
     for Lp in g.L:
         if Lp.is_zero():
             continue
-        LdL = Lp.dagger()._product_terms(Lp)
-        for c in LdL.values():
-            np.multiply(c, complex(-0.5), out=c)
+        LdL = {m: c * complex(-0.5) for m, c in Lp.dagger()._product_terms(Lp).items()}
         K = K + OpPolynomial._shared(g.space, LdL)
     return K
 
@@ -742,7 +740,8 @@ def test_the_folded_K_is_the_algebra_s_bit_for_bit(rng, case):
     # the same monomials in the same order, so _compile stacks them alike
     assert list(K.terms) == list(want.terms)
     for mono, c in K.terms.items():
-        assert c.view(float).tobytes() == want.terms[mono].view(float).tobytes(), mono
+        assert dense(c).view(float).tobytes() == dense(want.terms[mono]).view(float).tobytes(), \
+            mono
     if case == "cancelling":
         assert list(g.H.terms).index(ONE) == 0 and list(K.terms).index(ONE) == 2
 
@@ -845,17 +844,18 @@ def test_backend_follows_dimension_and_fill(rng):
     assert all(sparse.issparse(v) for v in values)
     for poly, value in zip([g.H, *g.L], values):
         # one pattern, the union of the monomials' patterns, at every stage
-        assert value.nnz == np.count_nonzero(sum(np.abs(c) for c in poly.terms.values()))
-        assert np.max(np.abs(value.toarray() - poly.evaluate(0.3, net.signals).matrix)) < 1e-13
+        assert value.nnz == np.count_nonzero(sum(np.abs(dense(c)) for c in poly.terms.values()))
+        assert np.max(np.abs(value.toarray() - dense(poly.evaluate(0.3, net.signals).matrix))) \
+            < 1e-13
 
     # a dense random coupling at the same d stays dense, and so does every
     # polynomial compiled beside it: the format belongs to the run
-    dense = OpPolynomial.constant(Operator(g.space, random_matrix(rng, 196)))
-    assert isinstance(compiled([dense])[0], np.ndarray)
-    values = compiled([g.H, *g.L, dense], net.signals)
+    filled = OpPolynomial.constant(Operator(g.space, random_matrix(rng, 196)))
+    assert isinstance(compiled([filled])[0], np.ndarray)
+    values = compiled([g.H, *g.L, filled], net.signals)
     assert all(isinstance(v, np.ndarray) for v in values)
     for poly, value in zip([g.H, *g.L], values):
-        assert np.max(np.abs(value - poly.evaluate(0.3, net.signals).matrix)) < 1e-13
+        assert np.max(np.abs(value - dense(poly.evaluate(0.3, net.signals).matrix))) < 1e-13
 
 
 @pytest.mark.parametrize("two_mode", [False, True], ids=["dense", "d121_csr"])
@@ -996,8 +996,9 @@ def test_observable_read_matches_the_trace_and_the_quadratic_form(rng):
         X /= np.linalg.norm(X)
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         psi /= np.linalg.norm(psi)
-        assert abs(dynamics._observable(A, pure=False)(X) - np.einsum("ij,ji->", X, A)) < 1e-13
-        assert abs(dynamics._observable(A, pure=True)(psi) - psi.conj() @ A @ psi) < 1e-13
+        read_rho, read_psi = dynamics._observable(A, pure=False), dynamics._observable(A, pure=True)
+        assert abs(read_rho(X) - np.einsum("ij,ji->", X, dense(A))) < 1e-13
+        assert abs(read_psi(psi) - psi.conj() @ dense(A) @ psi) < 1e-13
 
 
 def _bits(x):

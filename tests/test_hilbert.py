@@ -19,7 +19,9 @@ from slhforge import (
     identity,
     number_op,
 )
+from slhforge.hilbert import SPARSE_MIN_DIM
 from conftest import random_operator
+from reference import dense
 
 
 # -- factors and spaces ----------------------------------------------------
@@ -249,3 +251,56 @@ def test_imag_real_decomposition(rng):
     re, im = (p + p.dagger()).scale(0.5), p.imag()
     assert re.dagger().approx_equal(re, 1e-12) and im.dagger().approx_equal(im, 1e-12)
     assert (re + im.scale(1j)).approx_equal(p, 1e-12)
+
+
+# -- storage rule ----------------------------------------------------------
+
+
+def _is_canonical_csr(m):
+    # the CSR form: sorted indices, no duplicate, no explicit zero, frozen
+    return (getattr(m, "format", None) == "csr" and m.has_canonical_format
+            and m.data.all() and not m.data.flags.writeable)
+
+
+@pytest.mark.parametrize("d", [SPARSE_MIN_DIM - 1, SPARSE_MIN_DIM])
+def test_the_storage_form_follows_the_dimension_alone(d):
+    # d = 99 = 11·9 is dense and d = 100 = 10·10 is CSR, for operators, their
+    # embeddings and every polynomial operation; the entries are the same
+    cutoff = 10 if d % 2 else 9
+    sp = HilbertSpace([fock_factor("c", cutoff), generic_factor("q", d // (cutoff + 1))])
+    assert sp.total_dim == d
+    mode = HilbertSpace([sp.factors[0]])
+    levels = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+    a = annihilator(sp, "c")
+    u = OpPolynomial.of_signal(sp, "u", a)
+    product = OpPolynomial.constant(a.dagger()) * u
+    made = {
+        "annihilator": (a.matrix, np.kron(levels, np.eye(d // (cutoff + 1)))),
+        "identity": (identity(sp).matrix, np.eye(d)),
+        "embed": (embed(annihilator(mode, "c"), sp).matrix, dense(a.matrix)),
+        "dagger": (a.dagger().matrix, dense(a.matrix).T),
+        "product": (product.terms[SignalMonomial.of("u")], dense(a.matrix).T @ dense(a.matrix)),
+        "imag": (u.imag().terms[SignalMonomial.of("u")], -0.5j * dense(a.matrix)),
+    }
+    for name, (m, want) in made.items():
+        if d < SPARSE_MIN_DIM:
+            assert isinstance(m, np.ndarray) and not m.flags.writeable, name
+        else:
+            assert _is_canonical_csr(m), name
+        assert np.array_equal(dense(m), want), name
+
+
+def test_a_csr_coefficient_that_cancels_exactly_is_pruned():
+    sp = HilbertSpace.fock("c", SPARSE_MIN_DIM - 1)
+    a, n = annihilator(sp, "c"), number_op(sp, "c")
+    p = OpPolynomial.constant(a) + OpPolynomial.of_signal(sp, "u", n)
+    assert (p - p).is_zero()
+    # entries that cancel leave the pattern; the others keep their bits
+    q = OpPolynomial.constant(a + n) - OpPolynomial.constant(n)
+    (c,) = q.terms.values()
+    assert _is_canonical_csr(c) and c.nnz == a.matrix.nnz
+    assert np.array_equal(dense(c), dense(a.matrix))
+    # a scale whose entries underflow to zero leaves no coefficient
+    assert p.scale(1e-200).scale(1e-200).is_zero()
+    assert (a * 1e-200 * 1e-200).matrix.nnz == 0
+

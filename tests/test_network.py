@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slhforge import (
@@ -28,6 +28,7 @@ from slhforge import (
     system_coupling,
     validate_triple,
 )
+from slhforge.hilbert import SPARSE_MIN_DIM
 from reference import triples_approx_equal
 from conftest import (
     constant_term,
@@ -107,11 +108,14 @@ def test_adders_of_opposite_complex_scale_cancel_exactly(s, cutoffs):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(s=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
                             allow_nan=False, allow_infinity=False),
-       dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+       dim=st.sampled_from([2, 3, 4, 5, SPARSE_MIN_DIM]), seed=st.integers(0, 2**32 - 1))
+@example(s=0.3 + 0.4j, dim=SPARSE_MIN_DIM, seed=0)
 def test_couplings_of_opposite_complex_scale_cancel_exactly(s, dim, seed):
     # Im((-s X)† (s X)) = -|s|² Im(X†X) = 0: the constant monomial's
     # product takes separate real products, so it rounds to a Hermitian
-    # matrix and H cancels exactly, as for the adders above
+    # matrix and H cancels exactly, as for the adders above.  At d = 100 X
+    # is CSR, and the sparse product sums (XᵀX)ᵢⱼ and (XᵀX)ⱼᵢ in the one
+    # order of k, so it is bit-symmetric there too
     sp = HilbertSpace.generic("q", dim)
     X = random_operator(np.random.default_rng(seed), sp)
     g = series(system_coupling([-s * X]), system_coupling([s * X]))

@@ -17,7 +17,7 @@ from slhforge import (
     SignalMonomial,
     identity,
 )
-from slhforge.dynamics import SPARSE_MIN_DIM
+from slhforge.hilbert import SPARSE_MIN_DIM
 from conftest import constant_term, random_operator, random_poly, random_bindings
 
 
@@ -341,6 +341,9 @@ def test_products_with_identity_multiples_match_matmul(rng, dim):
               SignalMonomial.of("v", 1, 1)]
     left = OpPolynomial(sp, dict(zip(monos, coeffs)))
     right = OpPolynomial(sp, dict(zip(monos[::-1], coeffs)))
+    # the operands take the storage form of their dimension: CSR from d = 100
+    assert all(getattr(c, "format", "dense") == ("csr" if dim >= SPARSE_MIN_DIM else "dense")
+               for c in left.terms.values())
     for a, b in ((left, right), (right, left), (left, left)):
         want: dict = {}
         for m1, c1 in a.terms.items():

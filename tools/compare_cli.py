@@ -12,8 +12,8 @@ they pass ``--leak-threshold inf``: the leak column records the
 truncation leak instead of aborting the run, and the ``n`` and ``adag``
 columns get compared.  The corpus stays below d = 100, so the tool also
 writes two netlists on two modes at cutoff 9 (d = 100, the smallest space
-that takes the c·I-scale coefficient products and the CSR generator) to a
-temporary directory.  The open two-cavity cascade runs ``reduce``,
+stored as CSR, so its reduction, K fold, observables and generator run
+on CSR matrices) to a temporary directory.  The open two-cavity cascade runs ``reduce``,
 ``simulate --horizon 0.2 --step 0.04 --observable a:c1`` and ``verify
 --horizon 0.2 --step 0.04``.  The closed cancellation chain, whose
 Schrödinger runs take the CSR matrix-vector product, runs ``simulate
@@ -24,10 +24,12 @@ complex two-channel T around a two-channel ``SYS`` and an ``ADD`` on two
 modes at cutoff 2; it runs ``reduce``, ``simulate --horizon 0.5 --step
 0.01 --observable a:c1 --leak-threshold inf`` (its drive fills the top
 Fock levels) and ``verify --horizon 0.3 --step 0.01``.  The benchmark's
-shape, the same cascade at cutoff 13 (d = 196), runs ``simulate --horizon
-0.2 --step 0.04 --observable a:c1 --observable a:c2``: two observables on
-the space whose run hands its model over to the integrator and folds K in
-place, as the ``cascade_dense`` workload runs it.  Two netlists at
+shape, the same cascade at cutoff 13 (d = 196), runs ``reduce`` (its
+report densifies each CSR coefficient to print it), ``simulate --horizon
+0.2 --step 0.04 --observable a:c1 --observable a:c2`` (two observables on
+the space whose run hands its model over to the integrator and folds K,
+as the ``cascade_dense`` workload runs it) and ``verify --horizon 0.2
+--step 0.04`` (which validates the CSR triple and refuses it as open).  Two netlists at
 cutoff 2 reach the model rules' edges: two ``HAM`` components each
 within the default tolerance of self-adjoint, whose sum is not, run
 ``simulate --horizon 0.1 --step 0.01`` and ``verify --horizon 0.1 --step
@@ -142,8 +144,10 @@ def runs(tmp: Path) -> list[list[str]]:
             cli + ["verify", str(cascade), *grid]]
     cascade_d196 = tmp / "cascade_d196.slh"
     cascade_d196.write_text(CASCADE_D196)
-    out.append(cli + ["simulate", str(cascade_d196), *grid,
-                      "--observable", "a:c1", "--observable", "a:c2"])
+    out += [cli + ["reduce", str(cascade_d196)],
+            cli + ["simulate", str(cascade_d196), *grid,
+                   "--observable", "a:c1", "--observable", "a:c2"],
+            cli + ["verify", str(cascade_d196), *grid]]
     closed = tmp / "closed_d100.slh"
     closed.write_text(CLOSED)
     out += [cli + ["simulate", str(closed), *grid, "--observable", "a:c1"],
