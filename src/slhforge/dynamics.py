@@ -466,29 +466,37 @@ def _product(m) -> Callable[[np.ndarray, np.ndarray], None]:
     A dense m is ``np.dot`` with m bound, whatever its size: on the
     Schrödinger stage's matrix-vector product it makes matmul's BLAS call,
     and it measured no slower than ``np.matmul`` from d = 16 to 1024.  A
-    CSR m calls the kernel that
-    ``csr_array.__matmul__`` itself calls (:func:`_csr_accumulate`), which
-    accumulates into out, so out is zeroed first.
+    CSR m calls the kernel that ``csr_array.__matmul__`` itself calls
+    (:func:`_csr_accumulator`), which accumulates into out, so out is
+    zeroed first.
     """
     if isinstance(m, np.ndarray):
         return partial(np.dot, m)
+    accumulate = _csr_accumulator(m)
 
     def product(x, out):
         out.fill(0)
-        _csr_accumulate(m, x, out)
+        accumulate(x, out)
     return product
 
 
-def _csr_accumulate(m, x: np.ndarray, out: np.ndarray) -> None:
-    """out += m @ x with scipy's own ``csr_matvec`` or ``csr_matvecs``."""
-    from scipy.sparse import _sparsetools
+def _csr_accumulator(m, data=None) -> Callable[[np.ndarray, np.ndarray], None]:
+    """A callable ``(x, out)`` doing out += m @ x, for a C-ordered vector or
+    matrix x and a C-ordered out, with scipy's own ``csr_matvec`` or
+    ``csr_matvecs``, bound here once.  ``data`` stands in for m's values
+    on m's pattern when given; the callable reads m's arrays, or data, as
+    they are at each call."""
+    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
     n_row, n_col = m.shape
-    if x.ndim == 1:
-        _sparsetools.csr_matvec(n_row, n_col, m.indptr, m.indices, m.data, x, out)
-    else:
-        _sparsetools.csr_matvecs(n_row, n_col, x.shape[1], m.indptr, m.indices, m.data,
-                                 x.ravel(), out.ravel())
+    pattern = (m.indptr, m.indices, m.data if data is None else data)
+
+    def accumulate(x, out):
+        if x.ndim == 1:
+            csr_matvec(n_row, n_col, *pattern, x, out)
+        else:
+            csr_matvecs(n_row, n_col, x.shape[1], *pattern, x.ravel(), out.ravel())
+    return accumulate
 
 
 def _readers(observables: Mapping[str, Operator] | None, pure: bool) -> dict[str, Callable]:
@@ -567,8 +575,11 @@ def _rk4(
     order, so a state agrees with the written-out combination to
     rounding, not bit for bit.  Each full ring, and the last part of one,
     is diagnosed and read as one block (:func:`_diagnose`).  Stored
-    states are copies, and so is the result's ``final``, so a kept result
-    holds one state, not the slopes.
+    states are copies.  The result's ``final`` is the stage-input buffer,
+    which the last state is copied into once the last block has passed
+    its check, when the stage input, and at B = 1 the ring, are dead; so
+    a kept result holds one state, not the slopes, and the run allocates
+    no state for it.
 
     The first grid point of a block with a non-finite diagnostic, drift
     beyond ``drift_tol`` or leak beyond ``leak_threshold`` (None only
@@ -661,7 +672,10 @@ def _rk4(
             if slot == B - 1 or k == n_steps - 2:
                 check(k + 1 - slot, ring[:slot + 1])
 
-    return SimulationResult(times, expect, drift, pur, leak, states, y.copy())
+    # the stage input, and at B = 1 the ring, are dead once the last check
+    # has passed, so the final state is copied into that buffer
+    np.copyto(ys, y)
+    return SimulationResult(times, expect, drift, pur, leak, states, ys)
 
 
 def _lindblad_polys(g: SLHTriple) -> list[OpPolynomial]:
@@ -712,29 +726,32 @@ def _compiled_lindblad(
     (:func:`_lindblad_polys`) and lets go of the triple, K and the
     couplings once they are compiled, so when the caller has handed over
     its only reference to g, the compiled values are all that is left of
-    the model.  The conjugates M̄ (M = K, L₁…L_c) are stacked as the
-    blocks of one operator S̄ that the values rewrite with themselves
-    (:meth:`_Compiled.conjugate_into`), so every right product ρM† of a
-    stage is a block of one product with S̄.  out is never zeroed.
+    the model.  The values rewrite their conjugates M̄ (M = K, L₁…L_c)
+    with themselves (:meth:`_Compiled.conjugate_into`), so each right
+    product ρM† of a stage is read from a product with M̄.  out is never
+    zeroed.
 
-    - Dense: S̄ is an (n, d, d) stack multiplied as the batch ρM̄ᵢᵀ, which
-      BLAS reads without a copy, into C-ordered products (one value takes
-      the plain 2-D product, which skips the batch loop).  out ← Kρ, then
-      out += ρK†, so a closed triple rounds only the two products and
-      their sum; each Lᵢ(ρLᵢ†) goes through the scratch matrix.  The 2-D
-      products (ρK̄ᵀ when n = 1, Kρ and each Lᵢ(ρLᵢ†)) take the entry
-      point of :func:`_blas_entry`, ``np.dot`` up to d = 22; the batch is
-      ``np.matmul``.
-    - CSR: S̄ is the (n·d, d) row stack, multiplied as S̄ρᵀ, since the
-      kernel (:func:`_csr_accumulate`) multiplies only into the rows of a
-      C-ordered operand: ρᵀ is copied to the scratch matrix, and the
-      transpose of the i-th block of rows is ρMᵢ†.  out ← ρK†, and the
-      kernel accumulates Kρ and each Lᵢ(ρLᵢ†), read from a scratch copy,
-      onto it entry by entry.
+    - Dense: the M̄ are the blocks of one (n, d, d) stack S̄, multiplied as
+      the batch ρM̄ᵢᵀ, which BLAS reads without a copy, into C-ordered
+      products (one value takes the plain 2-D product, which skips the
+      batch loop).  out ← Kρ, then out += ρK†, so a closed triple rounds
+      only the two products and their sum; each Lᵢ(ρLᵢ†) goes through the
+      scratch matrix.  The 2-D products (ρK̄ᵀ when n = 1, Kρ and each
+      Lᵢ(ρLᵢ†)) take the entry point of :func:`_blas_entry`, ``np.dot``
+      up to d = 22; the batch is ``np.matmul``.
+    - CSR: each M̄ holds its conjugate entries on M's pattern, and each
+      product is the kernel of :func:`_csr_accumulator`, which multiplies
+      only into the rows of a C-ordered operand.  So ρᵀ is copied to the
+      scratch matrix, and each M̄ρᵀ, whose transpose is ρM†, is formed in
+      turn in one block buffer from zero.  out ← ρK†, and the kernel
+      accumulates Kρ onto it, then each Lᵢ(ρLᵢ†), entry by entry; ρLᵢ† is
+      copied out of the block into a third buffer, except for the last
+      coupling's, which overwrites ρᵀ.  So the stage holds two d×d buffers,
+      and three from two live couplings on.
 
-    The stack, its products and the scratch matrix are allocated once per
-    run, after the model is let go, so a stage allocates nothing and they
-    never sit beside the dense triple or K.
+    The stage's buffers are allocated once per run, after the model is
+    let go, so a stage allocates nothing and they never sit beside the
+    dense triple or K.
     """
 
     model = [g]  # the triple's one reference here, which rhs takes
@@ -764,25 +781,27 @@ def _compiled_lindblad(
                     out += scratch
             return compiled.rewrite, dense
 
-        from scipy import sparse
-
-        stack = sparse.vstack(compiled.values, format="csr")  # keeps explicit zeros
-        offsets = np.cumsum([0] + [m.nnz for m in compiled.values])
-        compiled.conjugate_into([stack.data[o:o + m.nnz]
-                                 for m, o in zip(compiled.values, offsets)])
-        products = np.empty((n * d, d), dtype=complex)
-        K_right, *rights = (products[i * d:(i + 1) * d].T for i in range(n))
-        couplings = list(zip(Ls, rights))
+        conjugates = [np.empty_like(m.data) for m in compiled.values]
+        compiled.conjugate_into(conjugates)
+        K_bar, *L_bars = map(_csr_accumulator, compiled.values, conjugates)
+        K_times, *L_times = map(_csr_accumulator, compiled.values)
+        block = np.empty((d, d), dtype=complex)
+        # each ρLᵢ† is written to a third buffer, but the last coupling's
+        # overwrites ρᵀ, which nothing reads after it
+        spare = np.empty((d, d), dtype=complex) if len(Ls) > 1 else None
+        couplings = list(zip(L_bars, L_times, [spare] * (len(Ls) - 1) + [scratch]))
 
         def csr(rho, out):
             np.copyto(scratch, rho.T)
-            products.fill(0)
-            _csr_accumulate(stack, scratch, products)
-            np.copyto(out, K_right)
-            _csr_accumulate(Km, rho, out)
-            for L, L_right in couplings:
-                np.copyto(scratch, L_right)
-                _csr_accumulate(L, scratch, out)
+            block.fill(0)
+            K_bar(scratch, block)
+            np.copyto(out, block.T)
+            K_times(rho, out)
+            for L_bar, L, right in couplings:
+                block.fill(0)
+                L_bar(scratch, block)
+                np.copyto(right, block.T)
+                L(right, out)
         return compiled.rewrite, csr
 
     return rhs
@@ -826,7 +845,9 @@ def integrate_master(
     stacked once, each on its union nonzero pattern, all CSR or all dense
     by the rule of :func:`_compile`, and the stage of that format computes
     Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†), the map of :func:`lindblad_rhs`, with every
-    right product ρM† taken from one stacked product.  ρ is always dense.
+    right product ρM† taken from a product with the conjugate M̄: one
+    stacked product when dense, one block at a time when CSR.  ρ is always
+    dense.
     ``rho0`` is a QuantumState, whose density matrix starts the run, or a
     (d, d) array with finite entries, which may be mixed; any other shape
     is a ValueError (:func:`_initial`).  The run aborts (IntegrationError)

@@ -589,20 +589,36 @@ network closed = H0 <| P <| R <| G <| R <| M <| G
 """
 
 
+# a complex two-channel T around a two-channel coupling and an adder, on
+# two modes at cutoff 9: an open run with two live couplings
+MIX_D100 = """\
+space fock(cutoff=9) as c1
+space fock(cutoff=9) as c2
+signal u = gaussian_pulse(amplitude=(0.4 + 0.1i), center=0.1, width=0.1)
+component X = BS(T=[[0.955336489125606, 0.29552020666133955i], [0.29552020666133955i, 0.955336489125606]])
+component G = SYS(L=[sqrt(0.4) * a(c1), sqrt(0.3) * a(c2)])
+component A = ADD(u=[u, 0.5 * u])
+network mix = X <| G <| A <| X
+"""
+
+
 @pytest.mark.parametrize("text, d, argv, code, arrays", [
-    (CASCADE_D196, 196, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 10.5),
+    (CASCADE_D196, 196, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 8.5),
     (CASCADE_D196, 196, ["verify"], 3, 0.5),  # the cascade stays open, so only the reduction runs
     (CLOSED_D100, 100, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 1.25),
-], ids=["simulate", "verify", "simulate_closed_d100"])
+    (MIX_D100, 100, ["simulate", "--observable", "a:c1"], 0, 10.25),
+], ids=["simulate", "verify", "simulate_closed_d100", "simulate_two_channel_d100"])
 def test_a_run_holds_at_most_its_integration_arrays(text, d, argv, code, arrays, netlist,
                                                     tmp_path):
     # from d = 100 on, the reduction, the fold of K and the observables are
-    # CSR, so no dense d×d array exists before the integration: the
-    # cascade's master run peaks at its RK4 workspace and stage buffers
-    # (10.27 arrays measured; it was 14.1 with dense coefficients), and
-    # verify, which refuses the open cascade before integrating, at 0.20.
-    # A closed run holds states of d entries, so its peak is the CSR model
-    # and the compile's tables (0.95 arrays at d = 100)
+    # CSR, so no dense d×d array exists before the integration: a master
+    # run peaks at its RK4 workspace (the state, four slopes and the stage
+    # input, which becomes the final state) and its stage's buffers, ρᵀ
+    # and one product block, plus a third for ρLᵢ† from two live couplings
+    # on: 8.27 arrays measured on the cascade and 9.87 on the two-channel
+    # run.  verify, which refuses the open cascade before integrating,
+    # peaks at 0.20.  A closed run holds states of d entries, so its peak
+    # is the CSR model and the compile's tables (0.95 arrays at d = 100)
     argv = [argv[0], netlist(text), "--horizon", "0.08", "--step", "0.04",
             "-o", str(tmp_path / "out"), *argv[1:]]
     assert main(argv) == code  # untraced, so the import of scipy.sparse is not counted

@@ -23,7 +23,9 @@ corpus scatters only by ±1, 0 and the swap, so a third netlist puts a
 complex two-channel T around a two-channel ``SYS`` and an ``ADD`` on two
 modes at cutoff 2; it runs ``reduce``, ``simulate --horizon 0.5 --step
 0.01 --observable a:c1 --leak-threshold inf`` (its drive fills the top
-Fock levels) and ``verify --horizon 0.3 --step 0.01``.  The benchmark's
+Fock levels) and ``verify --horizon 0.3 --step 0.01``; the same netlist at
+cutoff 9 (d = 100) runs ``simulate --horizon 0.2 --step 0.04 --observable
+a:c1``, the CSR master stage with two live couplings.  The benchmark's
 shape, the same cascade at cutoff 13 (d = 196), runs ``reduce`` (its
 report densifies each CSR coefficient to print it), ``simulate --horizon
 0.2 --step 0.04 --observable a:c1 --observable a:c2`` (two observables on
@@ -100,6 +102,9 @@ component A = ADD(u=[u, 0.5 * u])
 network mix = X <| G <| A <| X
 """
 
+# the same at cutoff 9: d = 100, so its master run is CSR with two couplings
+COMPLEX_T_D100 = COMPLEX_T.replace("cutoff=2", "cutoff=9")
+
 
 # each HAM is 8e-11 from self-adjoint, within the default 1e-10; their
 # sum is 1.6e-10 from it
@@ -121,8 +126,8 @@ network m = P <| M
 
 def runs(tmp: Path) -> list[list[str]]:
     """Each run's argv, relative to the tree's root; the d = 100 and
-    d = 196, the complex-T and the two cutoff-2 netlists are written to
-    ``tmp``."""
+    d = 196, the two complex-T and the two cutoff-2 netlists are written
+    to ``tmp``."""
     cli = [sys.executable, "-m", "slhforge.cli"]
     out = []
     for path in sorted((ROOT / "tests" / "netlists").glob("*.slh")):
@@ -158,6 +163,9 @@ def runs(tmp: Path) -> list[list[str]]:
             cli + ["simulate", str(mix), "--horizon", "0.5", "--step", "0.01",
                    "--observable", "a:c1", "--leak-threshold", "inf"],
             cli + ["verify", str(mix), "--horizon", "0.3", "--step", "0.01"]]
+    mix_d100 = tmp / "complex_t_d100.slh"
+    mix_d100.write_text(COMPLEX_T_D100)
+    out.append(cli + ["simulate", str(mix_d100), *grid, "--observable", "a:c1"])
     hams = tmp / "two_hams.slh"
     hams.write_text(TWO_HAMS)
     short = ["--horizon", "0.1", "--step", "0.01"]
