@@ -4,10 +4,12 @@ Reports are deterministic: fixed field order and every float rendered
 with %.12e, so golden files diff cleanly.
 
 Exit codes: 0 ok, 1 parse or file I/O error, 2 reduction error or bad
-argument, 3 validation or verification failure, 4 integration abort.
+argument, 3 validation or verification failure, 4 integration abort,
+130 interrupted (128 + SIGINT, the status a shell reports).
 Commands return 0, or 3 once their report shows the failure, and raise
 every other failure; ``FAILURES`` is the one table in which ``main``
-turns each exception into its exit code and its one stderr line.
+turns each exception into its exit code and its one stderr line.  An
+interrupt (Ctrl-C) prints the one line ``interrupted``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ EXIT_PARSE = 1
 EXIT_REDUCE = 2
 EXIT_VALIDATE = 3
 EXIT_DYNAMICS = 4
+EXIT_INTERRUPT = 130  # 128 + SIGINT
 
 #: Most steps a time grid may have.  The grid, the per-step diagnostics
 #: and the table of signal samples at the RK4 stage times all grow
@@ -440,6 +443,9 @@ def main(argv=None) -> int:
         code, prefix = next(FAILURES[k] for k in type(exc).__mro__ if k in FAILURES)
         print(f"{prefix}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
+    except KeyboardInterrupt:  # not an Exception, so no entry of FAILURES
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 if __name__ == "__main__":  # pragma: no cover

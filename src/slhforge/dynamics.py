@@ -54,12 +54,17 @@ rounding, not bit for bit.
 
 At d = 16 a product costs a few µs, of which numpy's dispatch is a
 large part.  So a BLAS product or contraction that writes at most
-8 KiB, as much as one state in a full ring, goes through ``np.dot``,
-which makes the same BLAS call as ``np.matmul`` with less dispatch;
-larger ones, batched or strided operands and one-monomial rewrites
-stay on ``np.matmul`` (:func:`_blas_entry`).  The Schrödinger stage's
-matrix-vector product takes ``np.dot`` at any size (:func:`_product`).
-Either entry point writes the same bits, so the choice moves no output.
+8 KiB, as much as one state in a full ring, goes through ``np.dot``'s
+C function, which makes the same BLAS call as ``np.matmul`` with less
+dispatch; larger ones, batched or strided operands and one-monomial
+rewrites stay on ``np.matmul`` (:func:`_blas_entry`).  The Schrödinger
+stage's matrix-vector product takes ``np.dot`` at any size
+(:func:`_product`).  Either entry point writes the same bits, so the
+choice moves no output.  For the same reason the step loop has nothing
+between its BLAS calls that a run can do once: it writes the RK4
+coefficients only when the step changes, and each run binds its
+callables, its ring slots and one stage-value rewrite closure
+(:meth:`_Compiled.rewriter`) before the loop.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .hilbert import (DEFAULT_TOL, FOCK, SPARSE_MIN_DIM, HilbertSpace, Operator, _add_into,
-                      _dense, _entries, _map_into, _nonzero)
+                      _conj_transpose, _dense, _entries, _map_into, _max_abs, _nonzero)
 from .network import SLHTriple
 from .signals import Bindings, OpPolynomial
 
@@ -86,6 +91,12 @@ DEFAULT_LEAK_THRESHOLD = 1e-6
 # 100…400 the fill at which dense wins again measured 7–12% of the matrix
 # across runs (CHANGES.md); SPARSE_MAX_FILL stays below it.
 SPARSE_MAX_FILL = 1 / 16
+
+# np.dot's and np.copyto's own C functions, without the Python dispatcher
+# of ``__array_function__`` in front of each (0.15–0.5 µs a call): the
+# same BLAS call and copy, on the plain ndarrays a run passes them
+_dot = getattr(np.dot, "_implementation", np.dot)
+_copyto = getattr(np.copyto, "_implementation", np.copyto)
 
 
 class IntegrationError(RuntimeError):
@@ -350,10 +361,33 @@ class _Compiled:
                          for i, contract, vals, stack, entries, _ in self._updates]
 
     def rewrite(self, i: int) -> None:
-        for _, contract, vals, stack, entries, conjugate in self._updates:
+        self.rewriter()(i)
+
+    def rewriter(self) -> Callable[[int], None]:
+        """``rewrite`` as one closure over the updates as they are now, so
+        after :meth:`conjugate_into`, with nothing looked up at a call: in
+        order, each update's contraction, then its conjugate's
+        ``np.conjugate`` when it has one.  A run takes it once and calls it
+        at every stage time; one update is called without a loop."""
+        updates = tuple(self._updates)
+        conj = np.conjugate
+        if len(updates) != 1:
+            def rewrite(i):
+                for _, contract, vals, stack, entries, conjugate in updates:
+                    contract(vals[i], stack, out=entries)
+                    if conjugate is not None:
+                        conj(entries, out=conjugate)
+            return rewrite
+        (_, contract, vals, stack, entries, conjugate), = updates
+        if conjugate is None:
+            def rewrite_one(i):
+                contract(vals[i], stack, out=entries)
+            return rewrite_one
+
+        def rewrite_both(i):
             contract(vals[i], stack, out=entries)
-            if conjugate is not None:
-                np.conjugate(entries, out=conjugate)
+            conj(entries, out=conjugate)
+        return rewrite_both
 
 
 def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
@@ -442,9 +476,9 @@ def _ring_size(nbytes: int) -> int:
 
 def _blas_entry(nbytes: int) -> Callable:
     """The numpy entry point of a BLAS product that writes ``nbytes``:
-    ``np.dot`` when that is no more than a state that fills the whole ring
-    (:func:`_ring_size`; 8 KiB, a density matrix up to d = 22), else
-    ``np.matmul``.
+    ``np.dot``'s C function (``_dot``) when that is no more than a state
+    that fills the whole ring (:func:`_ring_size`; 8 KiB, a density matrix
+    up to d = 22), else ``np.matmul``.
 
     On C-ordered operands, and on a transposed one, both make the same BLAS
     call and write the same bits.  np.dot skips the gufunc's dispatch,
@@ -454,7 +488,7 @@ def _blas_entry(nbytes: int) -> Callable:
     state that size.  It also copies a strided operand, so callers pass
     it only C-ordered and transposed arrays.
     """
-    return np.dot if _ring_size(nbytes) == 32 else np.matmul
+    return _dot if _ring_size(nbytes) == 32 else np.matmul
 
 
 def _product(m) -> Callable[[np.ndarray, np.ndarray], None]:
@@ -463,7 +497,7 @@ def _product(m) -> Callable[[np.ndarray, np.ndarray], None]:
     writing m @ x, bitwise, for a dense C-ordered vector or matrix x into
     the C-ordered buffer out.
 
-    A dense m is ``np.dot`` with m bound, whatever its size: on the
+    A dense m is ``np.dot`` (``_dot``) with m bound, whatever its size: on the
     Schrödinger stage's matrix-vector product it makes matmul's BLAS call,
     and it measured no slower than ``np.matmul`` from d = 16 to 1024.  A
     CSR m calls the kernel that ``csr_array.__matmul__`` itself calls
@@ -471,7 +505,7 @@ def _product(m) -> Callable[[np.ndarray, np.ndarray], None]:
     zeroed first.
     """
     if isinstance(m, np.ndarray):
-        return partial(np.dot, m)
+        return partial(_dot, m)
     accumulate = _csr_accumulator(m)
 
     def product(x, out):
@@ -546,7 +580,10 @@ def _rk4(
     ``rewrite(i)`` moves it to ``half[i]``, and ``f(y, out)`` writes dy/dt
     there into out, which is never y.  Step k computes k1 at 2k, rewrites
     at 2k + 1 for k2 and k3 and at 2k + 2 for k4 and the next k1, so each
-    stage time is sampled and rewritten once.  ``readers`` maps each
+    stage time is sampled and rewritten once.  The integrators' ``rhs``
+    returns :meth:`_Compiled.rewriter`, one closure over the compiled
+    updates, so a rewrite makes its contractions and conjugates with no
+    lookup or loop around them.  ``readers`` maps each
     observable's name to its reader on its nonzero pattern
     (:func:`_readers`), which the integrators build, so no dense
     observable reaches the run.
@@ -564,22 +601,27 @@ def _rk4(
     is one real contraction over the float view of some of those rows:
     (1, c) over rows (0, j) for the stage inputs y + (h/2)·k1,
     y + (h/2)·k2 and y + h·k3, and (1, h/6, h/3, h/3, h/6) over all five
-    for the update, which is
-    written straight into the ring's next slot and copied from there into
-    row 0; at B = 1 the ring is a view of the stage input.  The
+    for the update.  The coefficients are written from hₖ only at a step
+    whose hₖ differs from the last one written; an equal hₖ would write
+    the same bits.  The update is written straight into the ring's next
+    slot and copied from there into row 0; at B = 1 the ring is a view of
+    the stage input.  The
     contiguous contractions, over rows (0, 1) and over all five, go
     through ``np.dot`` when B = 32 (:func:`_blas_entry`) and through
     ``np.matmul`` otherwise; rows (0, 2) and (0, 3) are strided, which
     np.dot would copy, so they always take ``np.matmul``.  Both make one
     BLAS call with the same bits, which sums each contraction in its own
     order, so a state agrees with the written-out combination to
-    rounding, not bit for bit.  Each full ring, and the last part of one,
-    is diagnosed and read as one block (:func:`_diagnose`).  Stored
-    states are copies.  The result's ``final`` is the stage-input buffer,
-    which the last state is copied into once the last block has passed
-    its check, when the stage input, and at B = 1 the ring, are dead; so
-    a kept result holds one state, not the slopes, and the run allocates
-    no state for it.
+    rounding, not bit for bit.  The entry points, the ring's slots (each
+    as a state and as the floats the update writes) and the last step's
+    index are bound before the loop, and grid point 0 goes into the ring
+    there, so the loop makes its calls in order with little else.  Each
+    full ring, and the last part of one, is diagnosed and read as one
+    block (:func:`_diagnose`).  Stored states are copies.  The result's
+    ``final`` is the stage-input buffer, which the last state is copied
+    into once the last block has passed its check, when the stage input,
+    and at B = 1 the ring, are dead; so a kept result holds one state,
+    not the slopes, and the run allocates no state for it.
 
     The first grid point of a block with a non-finite diagnostic, drift
     beyond ``drift_tol`` or leak beyond ``leak_threshold`` (None only
@@ -646,30 +688,36 @@ def _rk4(
         # a view of the stage input, which the update overwrites anyway
         B = _ring_size(y.nbytes)
         ring = np.empty((B,) + y.shape, dtype=complex) if B > 1 else ys[None]
-        slots = list(ring.reshape(B, -1).view(float))
+        # each slot as the state it holds and as the floats the update writes
+        slots = list(zip(ring, ring.reshape(B, -1).view(float)))
         # rows (0, 2) and (0, 3) are strided, which np.dot would copy
-        contract = _blas_entry(y.nbytes)
-        for k in range(-1, n_steps - 1):  # step k takes y to grid point k + 1
-            slot = (k + 1) % B
-            if k < 0:
-                ring[0] = y
-            else:
-                hk = h[k]
+        contract, matmul, copyto = _blas_entry(y.nbytes), np.matmul, _copyto
+        ring[0] = y
+        last = n_steps - 2
+        if B == 1 or last < 0:
+            check(0, ring[:1])
+        h_written = None
+        for k in range(n_steps - 1):  # step k takes y to grid point k + 1
+            hk = h[k]
+            if hk != h_written:  # the same hₖ writes the same coefficients
+                h_written = hk
                 c_half[1], c_full[1] = 0.5 * hk, hk
                 c_step[1] = c_step[4] = hk / 6.0
                 c_step[2] = c_step[3] = hk / 3.0
-                f(y, k1)
-                contract(c_half, y_k1, out=ys_flat)
-                rewrite(2 * k + 1)
-                f(ys, k2)
-                np.matmul(c_half, y_k2, out=ys_flat)
-                f(ys, k3)
-                np.matmul(c_full, y_k3, out=ys_flat)
-                rewrite(2 * k + 2)
-                f(ys, k4)
-                contract(c_step, rows, out=slots[slot])
-                np.copyto(y, ring[slot])
-            if slot == B - 1 or k == n_steps - 2:
+            f(y, k1)
+            contract(c_half, y_k1, out=ys_flat)
+            rewrite(2 * k + 1)
+            f(ys, k2)
+            matmul(c_half, y_k2, out=ys_flat)
+            f(ys, k3)
+            matmul(c_full, y_k3, out=ys_flat)
+            rewrite(2 * k + 2)
+            f(ys, k4)
+            slot = (k + 1) % B
+            state, update = slots[slot]
+            contract(c_step, rows, out=update)
+            copyto(y, state)
+            if slot == B - 1 or k == last:
                 check(k + 1 - slot, ring[:slot + 1])
 
     # the stage input, and at B = 1 the ring, are dead once the last check
@@ -771,6 +819,13 @@ def _compiled_lindblad(
             right_product, right, into = ((dot, stack[0].T, products[0]) if n == 1
                                           else (np.matmul, stack.transpose(0, 2, 1), products))
             K_right, couplings = products[0], list(zip(Ls, products[1:]))
+            rewrite = compiled.rewriter()
+            if not couplings:  # a closed triple: Kρ + ρK† alone
+                def closed(rho, out):
+                    right_product(rho, right, out=into)
+                    dot(Km, rho, out=out)
+                    out += K_right
+                return rewrite, closed
 
             def dense(rho, out):
                 right_product(rho, right, out=into)
@@ -779,7 +834,7 @@ def _compiled_lindblad(
                 for L, L_right in couplings:
                     dot(L, L_right, out=scratch)
                     out += scratch
-            return compiled.rewrite, dense
+            return rewrite, dense
 
         conjugates = [np.empty_like(m.data) for m in compiled.values]
         compiled.conjugate_into(conjugates)
@@ -802,7 +857,7 @@ def _compiled_lindblad(
                 L_bar(scratch, block)
                 np.copyto(right, block.T)
                 L(right, out)
-        return compiled.rewrite, csr
+        return compiled.rewriter(), csr
 
     return rhs
 
@@ -870,6 +925,19 @@ def integrate_master(
                 store_states, trace_tol, leak_threshold)
 
 
+def _adjoint_gap(H: OpPolynomial) -> float:
+    """``H.dagger().max_coeff_diff(H)``, the same value, without building
+    H†: at each monomial m of H, the largest |entry| of c(m†)† − c(m), or
+    of c(m) when m† has no coefficient.  A monomial of H† that H lacks is
+    such an m† and has the gap of its m (|conj z| = |z|), and so does m†
+    when both are in H, since a − b = −(b − a) in floating point."""
+    gaps = []
+    for mono, c in H.terms.items():
+        partner = H.terms.get(mono.dagger())
+        gaps.append(_max_abs(c if partner is None else _conj_transpose(partner) - c))
+    return float(np.max(gaps, initial=0.0))
+
+
 def integrate_schrodinger(
     H: OpPolynomial,
     psi0: QuantumState | np.ndarray,
@@ -894,7 +962,7 @@ def integrate_schrodinger(
     observables are let go once they are compiled, so an H whose only
     reference the caller handed over is freed before -iH is stacked.
     """
-    if not H.dagger().approx_equal(H, DEFAULT_TOL):
+    if not _adjoint_gap(H) <= DEFAULT_TOL:  # NaN fails
         raise ValueError("H is not formally self-adjoint")
     space, psi = H.space, _initial(psi0, H.space, pure=True)
     readers = _readers(observables, pure=True)
@@ -904,7 +972,7 @@ def integrate_schrodinger(
     def rhs(half):
         # H goes once -iH is formed, and -iH with the list once it is compiled
         compiled = _compile([model.pop().scale(-1j)], bindings, half)
-        return compiled.rewrite, _product(compiled.values[0])
+        return compiled.rewriter(), _product(compiled.values[0])
 
     return _rk4(rhs, psi, times, space, readers, store_states, norm_tol, leak_threshold)
 

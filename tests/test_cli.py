@@ -437,6 +437,21 @@ def test_out_of_memory_exits_2_with_one_line(fail, line, monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--horizon", "0.1"], ["verify"]],
+                         ids=["simulate", "verify"])
+def test_an_interrupt_exits_130_with_one_line(argv, monkeypatch, capsys):
+    def interrupt(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_load_reduced", interrupt)
+    rc = main([argv[0], str(NETLISTS / "cavity.slh"), *argv[1:]])
+    assert rc == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted\n"
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [["reduce"], ["simulate", "--horizon", "0.1"], ["verify"]],
                          ids=["reduce", "simulate", "verify"])
 def test_ham_without_channels_exits_2_at_its_component(argv, netlist, capsys):

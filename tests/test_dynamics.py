@@ -270,6 +270,24 @@ def test_schrodinger_rejects_bad_input(rng):
         integrate_schrodinger(good, vac, [0.1, 0.0])
 
 
+@pytest.mark.parametrize("two_mode", [False, True], ids=["dense", "d121_csr"])
+def test_the_self_adjointness_check_reads_the_distance_to_the_dagger(rng, two_mode):
+    # integrate_schrodinger reads H's distance to H† without building H†;
+    # it is max_coeff_diff's value on H's monomials paired or not, and NaN
+    g, _ = _reference_case(rng, "signals_2ch", two_mode)
+    sp, d = g.space, g.space.total_dim
+    u = OpPolynomial.of_signal(sp, "u")
+    X = OpPolynomial.constant(Operator(sp, random_matrix(rng, d)))
+    nan = np.zeros((d, d), dtype=complex)
+    nan[0, 1] = np.nan
+    polys = [g.H, g.H + (u * X).scale(1e-3), g.L[0], X, OpPolynomial.zero(sp),
+             g.H + OpPolynomial.constant(Operator(sp, nan))]
+    gaps = [dynamics._adjoint_gap(H) for H in polys]
+    want = [H.dagger().max_coeff_diff(H) for H in polys]
+    assert np.array(gaps).tobytes() == np.array(want).tobytes()
+    assert gaps[0] == 0.0 and all(gap > 0.0 for gap in gaps[1:4]) and math.isnan(gaps[-1])
+
+
 @pytest.mark.parametrize("integrate, state, message", [
     (integrate_schrodinger, np.diag([1.0, 0, 0, 0, 0]),
      r"^Schrodinger integration needs a pure state of shape \(5,\), got one of shape \(5, 5\)$"),
@@ -697,18 +715,27 @@ def test_compiled_integrators_match_the_reference(rng, case):
     times = np.linspace(0.0, 0.05, 11) if two_mode else np.linspace(0.0, 0.2, 21)
     assert sparse.issparse(_values_at([g.H], binds, times[0])[0]) == two_mode
     rho0 = random_density(rng, d)
-    # drift is checked elsewhere; here only agreement with the reference counts
-    res = integrate_master(g, rho0, times, binds, store_states=True, trace_tol=1.0,
-                           leak_threshold=None)
-    want = _classic_rk4(lambda rho, t: lindblad_rhs(rho, g, t, binds), rho0, times)
-    assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
-
     psi0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     psi0 /= np.linalg.norm(psi0)
-    res = integrate_schrodinger(g.H, psi0, times, binds, store_states=True, norm_tol=1.0,
-                                leak_threshold=None)
-    want = _classic_rk4(lambda psi, t: -1j * g.H.evaluate(t, binds).matrix @ psi, psi0, times)
-    assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
+    # a grid whose steps differ, cumulative sums of h·U(0.5, 1.5) inside the
+    # same horizon (a sampled table ends there), so the RK4 coefficients
+    # change at every step, as they do not on a linspace grid
+    n = times.size - 1
+    h = times[-1] / (1.5 * n)
+    unequal = np.concatenate([[0.0], np.cumsum(h * rng.uniform(0.5, 1.5, n))])
+    assert np.ptp(np.diff(unequal)) > 0.1 * h
+    for grid in (times, unequal):
+        # drift is checked elsewhere; here only agreement with the reference counts
+        res = integrate_master(g, rho0, grid, binds, store_states=True, trace_tol=1.0,
+                               leak_threshold=None)
+        want = _classic_rk4(lambda rho, t: lindblad_rhs(rho, g, t, binds), rho0, grid)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
+
+        res = integrate_schrodinger(g.H, psi0, grid, binds, store_states=True, norm_tol=1.0,
+                                    leak_threshold=None)
+        want = _classic_rk4(lambda psi, t: -1j * g.H.evaluate(t, binds).matrix @ psi, psi0,
+                            grid)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
 
 
 def _K_by_the_algebra(g):

@@ -10,7 +10,13 @@ three more times: with ``--observable a``, with ``--initial fock:1
 adag``.  The last two start with population near the corpus cutoffs, so
 they pass ``--leak-threshold inf``: the leak column records the
 truncation leak instead of aborting the run, and the ``n`` and ``adag``
-columns get compared.  The corpus stays below d = 100, so the tool also
+columns get compared.  Below d = 23 a run diagnoses its states in
+blocks of 32 (``dynamics._ring_size``), so ``simulate --step 0.01`` runs
+at horizons 0.31, 0.32 and 0.33 (32 grid points, a full block, then one
+and two past it) on ``cavity.slh``, a master run, from vacuum with
+``--observable a`` and from ``--initial coherent:0.3,0.1`` with
+``--observable a --leak-threshold inf``, and on ``cancel_chain.slh``, a
+Schrödinger run.  The corpus stays below d = 100, so the tool also
 writes two netlists on two modes at cutoff 9 (d = 100, the smallest space
 stored as CSR, so its reduction, K fold, observables and generator run
 on CSR matrices) to a temporary directory.  The open two-cavity cascade runs ``reduce``,
@@ -141,6 +147,15 @@ def runs(tmp: Path) -> list[list[str]]:
                     leaky + ["--initial", "fock:1", "--observable", "n"],
                     leaky + ["--initial", "coherent:0.3,0.1", "--observable", "adag"]]
         out.append(cli + ["verify", name, "--horizon", "0.3", "--step", "0.01"])
+    # below d = 23 the ring holds 32 states: 32 grid points fill it, 33
+    # and 34 run one and two past it
+    cavity, chain = (str(Path("tests", "netlists", f)) for f in ("cavity.slh", "cancel_chain.slh"))
+    for horizon in ("0.31", "0.32", "0.33"):
+        edge = ["--horizon", horizon, "--step", "0.01"]
+        out += [cli + ["simulate", cavity, *edge, "--observable", "a"],
+                cli + ["simulate", cavity, *edge, "--initial", "coherent:0.3,0.1",
+                       "--observable", "a", "--leak-threshold", "inf"],
+                cli + ["simulate", chain, *edge]]
     cascade = tmp / "cascade_d100.slh"
     cascade.write_text(CASCADE)
     grid = ["--horizon", "0.2", "--step", "0.04"]
