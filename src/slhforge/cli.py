@@ -15,6 +15,7 @@ interrupt (Ctrl-C) prints the one line ``interrupted``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -391,7 +392,10 @@ def cmd_verify(args) -> int:
 # -- entry ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it
+    as it was (an appended option copies its default list first)."""
     parser = argparse.ArgumentParser(
         prog="slhforge",
         description="Compose and simulate quantum input-output networks from netlist files.",

@@ -267,7 +267,7 @@ class SimulationResult:
     final: np.ndarray | None = None
 
     def index_of(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
+        idx = int(np.abs(self.times - t).argmin())
         if abs(self.times[idx] - t) > 1e-9:
             raise ValueError(f"t={t} is not on the simulation grid")
         return idx
@@ -305,9 +305,13 @@ def _leak_masks(space: HilbertSpace) -> list[np.ndarray]:
     Factors with fewer than three levels carry no meaningful truncation
     signal and get no mask.
     """
-    levels = np.indices(space.dims).reshape(len(space.factors), -1)
-    return [levels[i] >= f.dim - 2 for i, f in enumerate(space.factors)
-            if f.kind == FOCK and f.dim >= 3]
+    masks = []
+    for i, f in enumerate(space.factors):
+        if f.kind == FOCK and f.dim >= 3:
+            mask = np.zeros(space.dims, dtype=bool)
+            mask[(slice(None),) * i + (slice(f.dim - 2, None),)] = True
+            masks.append(mask.reshape(-1))
+    return masks
 
 
 def _diagnose(masks: Sequence[np.ndarray], block: np.ndarray):
@@ -324,14 +328,14 @@ def _diagnose(masks: Sequence[np.ndarray], block: np.ndarray):
                        + np.matmul(im[:, None, :], im[:, :, None])).reshape(-1)
         drift, pur, probs = np.abs(norm - 1.0), np.ones(len(block)), np.abs(block) ** 2
     else:
-        drift = np.abs(np.trace(block, axis1=1, axis2=2).real - 1.0)
+        drift = np.abs(block.trace(0, 1, 2).real - 1.0)
         # tr(ρρ) without the product; equal for any ρ, Hermitian or not
         pur = np.einsum("kij,kji->k", block, block).real
-        probs = np.diagonal(block, axis1=1, axis2=2).real
+        probs = block.diagonal(0, 1, 2).real
     leak = np.zeros(len(block))
     for mask in masks:
         # summed along C-ordered rows, as the 1-d sum adds (probs[:, mask] is not)
-        value = np.compress(mask, probs, axis=1).sum(axis=1)
+        value = probs.compress(mask, axis=1).sum(axis=1)
         leak = np.where(np.isnan(value) | (value > leak), value, leak)
     return drift, pur, leak
 
@@ -449,7 +453,7 @@ def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
             entries = value.data
         else:
             coeffs = [_dense(c) for c in coeffs] or [np.zeros((d, d), dtype=complex)]
-            stack = np.stack(coeffs).reshape(len(coeffs), d * d)
+            stack = np.array(coeffs).reshape(len(coeffs), d * d)
             value = stack[0].reshape(d, d).copy()
             entries = value.reshape(-1)
         values.append(value)
@@ -575,6 +579,11 @@ def _rk4(
     density matrix (trace drift), recording the diagnostics and
     observables at every grid point.
 
+    ``times`` must be a 1-d grid of finite, strictly increasing times,
+    else a ValueError.  Its steps hₖ are one subtraction, which the check
+    reads and the run reuses; a NaN step fails the check, and so does an
+    infinite time, whose steps may all be positive.
+
     ``rhs(half)`` compiles the generator on the 2n − 1 stage times
     ``half`` = [t₀, t₀ + 0.5·h₀, t₁, …, tₙ₋₁] and returns ``(rewrite, f)``:
     ``rewrite(i)`` moves it to ``half[i]``, and ``f(y, out)`` writes dy/dt
@@ -595,20 +604,22 @@ def _rk4(
 
     The run's state and its four slopes are the rows (y, k1, k2, k3, k4)
     of one (5, …) buffer, allocated once with the stage input and a ring
-    of the last B = :func:`_ring_size` (y.nbytes) states, min(32, max(1,
-    256 KiB // y.nbytes)); the caller's y is copied into row 0 and never
-    written, and this frame drops it there.  Every RK4 linear combination
+    of the last B states: :func:`_ring_size` (y.nbytes), min(32, max(1,
+    256 KiB // y.nbytes)), or the grid's point count when that is less;
+    the caller's y is copied into row 0 and never written, and this frame
+    drops it there.  Every RK4 linear combination
     is one real contraction over the float view of some of those rows:
     (1, c) over rows (0, j) for the stage inputs y + (h/2)·k1,
     y + (h/2)·k2 and y + h·k3, and (1, h/6, h/3, h/3, h/6) over all five
-    for the update.  The coefficients are written from hₖ only at a step
+    for the update, three views of one buffer of nine.  The coefficients
+    are written from hₖ only at a step
     whose hₖ differs from the last one written; an equal hₖ would write
     the same bits.  The update is written straight into the ring's next
     slot and copied from there into row 0; at B = 1 the ring is a view of
     the stage input.  The
     contiguous contractions, over rows (0, 1) and over all five, go
-    through ``np.dot`` when B = 32 (:func:`_blas_entry`) and through
-    ``np.matmul`` otherwise; rows (0, 2) and (0, 3) are strided, which
+    through ``np.dot`` when :func:`_ring_size` is 32 (:func:`_blas_entry`)
+    and through ``np.matmul`` otherwise; rows (0, 2) and (0, 3) are strided, which
     np.dot would copy, so they always take ``np.matmul``.  Both make one
     BLAS call with the same bits, which sums each contraction in its own
     order, so a state agrees with the written-out combination to
@@ -629,7 +640,11 @@ def _rk4(
     with that point's time and value; the steps after it are discarded.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
+    if times.ndim != 1 or times.size < 1:
+        raise ValueError("times must be a strictly increasing 1-d grid")
+    h = times[1:] - times[:-1]  # np.diff's subtraction
+    # a NaN step fails h > 0; an infinite time, whose steps may all be positive, fails isfinite
+    if not (np.isfinite(times).all() and (h > 0).all()):
         raise ValueError("times must be a strictly increasing 1-d grid")
     pure = y.ndim == 1
     drift_message = "norm drift exceeds tolerance" if pure else "trace drift exceeds tolerance"
@@ -664,7 +679,6 @@ def _rk4(
                 raise IntegrationError(drift_message, t, d)
             raise IntegrationError("truncation leak exceeds threshold", t, lk)
 
-    h = np.diff(times)
     half = np.empty(2 * n_steps - 1)
     half[0::2], half[1::2] = times, times[:-1] + 0.5 * h
     # an overflow surfaces as a non-finite diagnostic, which check reports
@@ -682,11 +696,13 @@ def _rk4(
         y_k1, y_k2, y_k3 = rows[0:2], rows[0:3:2], rows[0:4:3]
         ys = np.empty_like(y)
         ys_flat = ys.reshape(-1).view(float)
-        c_half, c_full, c_step = np.ones(2), np.ones(2), np.ones(5)
+        coefficients = np.ones(9)
+        c_half, c_full, c_step = coefficients[:2], coefficients[2:4], coefficients[4:]
         # the last B states, diagnosed together; each step's update is
         # written into its slot and copied into row 0.  At B = 1 the ring is
-        # a view of the stage input, which the update overwrites anyway
-        B = _ring_size(y.nbytes)
+        # a view of the stage input, which the update overwrites anyway.  A
+        # grid shorter than the ring fills only its first slots
+        B = min(_ring_size(y.nbytes), n_steps)
         ring = np.empty((B,) + y.shape, dtype=complex) if B > 1 else ys[None]
         # each slot as the state it holds and as the floats the update writes
         slots = list(zip(ring, ring.reshape(B, -1).view(float)))
@@ -930,12 +946,18 @@ def _adjoint_gap(H: OpPolynomial) -> float:
     H†: at each monomial m of H, the largest |entry| of c(m†)† − c(m), or
     of c(m) when m† has no coefficient.  A monomial of H† that H lacks is
     such an m† and has the gap of its m (|conj z| = |z|), and so does m†
-    when both are in H, since a − b = −(b − a) in floating point."""
-    gaps = []
+    when both are in H, since a − b = −(b − a) in floating point.  So
+    each such pair is measured once, at whichever of the two comes first."""
+    gaps, measured = [], set()
     for mono, c in H.terms.items():
-        partner = H.terms.get(mono.dagger())
+        if mono in measured:
+            continue
+        dual = mono.dagger()
+        partner = H.terms.get(dual)
+        if partner is not None:
+            measured.add(dual)
         gaps.append(_max_abs(c if partner is None else _conj_transpose(partner) - c))
-    return float(np.max(gaps, initial=0.0))
+    return float(np.maximum.reduce(gaps, initial=0.0))  # np.max, NaN kept
 
 
 def integrate_schrodinger(
@@ -986,19 +1008,20 @@ def output_expectation(
     """Vacuum-input output-field expectations <b_out,i(t)> = <L_i(t)>.
 
     Scalar signal parts of L contribute additively; a pure signal adder
-    therefore returns the signal itself.
+    therefore returns the signal itself.  The stored states and the grid
+    point are checked first; then a coupling that is identically zero, as
+    every one of a cancelled chain is, reads exactly 0j with nothing
+    evaluated, and any other reads Tr(ρ L(t)) from its value at t.
     """
     if result.states is None:
         raise ValueError("simulation result has no stored states")
-    idx = result.index_of(t)
-    state = result.states[idx]
-    if state.ndim == 1:
-        rho = np.outer(state, state.conj())
-    else:
-        rho = state
-    out = np.empty(g.channels, dtype=complex)
-    for i, Lp in enumerate(g.L):
-        out[i] = np.trace(rho @ Lp.evaluate(t, bindings).matrix)
+    state = result.states[result.index_of(t)]
+    out = np.zeros(g.channels, dtype=complex)
+    live = [(i, Lp) for i, Lp in enumerate(g.L) if not Lp.is_zero()]
+    if live:
+        rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+        for i, Lp in live:
+            out[i] = np.trace(rho @ Lp.evaluate(t, bindings).matrix)
     return out
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -260,9 +259,15 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
 
     The factors of ``op.space`` must be a contiguous run of the factors of
     ``big_space``, in the same order (no permutation is performed).  The
-    result adopts the last Kronecker product's array, a CSR one when
-    ``big_space`` is stored as CSR, or shares ``op``'s matrix when there
-    is nothing to extend.
+    result shares ``op``'s matrix when there is nothing to extend.
+    Otherwise, below ``SPARSE_MIN_DIM`` it adopts the last ``np.kron``
+    product's array, signed zeros included.  From there on it is one
+    :func:`_matrix` call on op's entries moved by index arithmetic: entry
+    (r, c) of op, of dimension m, lands at ((i·m + r)·after + j,
+    (i·m + c)·after + j) for each i < before and j < after.  Each value is
+    multiplied by 1.0 once per identity factor, as ``scipy.sparse.kron``
+    multiplies it by the identity's entries, so the CSR arrays are the
+    ones those Kronecker products make, bit for bit.
     """
     positions = []
     for f in op.space.factors:
@@ -279,15 +284,25 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
                          "embedding is a Kronecker product over a contiguous run")
     matrix = op.matrix
     before, after = math.prod(big_space.dims[:first]), math.prod(big_space.dims[last + 1:])
-    kron, eye = np.kron, np.eye
-    if big_space.total_dim >= SPARSE_MIN_DIM:
-        from scipy import sparse
-
-        kron, eye = partial(sparse.kron, format="csr"), sparse.eye_array
-    if before > 1:
-        matrix = kron(eye(before), matrix)
-    if after > 1:
-        matrix = kron(matrix, eye(after))
+    d = big_space.total_dim
+    if d < SPARSE_MIN_DIM:
+        if before > 1:
+            matrix = np.kron(np.eye(before), matrix)
+        if after > 1:
+            matrix = np.kron(matrix, np.eye(after))
+    elif before > 1 or after > 1:
+        rows, cols, vals = _entries(matrix)
+        m = op.space.total_dim
+        # (before, nnz, after) positions, row-major, so each row's columns
+        # ascend; int32, the index type scipy's kron picks below d = 2**31
+        shift = (np.arange(before) * (m * after))[:, None, None] + np.arange(after)
+        rows = (rows[:, None] * after + shift).reshape(-1).astype(np.int32)
+        cols = (cols[:, None] * after + shift).reshape(-1).astype(np.int32)
+        # scipy.sparse.kron multiplies each value by the identity's 1.0, once per factor
+        for _ in range((before > 1) + (after > 1)):
+            vals = vals * 1.0
+        vals = np.broadcast_to(vals[:, None], shift.shape[:1] + vals.shape + (after,))
+        matrix = _matrix(rows, cols, vals.reshape(-1), d)
     return Operator._adopt(big_space, matrix)
 
 
@@ -391,7 +406,7 @@ def _equal(a, b) -> bool:
 
 def _max_abs(m) -> float:
     """The largest |entry| of m, 0 for the zero matrix, NaN if any is NaN."""
-    return float(np.max(np.abs(_values(m)), initial=0.0))
+    return float(np.maximum.reduce(np.abs(_values(m)), axis=None, initial=0.0))
 
 
 def _map_into(ufunc, m, *args):

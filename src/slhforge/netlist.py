@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import MODE_OPERATORS, HilbertSpace, _values, fock_factor, generic_factor, identity
+from .hilbert import (MODE_OPERATORS, SPARSE_MIN_DIM, HilbertSpace, _values, fock_factor,
+                      generic_factor, identity)
 from .network import (
     SLHTriple,
     beam_splitter,
@@ -598,6 +599,10 @@ def print_netlist(ast: NetlistAST) -> str:
 #: arrays on the two-cavity cascade at d = 196, so about 2.6 GiB here.
 MAX_DIM = 4096
 
+#: The one-dimensional space on which a scalar literal is evaluated
+#: (:meth:`_Analyzer.const_scalar`), where c·I is the 1×1 matrix [c].
+SCALAR_SPACE = HilbertSpace.generic("scalar", 1)
+
 
 @dataclass
 class TraceStep:
@@ -696,8 +701,21 @@ class _Analyzer:
     # -- signals ----------------------------------------------------------
 
     def const_scalar(self, node, what: str, real: bool = False) -> complex:
-        p = self.eval_expr(node, allow_signals=False, allow_ops=False)
+        """The value c of a scalar literal: a gamma, an omega, a signal
+        argument, a BS entry or a sqrt argument.
+
+        :meth:`eval_expr` computes it on ``SCALAR_SPACE``, where c·I is
+        the 1×1 matrix [c], not on the file's space: every step is the one
+        a dense d×d c·I makes at entry [0, 0], whose off-diagonal zeros
+        never reach that entry, so c has the bits it has there.  On a file
+        space stored as CSR, c·I is a CSR matrix whose entry reads as a
+        sum from +0, so a zero part of c has no sign there, nor here.
+        An operator or a signal is refused at its position, and so is a
+        complex value where ``real`` asks for a real one."""
+        p = self.eval_expr(node, allow_signals=False, allow_ops=False, space=SCALAR_SPACE)
         c = complex(p.terms[ONE][0, 0]) if p.terms else 0j  # p is c·I
+        if self.space.total_dim >= SPARSE_MIN_DIM:
+            c += 0j  # -0.0 + 0.0 is +0.0
         if real:
             if c.imag != 0:  # NaN is not 0, so a NaN imaginary part fails too
                 self.fail(f"{what} must be real", getattr(node, "pos", (0, 0)))
@@ -736,22 +754,26 @@ class _Analyzer:
 
     # -- expressions ------------------------------------------------------
 
-    def eval_expr(self, node, allow_signals=True, allow_ops=True) -> OpPolynomial:
-        """Evaluate to an OpPolynomial, type-checking as we go; a scalar c
-        is the polynomial c·I, and the allow_* checks keep it scalar."""
+    def eval_expr(self, node, allow_signals=True, allow_ops=True,
+                  space: HilbertSpace | None = None) -> OpPolynomial:
+        """Evaluate to an OpPolynomial on ``space`` (the file's space by
+        default), type-checking as we go; a scalar c is the polynomial
+        c·I, and the allow_* checks keep it scalar."""
+        if space is None:
+            space = self.space
         if isinstance(node, Num):
-            return OpPolynomial.scalar(self.space, node.value * (1j if node.imag else 1))
+            return OpPolynomial.scalar(space, node.value * (1j if node.imag else 1))
         if isinstance(node, IdentityLit):
             if not allow_ops:
                 self.fail("operator not allowed here", node.pos)
-            return OpPolynomial.constant(identity(self.space))
+            return OpPolynomial.constant(identity(space))
         if isinstance(node, ModeOp):
             if not allow_ops:
                 self.fail("operator not allowed here", node.pos)
-            if node.label not in self.space:
+            if node.label not in space:
                 self.fail(f"unknown space factor {node.label!r}", node.pos)
             try:
-                op = MODE_OPERATORS[node.kind](self.space, node.label)
+                op = MODE_OPERATORS[node.kind](space, node.label)
             except ValueError as exc:
                 self.fail(str(exc), node.pos)
             return OpPolynomial.constant(op)
@@ -760,19 +782,19 @@ class _Analyzer:
                 self.fail(f"undeclared signal {node.name!r}", node.pos)
             if not allow_signals:
                 self.fail("signal not allowed here", node.pos)
-            return OpPolynomial.of_signal(self.space, node.name)
+            return OpPolynomial.of_signal(space, node.name)
         if isinstance(node, Neg):
-            return -self.eval_expr(node.arg, allow_signals, allow_ops)
+            return -self.eval_expr(node.arg, allow_signals, allow_ops, space)
         if isinstance(node, Dagger):
-            return self.eval_expr(node.arg, allow_signals, allow_ops).dagger()
+            return self.eval_expr(node.arg, allow_signals, allow_ops, space).dagger()
         if isinstance(node, Sqrt):
             c = self.const_scalar(node.arg, "sqrt argument", real=True)
             if c < 0:
                 self.fail("sqrt argument must be nonnegative", node.pos)
-            return OpPolynomial.scalar(self.space, math.sqrt(c))
+            return OpPolynomial.scalar(space, math.sqrt(c))
         if isinstance(node, BinOp):
-            left = self.eval_expr(node.left, allow_signals, allow_ops)
-            right = self.eval_expr(node.right, allow_signals, allow_ops)
+            left = self.eval_expr(node.left, allow_signals, allow_ops, space)
+            right = self.eval_expr(node.right, allow_signals, allow_ops, space)
             try:
                 # finite operands overflow only here; the check below reports it
                 with np.errstate(over="ignore", invalid="ignore"):

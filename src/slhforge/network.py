@@ -205,27 +205,40 @@ def series(g2: SLHTriple, g1: SLHTriple) -> SLHTriple:
     feedback constructions route the same physical system through the
     chain twice, so a shared space is the norm, and the product remains
     valid when the two operands' observables do not commute.
+
+    An operand that is the zero polynomial takes no part in a sum or a
+    product (:func:`_total`): a sum or a product with it is exact, so the
+    result keeps its bits.  So a step whose L2 is zero, a scattering or
+    a Hamiltonian step, forms no cross product L2†T2L1 and no Im of it.
     """
     if g1.channels != g2.channels:
         raise ChannelMismatchError(
             f"channel-count mismatch: {g2.channels} vs {g1.channels}"
         )
-    if g1.space != g2.space:
+    space = g1.space
+    if space != g2.space:
         raise ValueError("operands live on different spaces; embed before composing")
-    zero = OpPolynomial.zero(g1.space)
     # (T2 L1)_i = Σ_j T2_ij L1_j: a coefficient 1 takes L1_j as it is,
     # and 0 adds nothing
-    routed = [
-        OpPolynomial._sum((zero, *(p if t == 1 else p.scale(t)
-                                   for t, p in zip(row, g1.L) if t != 0)))
-        for row in g2.T
-    ]
-    L = tuple(l2 + r for l2, r in zip(g2.L, routed))
+    routed = [_total(space, [p if t == 1 else p.scale(t) for t, p in zip(row, g1.L)
+                             if t != 0 and not p.is_zero()])
+              for row in g2.T]
+    L = tuple(_total(space, [l2, r]) for l2, r in zip(g2.L, routed))
     # Im(L2† T2 L1) alone outlives the cross polynomial, and H is summed in
     # place on the arrays the sum allocates
-    cross_imag = OpPolynomial._sum(l2.dagger() * r for l2, r in zip(g2.L, routed)).imag()
-    H = OpPolynomial._sum((g1.H, g2.H, cross_imag))
+    cross = [l2.dagger() * r for l2, r in zip(g2.L, routed)
+             if not (l2.is_zero() or r.is_zero())]
+    H = _total(space, [g1.H, g2.H] + ([_total(space, cross).imag()] if cross else []))
     return SLHTriple(g2.T @ g1.T, L, H)
+
+
+def _total(space: HilbertSpace, polys: list[OpPolynomial]) -> OpPolynomial:
+    """``OpPolynomial._sum(polys)`` with its zero operands left out: the
+    zero polynomial, or the one nonzero operand itself, needs no sum."""
+    live = [p for p in polys if not p.is_zero()]
+    if len(live) > 1:
+        return OpPolynomial._sum(live)
+    return live[0] if live else OpPolynomial.zero(space)
 
 
 def _is_pure_hamiltonian(g: SLHTriple) -> bool:

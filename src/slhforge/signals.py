@@ -221,7 +221,11 @@ class SignalMonomial:
         return SignalMonomial(tuple((n, pq[0], pq[1]) for n, pq in sorted(exps.items())))
 
     def dagger(self) -> "SignalMonomial":
-        return SignalMonomial(tuple((n, q, p) for n, p, q in self.entries))
+        # swapping each entry's powers keeps the entries valid, so the
+        # result is not checked again
+        m = object.__new__(SignalMonomial)
+        object.__setattr__(m, "entries", tuple((n, q, p) for n, p, q in self.entries))
+        return m
 
     def names(self) -> set[str]:
         return {n for n, _, _ in self.entries}

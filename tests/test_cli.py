@@ -185,6 +185,23 @@ def test_simulate_open_system_runs_the_master_equation(netlist, tmp_path):
     assert nT == pytest.approx(pytest.approx(2.718281828459045 ** (-0.4 * 0.5)))
 
 
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(netlist, capsys):
+    # main reuses one parser; an appended --observable starts from an empty
+    # list at every call, and a bad argument still exits 2 with its usage
+    assert cli.build_parser() is cli.build_parser()
+    path = netlist(CLOSED)
+    headers = []
+    for extra in (["--observable", "n"], [], ["--observable", "a", "--observable", "n"], []):
+        assert main(["simulate", path, "--horizon", "0.02", "--step", "0.01", *extra]) == 0
+        headers.append(capsys.readouterr().out.splitlines()[0])
+    assert headers == ["t,n,trace_drift,purity,leak", "t,trace_drift,purity,leak",
+                       "t,a,n,trace_drift,purity,leak", "t,trace_drift,purity,leak"]
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", path])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --horizon" in capsys.readouterr().err
+
+
 def test_simulate_bad_initial_spec(netlist, capsys):
     rc = main(["simulate", netlist(CLOSED), "--horizon", "0.1",
                "--initial", "thermal:3"])

@@ -366,6 +366,51 @@ def test_stored_states_and_output_expectation():
         output_expectation(g, res2, 0.5, {"u": u})
 
 
+@pytest.mark.parametrize("pure", [False, True], ids=["master", "schrodinger"])
+def test_a_zero_coupling_reads_exactly_zero_without_evaluating(monkeypatch, pure):
+    # a cancelled chain's output reads 0j with nothing evaluated, after the
+    # stored-state and the on-grid checks, for a density matrix or a vector
+    sp = HilbertSpace.fock("c", 3)
+    u = GaussianPulseSignal("u", amplitude=0.5, center=0.1, width=0.05)
+    g = build_cancellation_chain([np.sqrt(0.4) * annihilator(sp, "c")], number_op(sp, "c"),
+                                 ["u"], sp)
+    assert all(entry.is_zero() for entry in g.L)
+    times = np.linspace(0.0, 0.2, 21)
+    run = integrate_schrodinger if pure else integrate_master
+    model = g.H if pure else g
+    res = run(model, QuantumState.vacuum(sp), times, {"u": u}, store_states=True,
+              leak_threshold=None)
+    bare = run(model, QuantumState.vacuum(sp), times, {"u": u}, leak_threshold=None)
+
+    def evaluate(*args, **kwargs):
+        raise AssertionError("a zero coupling was evaluated")
+
+    monkeypatch.setattr(OpPolynomial, "evaluate", evaluate)
+    for t in times[::5]:
+        out = output_expectation(g, res, t, {"u": u})
+        assert out.dtype == complex and out.tobytes() == np.zeros(1, dtype=complex).tobytes()
+    with pytest.raises(ValueError, match="no stored states"):
+        output_expectation(g, bare, 0.1, {"u": u})
+    with pytest.raises(ValueError, match="not on the simulation grid"):
+        output_expectation(g, res, 0.105, {"u": u})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("pure", [False, True], ids=["master", "schrodinger"])
+def test_a_non_finite_time_is_refused_before_the_run(bad, at, pure):
+    # a NaN step fails no comparison, and an infinite last time is a
+    # positive step, yet neither is a grid point
+    sp = HilbertSpace.fock("c", 2)
+    H = OpPolynomial.constant(number_op(sp, "c"))
+    times = [0.0, 0.1, 0.2]
+    times[at] = bad if at or math.isnan(bad) else -bad
+    run = integrate_schrodinger if pure else integrate_master
+    model = H if pure else SLHTriple(np.eye(1), (OpPolynomial.zero(sp),), H)
+    with pytest.raises(ValueError, match="^times must be a strictly increasing 1-d grid$"):
+        run(model, QuantumState.vacuum(sp), times)
+
+
 @pytest.mark.parametrize("two_mode", [False, True], ids=["dense", "d121_csr"])
 def test_stored_states_are_copies_of_the_state_updated_in_place(rng, two_mode):
     g, binds = _reference_case(rng, "signals_2ch", two_mode)

@@ -198,6 +198,38 @@ def test_embed_matches_kron():
     assert np.allclose(embed(xb, big).matrix, np.kron(np.eye(3), xb.matrix))
 
 
+@pytest.mark.parametrize("label", ["a", "q", "b"], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind", ["a", "adag", "n", "signed_zeros"])
+def test_a_csr_embedding_is_the_kronecker_products_array_for_array(label, kind):
+    # from SPARSE_MIN_DIM on, I ⊗ op ⊗ I is built from op's entries; it is
+    # the CSR matrix of scipy's two Kronecker products, down to the bits
+    # and the index type.  Their products with the identity's 1.0 take the
+    # sign off a zero part of -0 - 1i and 2 - 0i
+    from scipy import sparse
+
+    big = HilbertSpace([fock_factor("a", 4), fock_factor("q", 4), fock_factor("b", 6)])
+    assert big.total_dim >= SPARSE_MIN_DIM
+    at = big.factor_position(label)
+    before, after = int(np.prod(big.dims[:at])), int(np.prod(big.dims[at + 1:]))
+    small = HilbertSpace([big.factor(label)])
+    if kind == "signed_zeros":
+        m = np.zeros((small.total_dim,) * 2, dtype=complex)
+        m[0, 1], m[1, 0], m[-1, -1] = complex(-0.0, -1.0), complex(2.0, -0.0), 0.5
+        op = Operator(small, m)
+    else:
+        op = {"a": annihilator, "adag": creator, "n": number_op}[kind](small, label)
+    want = op.matrix
+    if before > 1:
+        want = sparse.kron(sparse.eye_array(before), want, format="csr")
+    if after > 1:
+        want = sparse.kron(want, sparse.eye_array(after), format="csr")
+    got = embed(op, big).matrix
+    assert got.format == "csr" and got.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
 def test_embedded_factors_commute():
     big = two_factor_space()
     xa = annihilator(big, "a").matrix

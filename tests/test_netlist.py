@@ -24,8 +24,10 @@ from slhforge import (
     parse_netlist,
     print_netlist,
 )
+from slhforge.hilbert import fock_factor
 from slhforge.netlist import (MAX_EXPR_DEPTH, BinOp, Dagger, Neg, NetworkDecl, Num, Ref,
-                              Sqrt)
+                              Sqrt, _Analyzer)
+from slhforge.signals import ONE
 from conftest import constant_term
 from reference import triples_approx_equal
 
@@ -248,8 +250,50 @@ def test_scalar_expressions_match_complex_arithmetic(tree):
     assert np.array_equal(got, got[0, 0] * np.eye(2))
 
 
+def _constant_trees(depth):
+    """Random scalar expressions without a signal, as ASTs; a Neg of the
+    literal 0 is -0."""
+    number = st.one_of(st.just(0.0), st.floats(0, 4, allow_nan=False, allow_infinity=False),
+                       st.floats(1e300, 1e308))
+    leaf = st.one_of(st.builds(Num, number, st.booleans()),
+                     st.builds(Sqrt, st.builds(Num, number)))
+    if depth == 0:
+        return leaf
+    sub = _constant_trees(depth - 1)
+    return st.one_of(leaf, st.builds(Neg, sub), st.builds(Dagger, sub),
+                     st.builds(BinOp, st.sampled_from("+-*"), sub, sub))
+
+
+@pytest.mark.parametrize("cutoff", [2, 9], ids=["d9_dense", "d100_csr"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tree=_constant_trees(5))
+def test_a_scalar_literal_has_the_bits_of_its_value_on_the_files_space(cutoff, tree):
+    # const_scalar computes on a one-dimensional space.  Its value, or its
+    # error, is that of entry [0, 0] of the expression's c·I on the file's
+    # space, signed zeros included: a dense entry keeps them, and a CSR
+    # entry, read as a sum from +0, takes the sign off a zero part
+    ast = parse_netlist(f"space fock(cutoff={cutoff}) as c1\n"
+                        f"space fock(cutoff={cutoff}) as c2\n"
+                        "component A = BS(T=[[1]])\nnetwork main = A\n")
+    analyzer = _Analyzer(ast)
+    analyzer.space = HilbertSpace([fock_factor("c1", cutoff), fock_factor("c2", cutoff)])
+
+    def outcome(read):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.array([read()]).tobytes()
+        except NetlistSemanticError as exc:
+            return str(exc)
+
+    def on_the_space():
+        p = analyzer.eval_expr(tree, allow_signals=False, allow_ops=False)
+        return complex(p.terms[ONE][0, 0]) if p.terms else 0j
+
+    assert outcome(lambda: analyzer.const_scalar(tree, "BS entry")) == outcome(on_the_space)
+
+
 NETLISTS = Path(__file__).parent / "netlists"
-CORPUS = {path.name: path.read_text() for path in sorted(NETLISTS.glob("*.slh"))}
+CORPUS ={path.name: path.read_text() for path in sorted(NETLISTS.glob("*.slh"))}
 MUTANT_CHARS = "acnuxzAGHST0129 _()[]<|=,.*+-#\n\t'\"ei\\$?é"
 
 

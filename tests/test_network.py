@@ -29,7 +29,7 @@ from slhforge import (
     validate_triple,
 )
 from slhforge.hilbert import SPARSE_MIN_DIM
-from reference import triples_approx_equal
+from reference import dense, triples_approx_equal
 from conftest import (
     constant_term,
     random_bindings,
@@ -192,6 +192,54 @@ def test_series_matches_manual_formula(rng):
                 assert np.allclose(g.T[i, j], S[i][j], atol=1e-12)
             assert np.allclose(g.L[i].evaluate(t, binds).matrix, L[i], atol=1e-12)
         assert np.allclose(g.H.evaluate(t, binds).matrix, H, atol=1e-12)
+
+
+def _series_of_every_operand(g2, g1):
+    """The series product summing and multiplying every operand, zero ones
+    included: the reference for series, which leaves zero operands out."""
+    zero = OpPolynomial.zero(g1.space)
+    routed = [OpPolynomial._sum((zero, *(p if t == 1 else p.scale(t)
+                                         for t, p in zip(row, g1.L) if t != 0)))
+              for row in g2.T]
+    L = tuple(l2 + r for l2, r in zip(g2.L, routed))
+    cross = OpPolynomial._sum(l2.dagger() * r for l2, r in zip(g2.L, routed)).imag()
+    return SLHTriple(g2.T @ g1.T, L, OpPolynomial._sum((g1.H, g2.H, cross)))
+
+
+def _bits(g):
+    """Every bit of a triple: T, then each polynomial's monomials and the
+    bytes of their dense coefficients."""
+    polys = [*g.L, g.H]
+    return (g.T.tobytes(), [[(m, np.asarray(dense(c)).tobytes()) for m, c in p.terms.items()]
+                            for p in polys])
+
+
+@pytest.mark.parametrize("cutoff", [15, 9], ids=["d16", "d100_csr"])
+def test_zero_operands_take_no_part_in_the_series_product(rng, monkeypatch, cutoff):
+    # the chain's BS(-I) and HAM steps have L2 = 0: they form no cross
+    # product, and every step keeps the bits of the product that sums and
+    # multiplies every operand
+    sp = HilbertSpace([fock_factor("c", cutoff), fock_factor("d", 9)] if cutoff == 9
+                      else [fock_factor("c", cutoff)])
+    L = 0.6 * annihilator(sp, "c") + (0.1 - 0.2j) * number_op(sp, "c")
+    H0 = number_op(sp, "c") + 0.3 * (creator(sp, "c") + annihilator(sp, "c"))
+    comps = cancellation_chain_components([L], H0, ["u"], sp)
+    acc = comps[-1]
+    for g in reversed(comps[:-1]):
+        step, want = series(g, acc), _series_of_every_operand(g, acc)
+        assert _bits(step) == _bits(want)
+        acc = step
+    g2 = random_triple(rng, 4, 2, signals=["u"])
+    zero_l = SLHTriple(random_unitary(rng, 2), (OpPolynomial.zero(g2.space), g2.L[1]), g2.H)
+    for pair in ((zero_l, g2), (g2, zero_l), (zero_l, zero_l)):
+        assert _bits(series(*pair)) == _bits(_series_of_every_operand(*pair))
+
+    products = []
+    mul = OpPolynomial.__mul__
+    monkeypatch.setattr(OpPolynomial, "__mul__",
+                        lambda p, q: products.append(1) or mul(p, q))
+    g = build_cancellation_chain([L], H0, ["u"], sp)
+    assert len(products) == 3 and all(entry.is_zero() for entry in g.L)
 
 
 def test_series_checks_channels_and_space(rng):

@@ -42,8 +42,19 @@ cutoff 2 reach the model rules' edges: two ``HAM`` components each
 within the default tolerance of self-adjoint, whose sum is not, run
 ``simulate --horizon 0.1 --step 0.01`` and ``verify --horizon 0.1 --step
 0.01`` (both refuse the triple); a pair of couplings s·a and −s·a with a
-complex s runs ``reduce`` (its H cancels exactly).  Then ``verify --demo
---step 0.002`` and each script under ``demos/`` run.
+complex s runs ``reduce`` (its H cancels exactly).  A netlist on two
+modes at cutoff 2 writes every kind of scalar argument, the gammas and
+omegas of two ``CAVITY`` components, a one-channel ``BS`` phase and the
+arguments of a ``gaussian_pulse`` and a ``constant`` signal, with
+complex literals, negation (``-0`` too), ``sqrt``, sums, differences,
+products and ``dagger``; it runs ``reduce`` and ``simulate --horizon 0.5
+--step 0.01 --observable a:c1 --observable n:c2 --leak-threshold inf``,
+and the same netlist at cutoff 9 (d = 100, a space stored as CSR) runs
+``reduce`` and that ``simulate`` at ``--horizon 0.2 --step 0.04``.  Four
+netlists on one mode put an operator, a signal, an undeclared signal and
+a complex gamma in a scalar position, and ``reduce`` refuses each at its
+position.  Then ``verify --demo --step 0.002`` and each script under
+``demos/`` run.
 Every run happens twice, once with this tree's ``src/`` on PYTHONPATH and
 once with OTHER_TREE's, on the same netlists and demo scripts, from this
 tree's root, so only the package differs.
@@ -129,11 +140,38 @@ component M = SYS(L=[-(0.3+0.4i) * a(c)])
 network m = P <| M
 """
 
+# every kind of scalar argument, written with complex literals, negation
+# (-0 too), sqrt, sums, differences, products and dagger: the gammas and
+# omegas of two CAVITYs, a one-channel BS phase, and the arguments of a
+# gaussian_pulse and a constant signal; d = 9
+SCALARS = """\
+space fock(cutoff=2) as c1
+space fock(cutoff=2) as c2
+signal u = gaussian_pulse(amplitude=-(0.3 - 0.2i) * dagger(1 + 0.5i), center=sqrt(0.01) + 0.05 - -0, width=(0.2 - 0.1) * 1)
+signal v = constant(dagger(-0.1i) + -0 * 2i - (0.05 + 0.02i))
+component A = CAVITY(gamma=sqrt(0.25) * 0.8 - -0, omega=-(0.5 - 1.5) * dagger(1), mode=c1)
+component K = CAVITY(gamma=(0.3 + 0i) * 2 - 0.1, omega=-0 + 0.7 * -(-1), mode=c2)
+component P = BS(T=[[dagger(0.6 - 0.8i) - -0 * 1i]])
+component D = ADD(u=[u + v])
+network s = K <| P <| A <| D
+"""
+
+# the same at cutoff 9: d = 100, where the file's space is stored as CSR
+SCALARS_D100 = SCALARS.replace("cutoff=2", "cutoff=9")
+
+# a value of each kind that a scalar position refuses, one file each
+SCALAR_ERRORS = {
+    "operator": "component A = CAVITY(gamma=0.4 * a(c), omega=1)",
+    "signal": "signal u = constant(0.1)\ncomponent A = CAVITY(gamma=0.4, omega=2 * u)",
+    "undeclared_signal": "component A = BS(T=[[w]])",
+    "complex_gamma": "component A = CAVITY(gamma=0.4 + 0.1i, omega=1)",
+}
+
 
 def runs(tmp: Path) -> list[list[str]]:
     """Each run's argv, relative to the tree's root; the d = 100 and
-    d = 196, the two complex-T and the two cutoff-2 netlists are written
-    to ``tmp``."""
+    d = 196, the two complex-T, the two cutoff-2, the two scalar-argument
+    and the four scalar-error netlists are written to ``tmp``."""
     cli = [sys.executable, "-m", "slhforge.cli"]
     out = []
     for path in sorted((ROOT / "tests" / "netlists").glob("*.slh")):
@@ -188,6 +226,17 @@ def runs(tmp: Path) -> list[list[str]]:
     opposite = tmp / "opposite_couplings.slh"
     opposite.write_text(OPPOSITE_COUPLINGS)
     out.append(cli + ["reduce", str(opposite)])
+    for name, text, span in (("scalars", SCALARS, ["--horizon", "0.5", "--step", "0.01"]),
+                             ("scalars_d100", SCALARS_D100, grid)):
+        path = tmp / f"{name}.slh"
+        path.write_text(text)
+        out += [cli + ["reduce", str(path)],
+                cli + ["simulate", str(path), *span, "--observable", "a:c1",
+                       "--observable", "n:c2", "--leak-threshold", "inf"]]
+    for name, body in SCALAR_ERRORS.items():
+        path = tmp / f"scalar_{name}.slh"
+        path.write_text(f"space fock(cutoff=2) as c\n{body}\nnetwork m = A\n")
+        out.append(cli + ["reduce", str(path)])
     out.append(cli + ["verify", "--demo", "--step", "0.002"])
     out += [[sys.executable, str(p.relative_to(ROOT))]
             for p in sorted((ROOT / "demos").glob("*.py"))]
