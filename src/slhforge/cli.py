@@ -135,7 +135,7 @@ def cmd_reduce(args) -> int:
     compiled = _load(args.file)
     g = compiled.triple
 
-    h_ok = g.H.dagger().approx_equal(g.H, args.tol)
+    h_ok = g.H.adjoint_gap() <= args.tol
     s_ok = is_unitary(g.T, args.tol)
     report = {
         "network": compiled.network_name,

@@ -18,7 +18,7 @@ multiplied into a dense state, or every one is dense, by the rule of
 model (scipy.integrate only by the analytic oracle), so a small run
 loads neither.  The model arrives in the storage form of its space
 (``hilbert``'s rule: CSR coefficients from ``SPARSE_MIN_DIM`` on), and
-the fold of K, the compile and the observables read it in that form;
+the sum of K, the compile and the observables read it in that form;
 only the states, ρ and ψ, are dense at every size.
 :func:`lindblad_rhs` evaluates the polynomials directly and
 is kept as the reference the compiled master generator is tested
@@ -78,8 +78,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import (DEFAULT_TOL, FOCK, SPARSE_MIN_DIM, HilbertSpace, Operator, _add_into,
-                      _conj_transpose, _dense, _entries, _map_into, _max_abs, _nonzero)
+from .hilbert import (DEFAULT_TOL, FOCK, SPARSE_MIN_DIM, HilbertSpace, Operator, _dense,
+                      _entries, _nonzero)
 from .network import SLHTriple
 from .signals import Bindings, OpPolynomial
 
@@ -344,7 +344,7 @@ class _Compiled:
     """Polynomials compiled on a time array (see :func:`_compile`).
 
     ``values`` holds one matrix per polynomial for the whole run, and
-    ``rewrite(i)`` rewrites the entries of every non-constant one, in
+    ``rewriter()(i)`` rewrites the entries of every non-constant one, in
     place, with its value at the i-th time.  The caller decides when: it
     rewrites before it reads values at a new time, and never twice at one.
     """
@@ -364,11 +364,8 @@ class _Compiled:
         self._updates = [(i, contract, vals, stack, entries, buffers[i])
                          for i, contract, vals, stack, entries, _ in self._updates]
 
-    def rewrite(self, i: int) -> None:
-        self.rewriter()(i)
-
     def rewriter(self) -> Callable[[int], None]:
-        """``rewrite`` as one closure over the updates as they are now, so
+        """The rewrite, one closure over the updates as they are now, so
         after :meth:`conjugate_into`, with nothing looked up at a call: in
         order, each update's contraction, then its conjugate's
         ``np.conjugate`` when it has one.  A run takes it once and calls it
@@ -397,7 +394,7 @@ class _Compiled:
 def _compile(polys: Sequence[OpPolynomial], bindings: Bindings | None,
              times: np.ndarray) -> _Compiled:
     """``polys`` on the 1-d array ``times``: their values, rewritten at the
-    i-th time by ``rewrite(i)``.
+    i-th time by ``rewriter()(i)``.
 
     The format is decided once per call, for all of ``polys``: every value
     is a ``scipy.sparse.csr_array`` when d >= ``SPARSE_MIN_DIM`` and each
@@ -743,57 +740,32 @@ def _rk4(
 
 
 def _lindblad_polys(g: SLHTriple) -> list[OpPolynomial]:
-    """[K, L₁, …, L_c]: K = -iH - ½Σᵢ Lᵢ†Lᵢ, then the couplings that are
-    not identically zero, over which K is folded.
-
-    K is bit for bit ``H.scale(-1j) + Σᵢ OpPolynomial._shared(space,
-    (-½)·Lᵢ†Lᵢ)``, in that association and with its monomials in that
-    order: H's, then each coupling's new ones as
-    :meth:`OpPolynomial._product_terms` lists them.  Every coefficient is
-    a matrix this fold allocates, so each dense sum is added in place and
-    K is never held twice (a CSR sum is a new matrix); a zero coefficient
-    of -½Lᵢ†Lᵢ is skipped and a sum that cancels to exactly zero is
-    dropped, as the polynomial sum does.
-    The fold lets go of g once -iH is formed, so a caller that hands over
-    its only reference frees H before the couplings' products are made.
-    """
-    space, live = g.space, [Lp for Lp in g.L if not Lp.is_zero()]
-    minus_i, minus_half = complex(-1j), complex(-0.5)
-    terms = {m: minus_i * c for m, c in g.H.terms.items()}
-    del g
-    for Lp in live:
-        for mono, c in Lp.dagger()._product_terms(Lp).items():
-            if not _nonzero(_map_into(np.multiply, c, minus_half)):
-                continue
-            if mono not in terms:
-                terms[mono] = c
-            else:
-                terms[mono] = _add_into(terms[mono], c)
-                if not _nonzero(terms[mono]):
-                    del terms[mono]
-    return [OpPolynomial._shared(space, terms)] + live
+    """[K, L₁, …, L_c]: K = -iH - ½Σᵢ Lᵢ†Lᵢ by the polynomial algebra
+    over the couplings that are not identically zero, then those."""
+    live = [Lp for Lp in g.L if not Lp.is_zero()]
+    K = OpPolynomial._sum([g.H.scale(-1j)] + [(Lp.dagger() * Lp).scale(-0.5) for Lp in live])
+    return [K] + live
 
 
 def _compiled_lindblad(
     g: SLHTriple, bindings: Bindings | None,
 ) -> Callable[[np.ndarray], tuple[Callable, Callable]]:
     """The generator of :func:`lindblad_rhs` in the compiled form that
-    :func:`_rk4` takes: K = -iH - ½ΣL†L is folded once, exactly, over the
-    couplings that are not identically zero, and each stage computes
-    Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) with no Hermiticity shortcut, so the map is the
-    reference's for any matrix ρ.
+    :func:`_rk4` takes: K = -iH - ½ΣL†L is summed once, over the couplings
+    that are not identically zero (:func:`_lindblad_polys`), and each stage
+    computes Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†) with no Hermiticity shortcut, so the
+    map is the reference's for any matrix ρ.
 
     ``rhs(half)`` compiles K and each L once on the stage times ``half``,
     all dense or all CSR (:func:`_compile`), and returns the values'
     ``rewrite`` beside the stage ``(ρ, out)`` of that format, which never
-    checks it again.  It is called once: it takes g, folds K in place
-    (:func:`_lindblad_polys`) and lets go of the triple, K and the
-    couplings once they are compiled, so when the caller has handed over
-    its only reference to g, the compiled values are all that is left of
-    the model.  The values rewrite their conjugates M̄ (M = K, L₁…L_c)
-    with themselves (:meth:`_Compiled.conjugate_into`), so each right
-    product ρM† of a stage is read from a product with M̄.  out is never
-    zeroed.
+    checks it again.  It is called once: it takes g and lets go of the
+    triple, K and the couplings once they are compiled, so when the
+    caller has handed over its only reference to g, the compiled values
+    are all that is left of the model.  The values rewrite their
+    conjugates M̄ (M = K, L₁…L_c) with themselves
+    (:meth:`_Compiled.conjugate_into`), so each right product ρM† of a
+    stage is read from a product with M̄.  out is never zeroed.
 
     - Dense: the M̄ are the blocks of one (n, d, d) stack S̄, multiplied as
       the batch ρM̄ᵢᵀ, which BLAS reads without a copy, into C-ordered
@@ -835,13 +807,6 @@ def _compiled_lindblad(
             right_product, right, into = ((dot, stack[0].T, products[0]) if n == 1
                                           else (np.matmul, stack.transpose(0, 2, 1), products))
             K_right, couplings = products[0], list(zip(Ls, products[1:]))
-            rewrite = compiled.rewriter()
-            if not couplings:  # a closed triple: Kρ + ρK† alone
-                def closed(rho, out):
-                    right_product(rho, right, out=into)
-                    dot(Km, rho, out=out)
-                    out += K_right
-                return rewrite, closed
 
             def dense(rho, out):
                 right_product(rho, right, out=into)
@@ -850,7 +815,7 @@ def _compiled_lindblad(
                 for L, L_right in couplings:
                     dot(L, L_right, out=scratch)
                     out += scratch
-            return rewrite, dense
+            return compiled.rewriter(), dense
 
         conjugates = [np.empty_like(m.data) for m in compiled.values]
         compiled.conjugate_into(conjugates)
@@ -941,25 +906,6 @@ def integrate_master(
                 store_states, trace_tol, leak_threshold)
 
 
-def _adjoint_gap(H: OpPolynomial) -> float:
-    """``H.dagger().max_coeff_diff(H)``, the same value, without building
-    H†: at each monomial m of H, the largest |entry| of c(m†)† − c(m), or
-    of c(m) when m† has no coefficient.  A monomial of H† that H lacks is
-    such an m† and has the gap of its m (|conj z| = |z|), and so does m†
-    when both are in H, since a − b = −(b − a) in floating point.  So
-    each such pair is measured once, at whichever of the two comes first."""
-    gaps, measured = [], set()
-    for mono, c in H.terms.items():
-        if mono in measured:
-            continue
-        dual = mono.dagger()
-        partner = H.terms.get(dual)
-        if partner is not None:
-            measured.add(dual)
-        gaps.append(_max_abs(c if partner is None else _conj_transpose(partner) - c))
-    return float(np.maximum.reduce(gaps, initial=0.0))  # np.max, NaN kept
-
-
 def integrate_schrodinger(
     H: OpPolynomial,
     psi0: QuantumState | np.ndarray,
@@ -984,7 +930,7 @@ def integrate_schrodinger(
     observables are let go once they are compiled, so an H whose only
     reference the caller handed over is freed before -iH is stacked.
     """
-    if not _adjoint_gap(H) <= DEFAULT_TOL:  # NaN fails
+    if not H.adjoint_gap() <= DEFAULT_TOL:  # NaN fails
         raise ValueError("H is not formally self-adjoint")
     space, psi = H.space, _initial(psi0, H.space, pure=True)
     readers = _readers(observables, pure=True)

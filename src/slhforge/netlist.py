@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import (MODE_OPERATORS, SPARSE_MIN_DIM, HilbertSpace, _values, fock_factor,
-                      generic_factor, identity)
+from .hilbert import (MODE_OPERATORS, HilbertSpace, _values, fock_factor, generic_factor,
+                      identity)
 from .network import (
     SLHTriple,
     beam_splitter,
@@ -707,15 +707,12 @@ class _Analyzer:
         :meth:`eval_expr` computes it on ``SCALAR_SPACE``, where c·I is
         the 1×1 matrix [c], not on the file's space: every step is the one
         a dense d×d c·I makes at entry [0, 0], whose off-diagonal zeros
-        never reach that entry, so c has the bits it has there.  On a file
-        space stored as CSR, c·I is a CSR matrix whose entry reads as a
-        sum from +0, so a zero part of c has no sign there, nor here.
-        An operator or a signal is refused at its position, and so is a
-        complex value where ``real`` asks for a real one."""
+        never reach that entry, so c has the bits it has there, signed
+        zeros included, whatever the file's d.  An operator or a signal is
+        refused at its position, and so is a complex value where ``real``
+        asks for a real one."""
         p = self.eval_expr(node, allow_signals=False, allow_ops=False, space=SCALAR_SPACE)
         c = complex(p.terms[ONE][0, 0]) if p.terms else 0j  # p is c·I
-        if self.space.total_dim >= SPARSE_MIN_DIM:
-            c += 0j  # -0.0 + 0.0 is +0.0
         if real:
             if c.imag != 0:  # NaN is not 0, so a NaN imaginary part fails too
                 self.fail(f"{what} must be real", getattr(node, "pos", (0, 0)))

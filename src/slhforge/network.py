@@ -91,7 +91,7 @@ def validate_triple(g: SLHTriple, tol: float = DEFAULT_TOL) -> None:
     Lᵢ†Lᵢ; the first that fails raises InvalidTripleError.  The command
     line integrates no triple that this rejects.
     """
-    if not g.H.dagger().approx_equal(g.H, tol):
+    if not g.H.adjoint_gap() <= tol:  # NaN fails
         raise InvalidTripleError("H is not self-adjoint")
     if not is_unitary(g.T, tol):
         raise InvalidTripleError("S fails the unitarity conditions")
@@ -132,7 +132,7 @@ def pure_hamiltonian(H, space: HilbertSpace | None = None, channels: int = 1) ->
     if space is None:
         space = H.space
     h = _as_poly(H, space)
-    if not h.dagger().approx_equal(h, DEFAULT_TOL):
+    if not h.adjoint_gap() <= DEFAULT_TOL:  # NaN fails
         raise ValueError("HAM requires a self-adjoint Hamiltonian")
     zero = OpPolynomial.zero(space)
     return SLHTriple(np.eye(channels), (zero,) * channels, h)
@@ -206,10 +206,10 @@ def series(g2: SLHTriple, g1: SLHTriple) -> SLHTriple:
     chain twice, so a shared space is the norm, and the product remains
     valid when the two operands' observables do not commute.
 
-    An operand that is the zero polynomial takes no part in a sum or a
-    product (:func:`_total`): a sum or a product with it is exact, so the
-    result keeps its bits.  So a step whose L2 is zero, a scattering or
-    a Hamiltonian step, forms no cross product L2†T2L1 and no Im of it.
+    A zero polynomial takes no part in a sum (``OpPolynomial._sum``) or
+    a product, which are exact with it, so the result keeps its bits: a
+    step whose L2 is zero, a scattering or a Hamiltonian step, forms no
+    cross product L2†T2L1 and no Im of it.
     """
     if g1.channels != g2.channels:
         raise ChannelMismatchError(
@@ -219,26 +219,18 @@ def series(g2: SLHTriple, g1: SLHTriple) -> SLHTriple:
     if space != g2.space:
         raise ValueError("operands live on different spaces; embed before composing")
     # (T2 L1)_i = Σ_j T2_ij L1_j: a coefficient 1 takes L1_j as it is,
-    # and 0 adds nothing
-    routed = [_total(space, [p if t == 1 else p.scale(t) for t, p in zip(row, g1.L)
-                             if t != 0 and not p.is_zero()])
+    # and 0 adds nothing; the leading zero is the sum of an empty row
+    zero = OpPolynomial.zero(space)
+    routed = [OpPolynomial._sum([zero] + [p if t == 1 else p.scale(t)
+                                          for t, p in zip(row, g1.L) if t != 0])
               for row in g2.T]
-    L = tuple(_total(space, [l2, r]) for l2, r in zip(g2.L, routed))
+    L = tuple(l2 + r for l2, r in zip(g2.L, routed))
     # Im(L2† T2 L1) alone outlives the cross polynomial, and H is summed in
     # place on the arrays the sum allocates
     cross = [l2.dagger() * r for l2, r in zip(g2.L, routed)
              if not (l2.is_zero() or r.is_zero())]
-    H = _total(space, [g1.H, g2.H] + ([_total(space, cross).imag()] if cross else []))
+    H = OpPolynomial._sum([g1.H, g2.H] + ([OpPolynomial._sum(cross).imag()] if cross else []))
     return SLHTriple(g2.T @ g1.T, L, H)
-
-
-def _total(space: HilbertSpace, polys: list[OpPolynomial]) -> OpPolynomial:
-    """``OpPolynomial._sum(polys)`` with its zero operands left out: the
-    zero polynomial, or the one nonzero operand itself, needs no sum."""
-    live = [p for p in polys if not p.is_zero()]
-    if len(live) > 1:
-        return OpPolynomial._sum(live)
-    return live[0] if live else OpPolynomial.zero(space)
 
 
 def _is_pure_hamiltonian(g: SLHTriple) -> bool:

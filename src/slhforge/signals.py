@@ -349,13 +349,20 @@ class OpPolynomial:
         """The sum ((p₁ + p₂) + p₃) + … of one or more polynomials, bit
         for bit: a dense coefficient is added in place once the sum has
         allocated it, and one that cancels to exactly zero is dropped at
-        that step, as each ``+`` drops it."""
+        that step, as each ``+`` drops it.  A zero operand takes no part:
+        the sum of one nonzero operand is that operand, and of none the first."""
         polys = iter(polys)  # each operand is dropped once it is added
-        first = next(polys)
-        terms = dict(first.terms)
+        first = sole = next(polys)  # sole: the operand the sum is, until it is new
         fresh = set()  # the monomials whose coefficient this sum allocated
         for p in polys:
             first._check_space(p)
+            if p.is_zero():
+                continue
+            if sole is not None:
+                if sole.is_zero():
+                    sole = p
+                    continue
+                terms, sole = dict(sole.terms), None
             for mono, coeff in p.terms.items():
                 if mono not in terms:
                     terms[mono] = coeff
@@ -370,7 +377,7 @@ class OpPolynomial:
                 else:
                     del terms[mono]
                     fresh.discard(mono)
-        return cls._shared(first.space, terms)
+        return sole if sole is not None else cls._shared(first.space, terms)
 
     def __sub__(self, other: "OpPolynomial") -> "OpPolynomial":
         return self + (-other)
@@ -492,6 +499,23 @@ class OpPolynomial:
     def approx_equal(self, other: "OpPolynomial", tol: float = DEFAULT_TOL) -> bool:
         """Coefficient-wise comparison within tol (max-abs norm); NaN fails."""
         return self.max_coeff_diff(other) <= tol
+
+    def adjoint_gap(self) -> float:
+        """``self.dagger().max_coeff_diff(self)`` without building the
+        dagger, NaN kept: at each monomial m, the largest |entry| of
+        c(m†)† − c(m), or of c(m) when m† has none.  The gap at m† is the
+        same (|conj z| = |z| and a − b = −(b − a) in floating point), so
+        each pair is measured once, at whichever comes first."""
+        gaps, measured = [], set()
+        for mono, c in self.terms.items():
+            if mono in measured:
+                continue
+            dual = mono.dagger()
+            partner = self.terms.get(dual)
+            if partner is not None:
+                measured.add(dual)
+            gaps.append(_max_abs(c if partner is None else _conj_transpose(partner) - c))
+        return float(np.maximum.reduce(gaps, initial=0.0))  # np.max, NaN kept
 
     def max_coeff_diff(self, other: "OpPolynomial") -> float:
         """Largest |difference| over all coefficient entries, NaN if any is NaN."""

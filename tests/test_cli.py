@@ -642,7 +642,7 @@ network mix = X <| G <| A <| X
 ], ids=["simulate", "verify", "simulate_closed_d100", "simulate_two_channel_d100"])
 def test_a_run_holds_at_most_its_integration_arrays(text, d, argv, code, arrays, netlist,
                                                     tmp_path):
-    # from d = 100 on, the reduction, the fold of K and the observables are
+    # from d = 100 on, the reduction, the sum of K and the observables are
     # CSR, so no dense d×d array exists before the integration: a master
     # run peaks at its RK4 workspace (the state, four slopes and the stage
     # input, which becomes the final state) and its stage's buffers, ρᵀ

@@ -1,5 +1,6 @@
 """States, generators, integrators, and the analytic driven-cavity oracle."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -42,6 +43,8 @@ from slhforge import (
 )
 from slhforge import cli, dynamics
 from slhforge.dynamics import _compile, _compiled_lindblad
+from slhforge.hilbert import DEFAULT_TOL
+from slhforge.network import InvalidTripleError, validate_triple
 from slhforge.signals import ONE
 from slhforge.netlist import compile_netlist, parse_netlist
 from conftest import (
@@ -272,8 +275,8 @@ def test_schrodinger_rejects_bad_input(rng):
 
 @pytest.mark.parametrize("two_mode", [False, True], ids=["dense", "d121_csr"])
 def test_the_self_adjointness_check_reads_the_distance_to_the_dagger(rng, two_mode):
-    # integrate_schrodinger reads H's distance to H† without building H†;
-    # it is max_coeff_diff's value on H's monomials paired or not, and NaN
+    # OpPolynomial.adjoint_gap reads H's distance to H† without building
+    # H†; it is max_coeff_diff's value on H's monomials paired or not, and NaN
     g, _ = _reference_case(rng, "signals_2ch", two_mode)
     sp, d = g.space, g.space.total_dim
     u = OpPolynomial.of_signal(sp, "u")
@@ -282,10 +285,59 @@ def test_the_self_adjointness_check_reads_the_distance_to_the_dagger(rng, two_mo
     nan[0, 1] = np.nan
     polys = [g.H, g.H + (u * X).scale(1e-3), g.L[0], X, OpPolynomial.zero(sp),
              g.H + OpPolynomial.constant(Operator(sp, nan))]
-    gaps = [dynamics._adjoint_gap(H) for H in polys]
+    gaps = [H.adjoint_gap() for H in polys]
     want = [H.dagger().max_coeff_diff(H) for H in polys]
     assert np.array(gaps).tobytes() == np.array(want).tobytes()
     assert gaps[0] == 0.0 and all(gap > 0.0 for gap in gaps[1:4]) and math.isnan(gaps[-1])
+
+
+# two HAMs, each within DEFAULT_TOL = 1e-10 of self-adjoint; their sum is
+# 1.6e-10 from it
+TWO_HAMS = """\
+space fock(cutoff={cutoff}) as c1
+space fock(cutoff={cutoff}) as c2
+component H1 = HAM(n(c1) + 4e-11i * I)
+component H2 = HAM(n(c2) + 4e-11i * I)
+network m = H1 <| H2
+"""
+
+
+@pytest.mark.parametrize("two_mode", [False, True], ids=["dense", "d121_csr"])
+@pytest.mark.parametrize("gate", ["validate_triple", "reduce", "pure_hamiltonian",
+                                  "integrate_schrodinger"])
+def test_every_self_adjointness_gate_reads_the_adjoint_gap(tmp_path, gate, two_mode):
+    # validate_triple and reduce --tol pass at tol = the gap and refuse at
+    # the float below it; pure_hamiltonian and integrate_schrodinger, at
+    # DEFAULT_TOL, refuse an H past it and an H with a NaN entry
+    text = TWO_HAMS.format(cutoff=10 if two_mode else 2)
+    H = compile_netlist(parse_netlist(text)).triple.H
+    sp, gap = H.space, H.adjoint_gap()
+    assert gap == H.dagger().max_coeff_diff(H) > DEFAULT_TOL
+    below = np.nextafter(gap, 0.0)
+    nan = np.zeros((sp.total_dim,) * 2, dtype=complex)
+    nan[0, 1] = np.nan
+    nan_H = H + OpPolynomial.constant(Operator(sp, nan))
+    if gate == "validate_triple":
+        def closed(H):
+            return SLHTriple(np.eye(1), (OpPolynomial.zero(sp),), H)
+        validate_triple(closed(H), tol=gap)
+        for bad, tol in ((H, below), (nan_H, math.inf)):
+            with pytest.raises(InvalidTripleError, match="^H is not self-adjoint$"):
+                validate_triple(closed(bad), tol=tol)
+    elif gate == "reduce":
+        path, out = tmp_path / "hams.slh", tmp_path / "report.json"
+        path.write_text(text)
+        for tol, code in ((gap, 0), (below, cli.EXIT_VALIDATE)):
+            assert cli.main(["reduce", str(path), "--tol", repr(float(tol)),
+                             "-o", str(out)]) == code
+            assert json.loads(out.read_text())["validation"]["h_self_adjoint"] is (code == 0)
+    else:
+        for bad in (H, nan_H):
+            with pytest.raises(ValueError, match="self-adjoint"):
+                if gate == "pure_hamiltonian":
+                    pure_hamiltonian(bad, sp)
+                else:
+                    integrate_schrodinger(bad, QuantumState.vacuum(sp), [0.0, 0.1])
 
 
 @pytest.mark.parametrize("integrate, state, message", [
@@ -828,7 +880,7 @@ def test_the_folded_K_is_the_algebra_s_bit_for_bit(rng, case):
 def _values_at(polys, binds, t):
     """The compiled values of ``polys`` at the one time t."""
     compiled = _compile(polys, binds, np.array([t]))
-    compiled.rewrite(0)
+    compiled.rewriter()(0)
     return compiled.values
 
 
@@ -943,9 +995,9 @@ def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
     polys = [g.H, *g.L, OpPolynomial.constant(identity(g.space))]
     compiled = _compile(polys, binds, np.array([0.1, 0.15, 0.2]))
     first = compiled.values
-    compiled.rewrite(0)
+    compiled.rewriter()(0)
     before = [v.copy() for v in first]
-    compiled.rewrite(1)
+    compiled.rewriter()(1)
     second = compiled.values
     assert second is first
     for poly, value, old in zip(polys, second, before):
@@ -962,7 +1014,7 @@ def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
     for value in second:
         entries(value)[:] = np.nan
     assert all(np.isnan(entries(v)).all() for v in compiled.values)
-    compiled.rewrite(0)
+    compiled.rewriter()(0)
     for poly, value in zip(polys, compiled.values):
         assert np.isnan(entries(value)).all() == poly.is_constant()
 
@@ -973,12 +1025,12 @@ def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
     compiled.conjugate_into(conjugates)  # written at once, constant values included
     assert all(np.array_equal(c, entries(v).conj())
                for v, c in zip(compiled.values, conjugates))
-    compiled.rewrite(2)
+    compiled.rewriter()(2)
     for value, conjugate in zip(compiled.values, conjugates):
         assert np.array_equal(conjugate, entries(value).conj())
         entries(value)[:] = np.nan
         conjugate[:] = np.nan
-    compiled.rewrite(3)
+    compiled.rewriter()(3)
     for poly, value, conjugate in zip(polys, compiled.values, conjugates):
         assert np.isnan(entries(value)).all() == poly.is_constant()
         assert np.isnan(conjugate).all() == poly.is_constant()
@@ -1025,10 +1077,10 @@ def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
     kept, fresh = _compile(polys, binds, half), _compile(polys, binds, half)
     steps = _compile(polys, binds, np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1).ravel())
     for k in range(n - 1):
-        kept.rewrite(2 * k + 1)
-        kept.rewrite(2 * k + 2)
-        fresh.rewrite(2 * k + 2)
-        steps.rewrite(3 * k + 2)
+        kept.rewriter()(2 * k + 1)
+        kept.rewriter()(2 * k + 2)
+        fresh.rewriter()(2 * k + 2)
+        steps.rewriter()(3 * k + 2)
         for a, b, c in zip(kept.values, fresh.values, steps.values):
             assert _bits(entries(a)) == _bits(entries(b)) == _bits(entries(c))
 
@@ -1059,7 +1111,7 @@ def test_rewrite_writes_the_bits_of_matmul(rng, two_mode):
     assert all(sparse.issparse(v) == two_mode for v in compiled.values)
     assert len(compiled._updates) == 3
     for i in range(9):
-        compiled.rewrite(i)
+        compiled.rewriter()(i)
         for _, _, table, stack, entries, _ in compiled._updates:
             assert _bits(entries) == _bits(np.matmul(table[i], stack)), i
 

@@ -268,15 +268,20 @@ def _constant_trees(depth):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tree=_constant_trees(5))
 def test_a_scalar_literal_has_the_bits_of_its_value_on_the_files_space(cutoff, tree):
-    # const_scalar computes on a one-dimensional space.  Its value, or its
-    # error, is that of entry [0, 0] of the expression's c·I on the file's
-    # space, signed zeros included: a dense entry keeps them, and a CSR
-    # entry, read as a sum from +0, takes the sign off a zero part
-    ast = parse_netlist(f"space fock(cutoff={cutoff}) as c1\n"
-                        f"space fock(cutoff={cutoff}) as c2\n"
-                        "component A = BS(T=[[1]])\nnetwork main = A\n")
-    analyzer = _Analyzer(ast)
-    analyzer.space = HilbertSpace([fock_factor("c1", cutoff), fock_factor("c2", cutoff)])
+    # const_scalar computes on a one-dimensional space, by one rule at every
+    # d.  Its value, or its error, is the one it has on the dense d = 9
+    # space, and that is entry [0, 0] of the expression's c·I there, signed
+    # zeros included (a CSR entry at d = 100, read as a sum from +0, would
+    # take the sign off a zero part)
+    def analyzer_at(cutoff):
+        ast = parse_netlist(f"space fock(cutoff={cutoff}) as c1\n"
+                            f"space fock(cutoff={cutoff}) as c2\n"
+                            "component A = BS(T=[[1]])\nnetwork main = A\n")
+        analyzer = _Analyzer(ast)
+        analyzer.space = HilbertSpace([fock_factor("c1", cutoff), fock_factor("c2", cutoff)])
+        return analyzer
+
+    here, dense = analyzer_at(cutoff), analyzer_at(2)
 
     def outcome(read):
         try:
@@ -285,11 +290,13 @@ def test_a_scalar_literal_has_the_bits_of_its_value_on_the_files_space(cutoff, t
         except NetlistSemanticError as exc:
             return str(exc)
 
-    def on_the_space():
-        p = analyzer.eval_expr(tree, allow_signals=False, allow_ops=False)
+    def on_the_dense_space():
+        p = dense.eval_expr(tree, allow_signals=False, allow_ops=False)
         return complex(p.terms[ONE][0, 0]) if p.terms else 0j
 
-    assert outcome(lambda: analyzer.const_scalar(tree, "BS entry")) == outcome(on_the_space)
+    at_d9 = outcome(lambda: dense.const_scalar(tree, "BS entry"))
+    assert at_d9 == outcome(on_the_dense_space)
+    assert outcome(lambda: here.const_scalar(tree, "BS entry")) == at_d9
 
 
 NETLISTS = Path(__file__).parent / "netlists"

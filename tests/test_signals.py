@@ -263,6 +263,15 @@ def test_imag_and_sum_write_the_bits_of_their_written_out_forms(seed):
         pairwise = pairwise + x
     assert _bits(OpPolynomial._sum(polys)) == _bits(pairwise)
     assert [_bits(x) for x in polys] == operands  # the operands are unchanged
+    # a zero operand, first, between or last, takes no part: the sum keeps
+    # its bytes, and the sum of one nonzero operand among zeros is that operand
+    zero = OpPolynomial.zero(SP)
+    mixed = [zero, p, zero, q, -p, zero, p, q.scale(0.5), zero]
+    assert _bits(OpPolynomial._sum(mixed)) == _bits(pairwise)
+    assert [_bits(x) for x in polys] == operands
+    for sole in ([p], [zero, p], [p, zero], [zero, zero, p, zero]):
+        assert OpPolynomial._sum(sole) is p
+    assert OpPolynomial._sum([zero, OpPolynomial.zero(SP)]).is_zero()
 
 
 def test_polynomials_are_not_hashable():

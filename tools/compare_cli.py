@@ -40,6 +40,7 @@ as the ``cascade_dense`` workload runs it) and ``verify --horizon 0.2
 --step 0.04`` (which validates the CSR triple and refuses it as open).  Two netlists at
 cutoff 2 reach the model rules' edges: two ``HAM`` components each
 within the default tolerance of self-adjoint, whose sum is not, run
+``reduce`` (exit 3, its report reads ``h_self_adjoint: false``),
 ``simulate --horizon 0.1 --step 0.01`` and ``verify --horizon 0.1 --step
 0.01`` (both refuse the triple); a pair of couplings s·a and −s·a with a
 complex s runs ``reduce`` (its H cancels exactly).  A netlist on two
@@ -222,7 +223,8 @@ def runs(tmp: Path) -> list[list[str]]:
     hams = tmp / "two_hams.slh"
     hams.write_text(TWO_HAMS)
     short = ["--horizon", "0.1", "--step", "0.01"]
-    out += [cli + ["simulate", str(hams), *short], cli + ["verify", str(hams), *short]]
+    out += [cli + ["reduce", str(hams)], cli + ["simulate", str(hams), *short],
+            cli + ["verify", str(hams), *short]]
     opposite = tmp / "opposite_couplings.slh"
     opposite.write_text(OPPOSITE_COUPLINGS)
     out.append(cli + ["reduce", str(opposite)])
