@@ -42,7 +42,7 @@ res = integrate_schrodinger(H, QuantumState.vacuum(space), times, {"u": u},
 print(" t     |<a>|     |alpha|   deviation")
 for t in np.arange(0.0, 10.5, 1.0):
     alpha = analytic_driven_cavity(omega0, gamma, u, float(t))
-    got = res.expectations["a"][res.index_of(float(t))]
+    got = res.expectations["a"][int(np.abs(times - t).argmin())]
     print(f"{t:4.1f}   {abs(got):7.4f}   {abs(alpha):7.4f}   {abs(got - alpha):.2e}")
 
 alpha_T = analytic_driven_cavity(omega0, gamma, u, 10.0)

@@ -266,12 +266,6 @@ class SimulationResult:
     states: list | None = None
     final: np.ndarray | None = None
 
-    def index_of(self, t: float) -> int:
-        idx = int(np.abs(self.times - t).argmin())
-        if abs(self.times[idx] - t) > 1e-9:
-            raise ValueError(f"t={t} is not on the simulation grid")
-        return idx
-
     def to_csv(self) -> str:
         """Render as `t,<observables>,trace_drift,purity,leak` text."""
         names = []
@@ -961,7 +955,10 @@ def output_expectation(
     """
     if result.states is None:
         raise ValueError("simulation result has no stored states")
-    state = result.states[result.index_of(t)]
+    k = int(np.abs(result.times - t).argmin())
+    if abs(result.times[k] - t) > 1e-9:
+        raise ValueError(f"t={t} is not on the simulation grid")
+    state = result.states[k]
     out = np.zeros(g.channels, dtype=complex)
     live = [(i, Lp) for i, Lp in enumerate(g.L) if not Lp.is_zero()]
     if live:

@@ -16,9 +16,9 @@ operators of a netlist have at most one nonzero per row, and the
 products a reduction makes have a few, while one dense matrix takes
 256 MiB at d = 4096.  The primitives at the end of this module (storage,
 identity, conjugate transpose, the zero test, exact equality, the
-largest entry, in-place sums, the real/imaginary assembly of a product)
-and the Kronecker :func:`embed` take either form, so the algebra is
-written once.  scipy.sparse is imported only where a CSR matrix is made
+largest entry, the real/imaginary assembly of a product) and the
+Kronecker :func:`embed` take either form, so the algebra is written
+once.  scipy.sparse is imported only where a CSR matrix is made
 or read, so a space below the bound never loads it.
 """
 
@@ -206,12 +206,6 @@ class Operator:
     def _check_space(self, other: "Operator"):
         if self.space != other.space:
             raise ValueError(f"space mismatch: {self.space} vs {other.space}")
-
-    # -- predicates -------------------------------------------------------
-
-    def approx_equal(self, other: "Operator", tol: float = DEFAULT_TOL) -> bool:
-        self._check_space(other)
-        return _max_abs(self.matrix - other.matrix) <= tol
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.space.total_dim})"
@@ -407,19 +401,6 @@ def _equal(a, b) -> bool:
 def _max_abs(m) -> float:
     """The largest |entry| of m, 0 for the zero matrix, NaN if any is NaN."""
     return float(np.maximum.reduce(np.abs(_values(m)), axis=None, initial=0.0))
-
-
-def _map_into(ufunc, m, *args):
-    """m after ``ufunc(entry, *args)`` is written over each stored entry;
-    m is a matrix that only the caller holds, and ufunc maps 0 to 0."""
-    ufunc(_values(m), *args, out=_values(m))
-    return m
-
-
-def _add_into(a, b):
-    """a + b, written into a when it is dense; a is an array that only the
-    caller holds.  The sum of two CSR matrices is a new one."""
-    return np.add(a, b, out=a) if _is_dense(a) else a + b
 
 
 def _complex(re, im):

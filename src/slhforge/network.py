@@ -225,8 +225,7 @@ def series(g2: SLHTriple, g1: SLHTriple) -> SLHTriple:
                                           for t, p in zip(row, g1.L) if t != 0])
               for row in g2.T]
     L = tuple(l2 + r for l2, r in zip(g2.L, routed))
-    # Im(L2† T2 L1) alone outlives the cross polynomial, and H is summed in
-    # place on the arrays the sum allocates
+    # Im(L2† T2 L1) alone outlives the cross polynomial
     cross = [l2.dagger() * r for l2, r in zip(g2.L, routed)
              if not (l2.is_zero() or r.is_zero())]
     H = OpPolynomial._sum([g1.H, g2.H] + ([OpPolynomial._sum(cross).imag()] if cross else []))

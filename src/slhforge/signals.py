@@ -17,16 +17,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .hilbert import (
-    DEFAULT_TOL,
     HilbertSpace,
     Operator,
-    _add_into,
     _complex,
     _conj_transpose,
     _equal,
     _freeze,
     _identity_matrix,
-    _map_into,
     _matrix,
     _max_abs,
     _nonzero,
@@ -273,9 +270,9 @@ class OpPolynomial:
     scipy sparse matrices a caller hands in, so changing them afterwards
     leaves the polynomial unchanged.  The algebra copies nothing: a result
     shares the coefficients it does not change with its operands (and
-    ``constant`` shares its operator's matrix) and freezes the matrices it
-    has just computed, each written once where the operations allow:
-    a sum adds in place into the dense arrays it has allocated itself.
+    ``constant`` shares its operator's matrix) and freezes the new
+    matrices it has just computed; no sum, product or scale writes into
+    a matrix made before it.
     """
 
     __slots__ = ("space", "terms")
@@ -347,13 +344,11 @@ class OpPolynomial:
     @classmethod
     def _sum(cls, polys: Iterable["OpPolynomial"]) -> "OpPolynomial":
         """The sum ((p₁ + p₂) + p₃) + … of one or more polynomials, bit
-        for bit: a dense coefficient is added in place once the sum has
-        allocated it, and one that cancels to exactly zero is dropped at
+        for bit: a coefficient that cancels to exactly zero is dropped at
         that step, as each ``+`` drops it.  A zero operand takes no part:
         the sum of one nonzero operand is that operand, and of none the first."""
         polys = iter(polys)  # each operand is dropped once it is added
         first = sole = next(polys)  # sole: the operand the sum is, until it is new
-        fresh = set()  # the monomials whose coefficient this sum allocated
         for p in polys:
             first._check_space(p)
             if p.is_zero():
@@ -366,17 +361,10 @@ class OpPolynomial:
             for mono, coeff in p.terms.items():
                 if mono not in terms:
                     terms[mono] = coeff
-                    continue
-                if mono in fresh:
-                    total = _add_into(terms[mono], coeff)
-                else:
-                    total = terms[mono] + coeff
-                    fresh.add(mono)
-                if _nonzero(total):
+                elif _nonzero(total := terms[mono] + coeff):
                     terms[mono] = total
                 else:
                     del terms[mono]
-                    fresh.discard(mono)
         return sole if sole is not None else cls._shared(first.space, terms)
 
     def __sub__(self, other: "OpPolynomial") -> "OpPolynomial":
@@ -410,9 +398,8 @@ class OpPolynomial:
         return self.scale(other)
 
     def _product_terms(self, other: "OpPolynomial") -> dict:
-        """The coefficients of self * other, unpruned, each a writable
-        matrix just allocated and summed over its products (in place when
-        dense)."""
+        """The coefficients of self * other, unpruned, each a new matrix,
+        the sum of its products in the order they are formed."""
         self._check_space(other)
         scalars = {m2: _identity_multiple(c2) for m2, c2 in other.terms.items()}
         terms = {}
@@ -432,10 +419,7 @@ class OpPolynomial:
                                     times(a.real, b.imag) + times(a.imag, b.real))
                 else:
                     prod = times(a, b)
-                if mono in terms:
-                    terms[mono] = _add_into(terms[mono], prod)
-                else:
-                    terms[mono] = prod
+                terms[mono] = terms[mono] + prod if mono in terms else prod
         return terms
 
     def __rmul__(self, c) -> "OpPolynomial":
@@ -449,26 +433,21 @@ class OpPolynomial:
     def imag(self) -> "OpPolynomial":
         """Formal operator imaginary part (p - p†)/(2i); self-adjoint.
 
-        Each coefficient is written into one new matrix by the operations
-        of ``(p - p†).scale(-0.5j)``, in their order, so the bits are the
-        same: at a monomial m with coefficient c, whose conjugate m† has
-        coefficient c', it is c - c'†, formed as (-c'†) + c, which rounds
-        alike (c alone when m† has none, and -c'† when m has none), then
-        times -0.5j.
+        The bits and the monomial order are those of
+        ``(p - p†).scale(-0.5j)``, without holding p† whole: at a monomial
+        m with coefficient c, whose conjugate m† has coefficient c', the
+        coefficient is (c - c'†)·s with s = -0.5j, c·s when m† has none
+        and -c'†·s when m has none (a - b rounds as (-b) + a); every m of
+        p comes first, then each m† that p lacks.
         """
-        scale = complex(-0.5j)
+        s = -0.5j
         terms = {}
         for m, c in self.terms.items():
             partner = self.terms.get(m.dagger())
-            if partner is None:
-                terms[m] = c * scale
-            else:
-                minus = _map_into(np.negative, _conj_transpose(partner))
-                terms[m] = _map_into(np.multiply, _add_into(minus, c), scale)
+            terms[m] = (c if partner is None else c - _conj_transpose(partner)) * s
         for m, c in self.terms.items():
             if m.dagger() not in self.terms:
-                minus = _map_into(np.negative, _conj_transpose(c))
-                terms[m.dagger()] = _map_into(np.multiply, minus, scale)
+                terms[m.dagger()] = -_conj_transpose(c) * s
         return OpPolynomial._shared(self.space, terms)
 
     # -- queries ----------------------------------------------------------
@@ -495,10 +474,6 @@ class OpPolynomial:
 
     def __hash__(self):
         raise TypeError("OpPolynomial is not hashable")
-
-    def approx_equal(self, other: "OpPolynomial", tol: float = DEFAULT_TOL) -> bool:
-        """Coefficient-wise comparison within tol (max-abs norm); NaN fails."""
-        return self.max_coeff_diff(other) <= tol
 
     def adjoint_gap(self) -> float:
         """``self.dagger().max_coeff_diff(self)`` without building the
@@ -533,7 +508,7 @@ class OpPolynomial:
         none = np.arange(0)
         mat = _matrix(none, none, none, self.space.total_dim)  # zero
         for mono, coeff in self.terms.items():
-            mat = _add_into(mat, mono.evaluate(t, bindings) * coeff)
+            mat = mat + mono.evaluate(t, bindings) * coeff
         return Operator._adopt(self.space, mat)
 
     def __str__(self) -> str:

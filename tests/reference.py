@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from slhforge import DEFAULT_TOL, Bindings, SLHTriple
+from slhforge import DEFAULT_TOL, Bindings, Operator, OpPolynomial, SLHTriple
 
 
 def dense(m) -> np.ndarray:
@@ -37,6 +37,15 @@ def heisenberg_generator(X: np.ndarray, H: np.ndarray, Ls: Sequence[np.ndarray])
 
 
 # -- comparison -----------------------------------------------------------
+
+
+def approx_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
+    """Whether two Operators, or two OpPolynomials, agree coefficient by
+    coefficient within tol (max-abs norm); a NaN entry fails, and two
+    spaces that differ raise ValueError."""
+    if isinstance(a, Operator):
+        a, b = OpPolynomial.constant(a), OpPolynomial.constant(b)
+    return a.max_coeff_diff(b) <= tol
 
 
 def triples_approx_equal(

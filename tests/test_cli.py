@@ -634,12 +634,23 @@ network mix = X <| G <| A <| X
 """
 
 
+# the cascade and the closed chain at cutoff 8: d = 81, the largest space
+# stored dense
+CASCADE_D81 = CASCADE_D196.replace("cutoff=13", "cutoff=8")
+CLOSED_D81 = CLOSED_D100.replace("cutoff=9", "cutoff=8")
+
+SIMULATE_BOTH = ["simulate", "--observable", "a:c1", "--observable", "a:c2"]
+
+
 @pytest.mark.parametrize("text, d, argv, code, arrays", [
-    (CASCADE_D196, 196, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 8.5),
+    (CASCADE_D196, 196, SIMULATE_BOTH, 0, 8.5),
     (CASCADE_D196, 196, ["verify"], 3, 0.5),  # the cascade stays open, so only the reduction runs
-    (CLOSED_D100, 100, ["simulate", "--observable", "a:c1", "--observable", "a:c2"], 0, 1.25),
+    (CLOSED_D100, 100, SIMULATE_BOTH, 0, 1.25),
     (MIX_D100, 100, ["simulate", "--observable", "a:c1"], 0, 10.25),
-], ids=["simulate", "verify", "simulate_closed_d100", "simulate_two_channel_d100"])
+    (CASCADE_D81, 81, SIMULATE_BOTH, 0, 20.5),
+    (CLOSED_D81, 81, SIMULATE_BOTH, 0, 14.5),
+], ids=["simulate", "verify", "simulate_closed_d100", "simulate_two_channel_d100",
+        "simulate_d81", "simulate_closed_d81"])
 def test_a_run_holds_at_most_its_integration_arrays(text, d, argv, code, arrays, netlist,
                                                     tmp_path):
     # from d = 100 on, the reduction, the sum of K and the observables are
@@ -650,7 +661,14 @@ def test_a_run_holds_at_most_its_integration_arrays(text, d, argv, code, arrays,
     # on: 8.27 arrays measured on the cascade and 9.87 on the two-channel
     # run.  verify, which refuses the open cascade before integrating,
     # peaks at 0.20.  A closed run holds states of d entries, so its peak
-    # is the CSR model and the compile's tables (0.95 arrays at d = 100)
+    # is the CSR model and the compile's tables (0.95 arrays at d = 100).
+    # Below d = 100 the reduction and the model are dense, so the peak
+    # counts the dense arrays still alive: the CLI keeps no component or
+    # trace of the reduction (cli._load_reduced) and hands the integrator
+    # its only references to the triple, the state and the observables.
+    # 20.24 arrays measured on the cascade at d = 81 (27.3 without the
+    # hand-off, 29.3 with the components kept) and 14.23 on the closed
+    # chain (15.25 with an imag() that holds the whole dagger)
     argv = [argv[0], netlist(text), "--horizon", "0.08", "--step", "0.04",
             "-o", str(tmp_path / "out"), *argv[1:]]
     assert main(argv) == code  # untraced, so the import of scipy.sparse is not counted

@@ -21,7 +21,7 @@ from slhforge import (
 )
 from slhforge.hilbert import SPARSE_MIN_DIM
 from conftest import random_operator
-from reference import dense
+from reference import approx_equal, dense
 
 
 # -- factors and spaces ----------------------------------------------------
@@ -132,7 +132,7 @@ def test_dagger_is_an_antihomomorphism(seed, dim):
     x, y = random_operator(rng, sp), random_operator(rng, sp)
     lhs = (x @ y).dagger()
     rhs = y.dagger() @ x.dagger()
-    assert lhs.approx_equal(rhs, 1e-12)
+    assert approx_equal(lhs, rhs, 1e-12)
 
 
 def test_zero_and_predicates(rng):
@@ -141,7 +141,7 @@ def test_zero_and_predicates(rng):
     assert not OpPolynomial.constant(identity(sp)).is_zero()
     assert np.max(np.abs(identity(sp).matrix)) == 1.0
     h = random_operator(rng, sp)
-    assert (h + h.dagger()).dagger().approx_equal(h + h.dagger())
+    assert approx_equal((h + h.dagger()).dagger(), h + h.dagger())
 
 
 # -- mode operators --------------------------------------------------------
@@ -241,9 +241,9 @@ def test_embed_is_a_star_homomorphism(rng):
     big = two_factor_space()
     small = HilbertSpace([big.factors[0]])
     x, y = random_operator(rng, small), random_operator(rng, small)
-    assert embed(x @ y, big).approx_equal(embed(x, big) @ embed(y, big), 1e-12)
-    assert embed(x.dagger(), big).approx_equal(embed(x, big).dagger(), 1e-12)
-    assert embed(identity(small), big).approx_equal(identity(big))
+    assert approx_equal(embed(x @ y, big), embed(x, big) @ embed(y, big), 1e-12)
+    assert approx_equal(embed(x.dagger(), big), embed(x, big).dagger(), 1e-12)
+    assert approx_equal(embed(identity(small), big), identity(big))
 
 
 def test_embed_rejects_unknown_or_mismatched_factors():
@@ -281,8 +281,8 @@ def test_imag_real_decomposition(rng):
     sp = HilbertSpace.generic("q", 4)
     p = OpPolynomial.constant(random_operator(rng, sp))
     re, im = (p + p.dagger()).scale(0.5), p.imag()
-    assert re.dagger().approx_equal(re, 1e-12) and im.dagger().approx_equal(im, 1e-12)
-    assert (re + im.scale(1j)).approx_equal(p, 1e-12)
+    assert approx_equal(re.dagger(), re, 1e-12) and approx_equal(im.dagger(), im, 1e-12)
+    assert approx_equal(re + im.scale(1j), p, 1e-12)
 
 
 # -- storage rule ----------------------------------------------------------

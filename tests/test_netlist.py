@@ -29,7 +29,7 @@ from slhforge.netlist import (MAX_EXPR_DEPTH, BinOp, Dagger, Neg, NetworkDecl, N
                               Sqrt, _Analyzer)
 from slhforge.signals import ONE
 from conftest import constant_term
-from reference import triples_approx_equal
+from reference import approx_equal, triples_approx_equal
 
 
 MINIMAL = """\
@@ -52,7 +52,7 @@ def test_compile_minimal_file():
     g = compiled.triple
     assert g.channels == 1
     a = annihilator(compiled.space, "c")
-    assert constant_term(g.L[0]).approx_equal(np.sqrt(0.4) * a, 1e-12)
+    assert approx_equal(constant_term(g.L[0]), np.sqrt(0.4) * a, 1e-12)
     assert compiled.network_name == "main"
     assert len(compiled.trace) == 1
 
@@ -151,7 +151,7 @@ network main = G
     sp = compiled.space
     a = annihilator(sp, "c")
     want = 2.0 * (a + a.dagger()) - 1j * (a.dagger() @ a)
-    assert constant_term(compiled.triple.L[0]).approx_equal(want, 1e-12)
+    assert approx_equal(constant_term(compiled.triple.L[0]), want, 1e-12)
 
 
 # -- scalar arithmetic -----------------------------------------------------

@@ -29,7 +29,7 @@ from slhforge import (
     validate_triple,
 )
 from slhforge.hilbert import SPARSE_MIN_DIM
-from reference import dense, triples_approx_equal
+from reference import approx_equal, dense, triples_approx_equal
 from conftest import (
     constant_term,
     random_bindings,
@@ -51,7 +51,7 @@ def test_pure_hamiltonian_shape(rng):
     g = pure_hamiltonian(h, SP, channels=2)
     assert g.channels == 2
     assert all(entry.is_zero() for entry in g.L)
-    assert constant_term(g.H).approx_equal(h)
+    assert approx_equal(constant_term(g.H), h)
 
 
 def test_pure_hamiltonian_needs_a_channel():
@@ -82,7 +82,7 @@ def test_beam_splitter_entries(rng):
             assert abs(g.T[i, j] - T[i, j]) <= 1e-10
             # the S view: T_ij·I as a polynomial
             want = Operator(SP, T[i, j] * np.eye(3))
-            assert constant_term(g.S[i][j]).approx_equal(want)
+            assert approx_equal(constant_term(g.S[i][j]), want)
     assert g.H.is_zero()
 
 def test_signal_adder_entry_forms():
@@ -127,7 +127,7 @@ def test_system_coupling_infers_space(rng):
     L = random_operator(rng, SP)
     g = system_coupling([L])
     assert g.space == SP
-    assert constant_term(g.L[0]).approx_equal(L)
+    assert approx_equal(constant_term(g.L[0]), L)
     with pytest.raises(ValueError):
         system_coupling([])
 
@@ -136,15 +136,15 @@ def test_cavity_component():
     sp = HilbertSpace.fock("c", 4)
     g = cavity(sp, "c", gamma=0.4, omega=1.5)
     a = annihilator(sp, "c")
-    assert constant_term(g.L[0]).approx_equal(np.sqrt(0.4) * a)
-    assert constant_term(g.H).approx_equal(1.5 * number_op(sp, "c"))
+    assert approx_equal(constant_term(g.L[0]), np.sqrt(0.4) * a)
+    assert approx_equal(constant_term(g.H), 1.5 * number_op(sp, "c"))
     with pytest.raises(ValueError):
         cavity(sp, "c", gamma=-1.0, omega=0.0)
 
 
 def test_component_constructors(rng):
     h = random_hermitian(rng, SP)
-    assert constant_term(pure_hamiltonian(h).H).approx_equal(h)
+    assert approx_equal(constant_term(pure_hamiltonian(h).H), h)
     assert beam_splitter(np.eye(2), SP).channels == 2
     assert signal_adder(["u"], SP).channels == 1
     assert system_coupling([h]).channels == 1
@@ -301,9 +301,8 @@ def test_series_is_not_commutative(rng):
     eq, _ = triples_approx_equal(series(g2, g1), series(g1, g2))
     assert not eq
     # the two orders differ exactly by the sign of the cross term
-    assert constant_term(series(g2, g1).H).approx_equal(
-        -constant_term(series(g1, g2).H), 1e-12
-    )
+    assert approx_equal(constant_term(series(g2, g1).H),
+                        -constant_term(series(g1, g2).H), 1e-12)
 
 
 # -- conjugation and reversal ---------------------------------------------
@@ -365,8 +364,8 @@ def test_cancellation_chain_component_list(rng):
     assert len(comps) == 7
     assert all(c.channels == 1 for c in comps)
     # downstream-first: the pure-Hamiltonian piece leads, SYS closes
-    assert constant_term(comps[0].H).approx_equal(H0)
-    assert constant_term(comps[-1].L[0]).approx_equal(L)
+    assert approx_equal(constant_term(comps[0].H), H0)
+    assert approx_equal(constant_term(comps[-1].L[0]), L)
     with pytest.raises(ValueError):
         cancellation_chain_components([L], H0, ["u", "v"], SP)
 
@@ -402,7 +401,7 @@ def test_noisy_and_cancellation_share_the_hamiltonian_term(rng):
     H0 = random_hermitian(rng, SP)
     chain = build_cancellation_chain([L], H0, ["u"], SP)
     noisy = build_noisy_construction(np.eye(1), [L], H0, ["u"], SP)
-    assert chain.H.approx_equal(noisy.H, 1e-13)
+    assert approx_equal(chain.H, noisy.H, 1e-13)
 
 
 # -- validation and comparison --------------------------------------------

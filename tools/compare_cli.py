@@ -24,7 +24,11 @@ on CSR matrices) to a temporary directory.  The open two-cavity cascade runs ``r
 --horizon 0.2 --step 0.04``.  The closed cancellation chain, whose
 Schrödinger runs take the CSR matrix-vector product, runs ``simulate
 --horizon 0.2 --step 0.04 --observable a:c1`` and ``verify --horizon 0.2
---step 0.01`` (at step 0.04 its ``purity_drift`` check fails).  The
+--step 0.01`` (at step 0.04 its ``purity_drift`` check fails).  Both
+netlists at cutoff 8 (d = 81, the largest space stored dense, where the
+reduction's sums do their largest dense arithmetic) run ``reduce``,
+``simulate --horizon 0.2 --step 0.04 --observable a:c1 --observable
+a:c2`` and ``verify`` on the grid their d = 100 form verifies on.  The
 corpus scatters only by ±1, 0 and the swap, so a third netlist puts a
 complex two-channel T around a two-channel ``SYS`` and an ``ADD`` on two
 modes at cutoff 2; it runs ``reduce``, ``simulate --horizon 0.5 --step
@@ -94,6 +98,9 @@ network cascade = B <| A <| D
 # the same cascade at cutoff 13: d = 196, the size the benchmark runs
 CASCADE_D196 = CASCADE.replace("cutoff=9", "cutoff=13")
 
+# and at cutoff 8: d = 81, the largest space stored dense
+CASCADE_D81 = CASCADE.replace("cutoff=9", "cutoff=8")
+
 # the noise-cancellation chain on the same space: closed, so its
 # Schrödinger runs take the CSR matrix-vector product
 CLOSED = """\
@@ -107,6 +114,9 @@ component R = BS(T=[[-1]])
 component G = SYS(L=[sqrt(0.4) * a(c1)])
 network closed = H0 <| P <| R <| G <| R <| M <| G
 """
+
+# the same chain at cutoff 8: d = 81
+CLOSED_D81 = CLOSED.replace("cutoff=9", "cutoff=8")
 
 # a complex two-channel T (a rotation by 0.3 with i on the off-diagonal)
 # on both sides of a coupling and an adder: d = 9
@@ -170,9 +180,10 @@ SCALAR_ERRORS = {
 
 
 def runs(tmp: Path) -> list[list[str]]:
-    """Each run's argv, relative to the tree's root; the d = 100 and
-    d = 196, the two complex-T, the two cutoff-2, the two scalar-argument
-    and the four scalar-error netlists are written to ``tmp``."""
+    """Each run's argv, relative to the tree's root; the d = 100, d = 196
+    and d = 81, the two complex-T, the two cutoff-2, the two
+    scalar-argument and the four scalar-error netlists are written to
+    ``tmp``."""
     cli = [sys.executable, "-m", "slhforge.cli"]
     out = []
     for path in sorted((ROOT / "tests" / "netlists").glob("*.slh")):
@@ -211,6 +222,14 @@ def runs(tmp: Path) -> list[list[str]]:
     closed.write_text(CLOSED)
     out += [cli + ["simulate", str(closed), *grid, "--observable", "a:c1"],
             cli + ["verify", str(closed), "--horizon", "0.2", "--step", "0.01"]]
+    for name, text, check in (("cascade_d81", CASCADE_D81, grid),
+                              ("closed_d81", CLOSED_D81, ["--horizon", "0.2", "--step", "0.01"])):
+        path = tmp / f"{name}.slh"
+        path.write_text(text)
+        out += [cli + ["reduce", str(path)],
+                cli + ["simulate", str(path), *grid,
+                       "--observable", "a:c1", "--observable", "a:c2"],
+                cli + ["verify", str(path), *check]]
     mix = tmp / "complex_t.slh"
     mix.write_text(COMPLEX_T)
     out += [cli + ["reduce", str(mix)],
