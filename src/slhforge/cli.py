@@ -264,15 +264,9 @@ def cmd_simulate(args) -> int:
     del g, state, observables
     if closed:
         log.info("closed system: Schrodinger integration")
-        result = integrate_schrodinger(
-            handed.pop(0), handed.pop(0), times, bindings, handed.pop(0),
-            norm_tol=args.trace_tol, leak_threshold=args.leak_threshold,
-        )
-    else:
-        result = integrate_master(
-            handed.pop(0), handed.pop(0), times, bindings, handed.pop(0),
-            trace_tol=args.trace_tol, leak_threshold=args.leak_threshold,
-        )
+    integrate = integrate_schrodinger if closed else integrate_master
+    result = integrate(handed.pop(0), handed.pop(0), times, bindings, handed.pop(0),
+                       drift_tol=args.trace_tol, leak_threshold=args.leak_threshold)
     _write_output(args.output, result.to_csv())
     return 0
 

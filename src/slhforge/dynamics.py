@@ -48,9 +48,11 @@ combination is one real contraction over the stacked state and slopes
 the written-out combination to rounding.  Each product and each
 diagnostic keep the order of the expressions written out per state,
 bit for bit, and so does the dense master stage, Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†)
-on the compiled values.  The CSR master stage accumulates Kρ and each
-Lᵢ(ρLᵢ†) onto ρK† entry by entry, which agrees with the reference to
-rounding, not bit for bit.
+on the compiled values.  Both master stages have one shape: every value
+M keeps its conjugate in one flat buffer, and each right product ρM† is
+formed from it in turn, into one buffer that the next M reuses.  The CSR
+master stage accumulates Kρ and each Lᵢ(ρLᵢ†) onto ρK† entry by entry,
+which agrees with the reference to rounding, not bit for bit.
 
 At d = 16 a product costs a few µs, of which numpy's dispatch is a
 large part.  So a BLAS product or contraction that writes at most
@@ -79,7 +81,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .hilbert import (DEFAULT_TOL, FOCK, SPARSE_MIN_DIM, HilbertSpace, Operator, _dense,
-                      _entries, _nonzero)
+                      _entries, _nonzero, _values)
 from .network import SLHTriple
 from .signals import Bindings, OpPolynomial
 
@@ -756,19 +758,20 @@ def _compiled_lindblad(
     checks it again.  It is called once: it takes g and lets go of the
     triple, K and the couplings once they are compiled, so when the
     caller has handed over its only reference to g, the compiled values
-    are all that is left of the model.  The values rewrite their
-    conjugates M̄ (M = K, L₁…L_c) with themselves
-    (:meth:`_Compiled.conjugate_into`), so each right product ρM† of a
-    stage is read from a product with M̄.  out is never zeroed.
+    are all that is left of the model.  Each value M (M = K, L₁…L_c)
+    rewrites its conjugate entries M̄ into one flat buffer of its own, the
+    size of its stored entries (:meth:`_Compiled.conjugate_into`), so each
+    right product ρM† of a stage is read from a product with M̄.  out is
+    never zeroed.
 
-    - Dense: the M̄ are the blocks of one (n, d, d) stack S̄, multiplied as
-      the batch ρM̄ᵢᵀ, which BLAS reads without a copy, into C-ordered
-      products (one value takes the plain 2-D product, which skips the
-      batch loop).  out ← Kρ, then out += ρK†, so a closed triple rounds
-      only the two products and their sum; each Lᵢ(ρLᵢ†) goes through the
-      scratch matrix.  The 2-D products (ρK̄ᵀ when n = 1, Kρ and each
-      Lᵢ(ρLᵢ†)) take the entry point of :func:`_blas_entry`, ``np.dot``
-      up to d = 22; the batch is ``np.matmul``.
+    - Dense: each right product ρM̄ᵀ, with M̄ᵀ a transposed view of M̄'s
+      buffer that BLAS reads without a copy, is one 2-D product into the
+      ``right`` buffer, which every M reuses in turn.  out ← Kρ, then out
+      += ρK†, so a closed triple rounds only the two products and their
+      sum; each Lᵢ(ρLᵢ†) then goes through the scratch matrix.  Every
+      product takes the entry point of :func:`_blas_entry`, ``np.dot`` up
+      to d = 22.  So the stage holds two d×d buffers beside the
+      conjugates, whatever the number of couplings.
     - CSR: each M̄ holds its conjugate entries on M's pattern, and each
       product is the kernel of :func:`_csr_accumulator`, which multiplies
       only into the rows of a C-ordered operand.  So ρᵀ is copied to the
@@ -790,29 +793,27 @@ def _compiled_lindblad(
         # K and the couplings go with the list once they are compiled, so
         # the model is gone before the buffers below are allocated
         compiled = _compile(_lindblad_polys(model.pop()), bindings, half)
-        (Km, *Ls), n = compiled.values, len(compiled.values)
+        Km, *Ls = compiled.values
         d = Km.shape[0]
+        conjugates = [np.empty(_values(m).size, dtype=complex) for m in compiled.values]
+        compiled.conjugate_into(conjugates)
         scratch = np.empty((d, d), dtype=complex)
         if isinstance(Km, np.ndarray):
-            stack = np.empty((n, d, d), dtype=complex)
-            compiled.conjugate_into(list(stack.reshape(n, d * d)))
-            products = np.empty((n, d, d), dtype=complex)
             dot = _blas_entry(scratch.nbytes)
-            right_product, right, into = ((dot, stack[0].T, products[0]) if n == 1
-                                          else (np.matmul, stack.transpose(0, 2, 1), products))
-            K_right, couplings = products[0], list(zip(Ls, products[1:]))
+            right = np.empty((d, d), dtype=complex)
+            K_bar, *L_bars = (c.reshape(d, d).T for c in conjugates)
+            couplings = list(zip(L_bars, Ls))
 
             def dense(rho, out):
-                right_product(rho, right, out=into)
+                dot(rho, K_bar, out=right)
                 dot(Km, rho, out=out)
-                out += K_right
-                for L, L_right in couplings:
-                    dot(L, L_right, out=scratch)
+                out += right
+                for L_bar, L in couplings:
+                    dot(rho, L_bar, out=right)
+                    dot(L, right, out=scratch)
                     out += scratch
             return compiled.rewriter(), dense
 
-        conjugates = [np.empty_like(m.data) for m in compiled.values]
-        compiled.conjugate_into(conjugates)
         K_bar, *L_bars = map(_csr_accumulator, compiled.values, conjugates)
         K_times, *L_times = map(_csr_accumulator, compiled.values)
         block = np.empty((d, d), dtype=complex)
@@ -865,7 +866,7 @@ def integrate_master(
     bindings: Bindings | None = None,
     observables: Mapping[str, Operator] | None = None,
     store_states: bool = False,
-    trace_tol: float = DEFAULT_TRACE_TOL,
+    drift_tol: float = DEFAULT_TRACE_TOL,
     leak_threshold: float | None = DEFAULT_LEAK_THRESHOLD,
 ) -> SimulationResult:
     """Fixed-step RK4 on the vacuum-input master equation.
@@ -875,13 +876,12 @@ def integrate_master(
     stacked once, each on its union nonzero pattern, all CSR or all dense
     by the rule of :func:`_compile`, and the stage of that format computes
     Kρ + ρK† + Σᵢ Lᵢ(ρLᵢ†), the map of :func:`lindblad_rhs`, with every
-    right product ρM† taken from a product with the conjugate M̄: one
-    stacked product when dense, one block at a time when CSR.  ρ is always
-    dense.
+    right product ρM† taken, one M at a time, from a product with the
+    conjugate M̄.  ρ is always dense.
     ``rho0`` is a QuantumState, whose density matrix starts the run, or a
     (d, d) array with finite entries, which may be mixed; any other shape
     is a ValueError (:func:`_initial`).  The run aborts (IntegrationError)
-    when a diagnostic is not finite, the trace drifts beyond ``trace_tol``
+    when a diagnostic is not finite, the trace drifts beyond ``drift_tol``
     or the truncation leak exceeds ``leak_threshold``; pass
     ``leak_threshold=None`` to only record the leak.
 
@@ -897,7 +897,7 @@ def integrate_master(
     rhs = _compiled_lindblad(g, bindings)
     del g, observables  # rhs holds the triple until it has compiled it
     return _rk4(rhs, _initial(rho0, space, pure=False), times, space, readers,
-                store_states, trace_tol, leak_threshold)
+                store_states, drift_tol, leak_threshold)
 
 
 def integrate_schrodinger(
@@ -907,7 +907,7 @@ def integrate_schrodinger(
     bindings: Bindings | None = None,
     observables: Mapping[str, Operator] | None = None,
     store_states: bool = False,
-    norm_tol: float = DEFAULT_TRACE_TOL,
+    drift_tol: float = DEFAULT_TRACE_TOL,
     leak_threshold: float | None = DEFAULT_LEAK_THRESHOLD,
 ) -> SimulationResult:
     """Fixed-step RK4 on dpsi/dt = -i H(t) psi; norm drift is reported,
@@ -936,7 +936,7 @@ def integrate_schrodinger(
         compiled = _compile([model.pop().scale(-1j)], bindings, half)
         return compiled.rewriter(), _product(compiled.values[0])
 
-    return _rk4(rhs, psi, times, space, readers, store_states, norm_tol, leak_threshold)
+    return _rk4(rhs, psi, times, space, readers, store_states, drift_tol, leak_threshold)
 
 
 def output_expectation(

@@ -129,7 +129,7 @@ class HilbertSpace:
         return label in self._index
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, HilbertSpace) and self.factors == other.factors
+        return self is other or (isinstance(other, HilbertSpace) and self.factors == other.factors)
 
     def __hash__(self) -> int:
         return hash(self.factors)
@@ -254,14 +254,14 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
     The factors of ``op.space`` must be a contiguous run of the factors of
     ``big_space``, in the same order (no permutation is performed).  The
     result shares ``op``'s matrix when there is nothing to extend.
-    Otherwise, below ``SPARSE_MIN_DIM`` it adopts the last ``np.kron``
-    product's array, signed zeros included.  From there on it is one
-    :func:`_matrix` call on op's entries moved by index arithmetic: entry
+    Otherwise it is one :func:`_matrix` call, in the storage form of
+    ``big_space``, on op's nonzero entries moved by index arithmetic: entry
     (r, c) of op, of dimension m, lands at ((i·m + r)·after + j,
     (i·m + c)·after + j) for each i < before and j < after.  Each value is
-    multiplied by 1.0 once per identity factor, as ``scipy.sparse.kron``
-    multiplies it by the identity's entries, so the CSR arrays are the
-    ones those Kronecker products make, bit for bit.
+    multiplied by 1.0 once per identity factor, as a Kronecker product
+    multiplies it by the identity's entries, so a CSR matrix has the
+    arrays of ``scipy.sparse.kron``'s products, bit for bit, and a dense
+    one equals the dense Kronecker products by value (its zeros are +0).
     """
     positions = []
     for f in op.space.factors:
@@ -278,13 +278,7 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
                          "embedding is a Kronecker product over a contiguous run")
     matrix = op.matrix
     before, after = math.prod(big_space.dims[:first]), math.prod(big_space.dims[last + 1:])
-    d = big_space.total_dim
-    if d < SPARSE_MIN_DIM:
-        if before > 1:
-            matrix = np.kron(np.eye(before), matrix)
-        if after > 1:
-            matrix = np.kron(matrix, np.eye(after))
-    elif before > 1 or after > 1:
+    if before > 1 or after > 1:
         rows, cols, vals = _entries(matrix)
         m = op.space.total_dim
         # (before, nnz, after) positions, row-major, so each row's columns
@@ -292,11 +286,11 @@ def embed(op: Operator, big_space: HilbertSpace) -> Operator:
         shift = (np.arange(before) * (m * after))[:, None, None] + np.arange(after)
         rows = (rows[:, None] * after + shift).reshape(-1).astype(np.int32)
         cols = (cols[:, None] * after + shift).reshape(-1).astype(np.int32)
-        # scipy.sparse.kron multiplies each value by the identity's 1.0, once per factor
+        # a Kronecker product multiplies each value by the identity's 1.0, once per factor
         for _ in range((before > 1) + (after > 1)):
             vals = vals * 1.0
         vals = np.broadcast_to(vals[:, None], shift.shape[:1] + vals.shape + (after,))
-        matrix = _matrix(rows, cols, vals.reshape(-1), d)
+        matrix = _matrix(rows, cols, vals.reshape(-1), big_space.total_dim)
     return Operator._adopt(big_space, matrix)
 
 

@@ -312,7 +312,7 @@ class OpPolynomial:
 
     @classmethod
     def zero(cls, space: HilbertSpace) -> "OpPolynomial":
-        return cls(space)
+        return cls._shared(space, {})
 
     @classmethod
     def constant(cls, op: Operator) -> "OpPolynomial":

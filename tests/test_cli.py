@@ -634,10 +634,11 @@ network mix = X <| G <| A <| X
 """
 
 
-# the cascade and the closed chain at cutoff 8: d = 81, the largest space
-# stored dense
+# the cascade, the closed chain and the two-channel mix at cutoff 8: d =
+# 81, the largest space stored dense
 CASCADE_D81 = CASCADE_D196.replace("cutoff=13", "cutoff=8")
 CLOSED_D81 = CLOSED_D100.replace("cutoff=9", "cutoff=8")
+MIX_D81 = MIX_D100.replace("cutoff=9", "cutoff=8")
 
 SIMULATE_BOTH = ["simulate", "--observable", "a:c1", "--observable", "a:c2"]
 
@@ -647,10 +648,11 @@ SIMULATE_BOTH = ["simulate", "--observable", "a:c1", "--observable", "a:c2"]
     (CASCADE_D196, 196, ["verify"], 3, 0.5),  # the cascade stays open, so only the reduction runs
     (CLOSED_D100, 100, SIMULATE_BOTH, 0, 1.25),
     (MIX_D100, 100, ["simulate", "--observable", "a:c1"], 0, 10.25),
-    (CASCADE_D81, 81, SIMULATE_BOTH, 0, 20.5),
+    (CASCADE_D81, 81, SIMULATE_BOTH, 0, 19.5),
     (CLOSED_D81, 81, SIMULATE_BOTH, 0, 14.5),
+    (MIX_D81, 81, ["simulate", "--observable", "a:c1"], 0, 24.5),
 ], ids=["simulate", "verify", "simulate_closed_d100", "simulate_two_channel_d100",
-        "simulate_d81", "simulate_closed_d81"])
+        "simulate_d81", "simulate_closed_d81", "simulate_two_channel_d81"])
 def test_a_run_holds_at_most_its_integration_arrays(text, d, argv, code, arrays, netlist,
                                                     tmp_path):
     # from d = 100 on, the reduction, the sum of K and the observables are
@@ -665,10 +667,13 @@ def test_a_run_holds_at_most_its_integration_arrays(text, d, argv, code, arrays,
     # Below d = 100 the reduction and the model are dense, so the peak
     # counts the dense arrays still alive: the CLI keeps no component or
     # trace of the reduction (cli._load_reduced) and hands the integrator
-    # its only references to the triple, the state and the observables.
-    # 20.24 arrays measured on the cascade at d = 81 (27.3 without the
-    # hand-off, 29.3 with the components kept) and 14.23 on the closed
-    # chain (15.25 with an imag() that holds the whole dagger)
+    # its only references to the triple, the state and the observables,
+    # and the dense stage forms each ρM† in turn in one buffer.  19.23
+    # arrays measured on the cascade at d = 81 (20.24 with the stage's
+    # batched right products, 27.3 without the hand-off, 29.3 with the
+    # components kept), 24.20 on the two-channel mix (26.21 batched) and
+    # 14.24 on the closed chain (15.25 with an imag() that holds the whole
+    # dagger)
     argv = [argv[0], netlist(text), "--horizon", "0.08", "--step", "0.04",
             "-o", str(tmp_path / "out"), *argv[1:]]
     assert main(argv) == code  # untraced, so the import of scipy.sparse is not counted

@@ -472,10 +472,10 @@ def test_stored_states_are_copies_of_the_state_updated_in_place(rng, two_mode):
     kept = rho0.copy()
     psi0 = coherent_vector(g.space, 0.3, "a") if two_mode else np.eye(d)[0].astype(complex)
     runs = [
-        (rho0, integrate_master(g, rho0, times, binds, store_states=True, trace_tol=1.0,
+        (rho0, integrate_master(g, rho0, times, binds, store_states=True, drift_tol=1.0,
                                 leak_threshold=None)),
         (psi0, integrate_schrodinger(g.H, psi0, times, binds, store_states=True,
-                                     norm_tol=1.0, leak_threshold=None)),
+                                     drift_tol=1.0, leak_threshold=None)),
     ]
     assert np.array_equal(rho0, kept)  # the caller's state is not the run's
     for y0, res in runs:
@@ -823,12 +823,12 @@ def test_compiled_integrators_match_the_reference(rng, case):
     assert np.ptp(np.diff(unequal)) > 0.1 * h
     for grid in (times, unequal):
         # drift is checked elsewhere; here only agreement with the reference counts
-        res = integrate_master(g, rho0, grid, binds, store_states=True, trace_tol=1.0,
+        res = integrate_master(g, rho0, grid, binds, store_states=True, drift_tol=1.0,
                                leak_threshold=None)
         want = _classic_rk4(lambda rho, t: lindblad_rhs(rho, g, t, binds), rho0, grid)
         assert max(np.max(np.abs(a - b)) for a, b in zip(res.states, want)) < 1e-12
 
-        res = integrate_schrodinger(g.H, psi0, grid, binds, store_states=True, norm_tol=1.0,
+        res = integrate_schrodinger(g.H, psi0, grid, binds, store_states=True, drift_tol=1.0,
                                     leak_threshold=None)
         want = _classic_rk4(lambda psi, t: -1j * g.H.evaluate(t, binds).matrix @ psi, psi0,
                             grid)
@@ -1065,7 +1065,7 @@ def test_compile_rewrites_one_value_per_polynomial(rng, two_mode):
     res = dynamics._rk4(rhs, rho0.copy(), times, g.space, None, False, 1.0, None)
     assert rewrites == list(range(2 * (n - 1) + 1))
     assert reads == [i for k in range(n - 1) for i in (2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2)]
-    plain = integrate_master(g, rho0, times, binds, trace_tol=1.0, leak_threshold=None)
+    plain = integrate_master(g, rho0, times, binds, drift_tol=1.0, leak_threshold=None)
     assert _bits(res.final) == _bits(plain.final)
 
     # on a linspace grid t_k + h_k is t_{k+1} exactly, and the value that
@@ -1189,7 +1189,7 @@ def test_grid_past_a_sampled_table_fails_before_the_first_step(rng):
     # a negative trace tolerance would abort the run at t=0, on its first
     # record, so only a check made before that can raise the table's error
     with pytest.raises(ValueError, match=re.escape(message)):
-        integrate_master(g, random_density(rng, 3), times, binds, trace_tol=-1.0)
+        integrate_master(g, random_density(rng, 3), times, binds, drift_tol=-1.0)
 
 
 # -- analytic oracles ------------------------------------------------------

@@ -198,6 +198,16 @@ def test_embed_matches_kron():
     assert np.allclose(embed(xb, big).matrix, np.kron(np.eye(3), xb.matrix))
 
 
+def _factor_operator(small, label, kind):
+    """A mode operator of ``kind`` on the one-factor space ``small``, or an
+    operator with entries -0 - 1i, 2 - 0i and 0.5 (``signed_zeros``)."""
+    if kind != "signed_zeros":
+        return {"a": annihilator, "adag": creator, "n": number_op}[kind](small, label)
+    m = np.zeros((small.total_dim,) * 2, dtype=complex)
+    m[0, 1], m[1, 0], m[-1, -1] = complex(-0.0, -1.0), complex(2.0, -0.0), 0.5
+    return Operator(small, m)
+
+
 @pytest.mark.parametrize("label", ["a", "q", "b"], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("kind", ["a", "adag", "n", "signed_zeros"])
 def test_a_csr_embedding_is_the_kronecker_products_array_for_array(label, kind):
@@ -212,12 +222,7 @@ def test_a_csr_embedding_is_the_kronecker_products_array_for_array(label, kind):
     at = big.factor_position(label)
     before, after = int(np.prod(big.dims[:at])), int(np.prod(big.dims[at + 1:]))
     small = HilbertSpace([big.factor(label)])
-    if kind == "signed_zeros":
-        m = np.zeros((small.total_dim,) * 2, dtype=complex)
-        m[0, 1], m[1, 0], m[-1, -1] = complex(-0.0, -1.0), complex(2.0, -0.0), 0.5
-        op = Operator(small, m)
-    else:
-        op = {"a": annihilator, "adag": creator, "n": number_op}[kind](small, label)
+    op = _factor_operator(small, label, kind)
     want = op.matrix
     if before > 1:
         want = sparse.kron(sparse.eye_array(before), want, format="csr")
@@ -228,6 +233,32 @@ def test_a_csr_embedding_is_the_kronecker_products_array_for_array(label, kind):
     for name in ("indptr", "indices", "data"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("label", ["a", "q", "b"], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind", ["a", "adag", "n", "signed_zeros"])
+def test_a_dense_embedding_is_the_kronecker_products_array(label, kind):
+    # below SPARSE_MIN_DIM, I ⊗ op ⊗ I is built from op's entries as from
+    # SPARSE_MIN_DIM on.  The mode operators are np.kron's arrays byte for
+    # byte; the signed-zeros operator is np.kron's by value, since a zero
+    # the products make may be -0 where the embedding writes +0
+    big = HilbertSpace([fock_factor("a", 2), fock_factor("q", 3), fock_factor("b", 4)])
+    assert big.total_dim < SPARSE_MIN_DIM
+    at = big.factor_position(label)
+    before, after = int(np.prod(big.dims[:at])), int(np.prod(big.dims[at + 1:]))
+    small = HilbertSpace([big.factor(label)])
+    op = _factor_operator(small, label, kind)
+    want = op.matrix
+    if before > 1:
+        want = np.kron(np.eye(before), want)
+    if after > 1:
+        want = np.kron(want, np.eye(after))
+    got = embed(op, big).matrix
+    assert isinstance(got, np.ndarray) and got.flags.c_contiguous and got.dtype == complex
+    if kind == "signed_zeros":
+        assert np.array_equal(got, want)
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_embedded_factors_commute():

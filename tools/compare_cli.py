@@ -35,8 +35,10 @@ modes at cutoff 2; it runs ``reduce``, ``simulate --horizon 0.5 --step
 0.01 --observable a:c1 --leak-threshold inf`` (its drive fills the top
 Fock levels) and ``verify --horizon 0.3 --step 0.01``; the same netlist at
 cutoff 9 (d = 100) runs ``simulate --horizon 0.2 --step 0.04 --observable
-a:c1``, the CSR master stage with two live couplings.  The benchmark's
-shape, the same cascade at cutoff 13 (d = 196), runs ``reduce`` (its
+a:c1``, the CSR master stage with two live couplings, and at cutoff 8
+(d = 81) it runs that ``simulate`` too, the dense master stage with two
+live couplings on products past ``np.dot``'s 8 KiB entry point.  The
+benchmark's shape, the same cascade at cutoff 13 (d = 196), runs ``reduce`` (its
 report densifies each CSR coefficient to print it), ``simulate --horizon
 0.2 --step 0.04 --observable a:c1 --observable a:c2`` (two observables on
 the space whose run hands its model over to the integrator and folds K,
@@ -133,6 +135,9 @@ network mix = X <| G <| A <| X
 # the same at cutoff 9: d = 100, so its master run is CSR with two couplings
 COMPLEX_T_D100 = COMPLEX_T.replace("cutoff=2", "cutoff=9")
 
+# and at cutoff 8: d = 81, a dense master run with two couplings
+COMPLEX_T_D81 = COMPLEX_T.replace("cutoff=2", "cutoff=8")
+
 
 # each HAM is 8e-11 from self-adjoint, within the default 1e-10; their
 # sum is 1.6e-10 from it
@@ -181,7 +186,7 @@ SCALAR_ERRORS = {
 
 def runs(tmp: Path) -> list[list[str]]:
     """Each run's argv, relative to the tree's root; the d = 100, d = 196
-    and d = 81, the two complex-T, the two cutoff-2, the two
+    and d = 81, the three complex-T, the two cutoff-2, the two
     scalar-argument and the four scalar-error netlists are written to
     ``tmp``."""
     cli = [sys.executable, "-m", "slhforge.cli"]
@@ -236,9 +241,10 @@ def runs(tmp: Path) -> list[list[str]]:
             cli + ["simulate", str(mix), "--horizon", "0.5", "--step", "0.01",
                    "--observable", "a:c1", "--leak-threshold", "inf"],
             cli + ["verify", str(mix), "--horizon", "0.3", "--step", "0.01"]]
-    mix_d100 = tmp / "complex_t_d100.slh"
-    mix_d100.write_text(COMPLEX_T_D100)
-    out.append(cli + ["simulate", str(mix_d100), *grid, "--observable", "a:c1"])
+    for name, text in (("complex_t_d100", COMPLEX_T_D100), ("complex_t_d81", COMPLEX_T_D81)):
+        path = tmp / f"{name}.slh"
+        path.write_text(text)
+        out.append(cli + ["simulate", str(path), *grid, "--observable", "a:c1"])
     hams = tmp / "two_hams.slh"
     hams.write_text(TWO_HAMS)
     short = ["--horizon", "0.1", "--step", "0.01"]
